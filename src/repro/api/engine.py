@@ -644,7 +644,6 @@ class Engine:
         cache: Optional[ResultCache],
         options: dict[str, Any],
     ) -> CutResult:
-        graph.require_connected()
         spec = _resolve_spec(
             registry, graph, solver, mode=mode, epsilon=epsilon, budget=budget,
             cost_fn=self._auto_cost_fn(graph),
@@ -660,6 +659,10 @@ class Engine:
             hit = cache.get(key)
             if hit is not None:
                 return _stamp_cache(hit, cache, hit=True)
+        # Only a miss checks connectivity: an entry exists only for a
+        # graph some solve already required to be connected, and the key
+        # pins the graph's content, so a hit skips the GraphIndex build.
+        graph.require_connected()
         result = _run(
             spec, graph, epsilon=epsilon, mode=mode, seed=seed, budget=budget,
             **options,

@@ -506,25 +506,31 @@ class RemoteExecutor(Executor):
 
         def _dispatcher(url: str) -> None:
             client = self._client(url)
-            while True:
-                chunk = _next_chunk(url)
-                if chunk is None:
-                    return
-                started = time.perf_counter()
-                try:
-                    self._shard_on_worker(client, chunk, outcomes)
-                except ServiceError as exc:
+            try:
+                while True:
+                    chunk = _next_chunk(url)
+                    if chunk is None:
+                        return
+                    started = time.perf_counter()
+                    try:
+                        self._shard_on_worker(client, chunk, outcomes)
+                    except ServiceError as exc:
+                        with cond:
+                            state["dead"][url] = f"{client.base_url}: {exc}"
+                            state["inflight"] -= 1
+                            state["stranded"].appendleft(chunk)
+                            cond.notify_all()
+                        busy[url] += time.perf_counter() - started
+                        return
                     with cond:
-                        state["dead"][url] = f"{client.base_url}: {exc}"
                         state["inflight"] -= 1
-                        state["stranded"].appendleft(chunk)
                         cond.notify_all()
                     busy[url] += time.perf_counter() - started
-                    return
-                with cond:
-                    state["inflight"] -= 1
-                    cond.notify_all()
-                busy[url] += time.perf_counter() - started
+            finally:
+                # Keep-alive connections are per thread, and this thread
+                # ends with the sweep: close its connection rather than
+                # leave the socket to the garbage collector.
+                client.close()
 
         def _spawn(url: str) -> None:
             busy.setdefault(url, 0.0)

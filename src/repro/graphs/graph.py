@@ -300,18 +300,29 @@ class WeightedGraph:
         have distinct reprs (true for the int/str nodes the generators
         produce); weights are canonicalised via ``repr(float(w))``,
         which round-trips exactly.
+
+        The digest is built in one pass over the adjacency map, with
+        each node's ``repr`` computed once: an edge is taken from the
+        endpoint with the smaller ``repr``, so it is seen exactly once
+        without a dedup set.  The canonical text — and so the digest —
+        is the same as it has always been, so existing result stores,
+        warm artifacts and the incremental digest in
+        :mod:`repro.dynamic.incremental` keep hitting.
         """
         cached = self._hash_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        lines = [f"n:{r}" for r in sorted(repr(u) for u in self._adj)]
-        lines.extend(
-            f"e:{a}|{b}|{w}"
-            for a, b, w in sorted(
-                (min(repr(u), repr(v)), max(repr(u), repr(v)), repr(float(w)))
-                for u, v, w in self.edges()
-            )
-        )
+        reprs = {u: repr(u) for u in self._adj}
+        edges = []
+        for u, nbrs in self._adj.items():
+            ru = reprs[u]
+            for v, w in nbrs.items():
+                rv = reprs[v]
+                if ru < rv:
+                    edges.append((ru, rv, repr(float(w))))
+        edges.sort()
+        lines = [f"n:{r}" for r in sorted(reprs.values())]
+        lines.extend(f"e:{a}|{b}|{w}" for a, b, w in edges)
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         self._hash_cache = (self._version, digest)
         return digest

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 from ..errors import GraphError
 from .graph import WeightedGraph
@@ -52,29 +52,40 @@ def edge_list_from_text(text: str) -> WeightedGraph:
     """Parse edge-list *text* (the :func:`read_edge_list` file format).
 
     The service layer uses this for requests that ship a graph as an
-    edge-list string instead of the JSON form.
+    edge-list string instead of the JSON form.  Lines are tokenised
+    here; the graph itself comes from the same validated builder as
+    :func:`graph_from_json`.
     """
-    graph = WeightedGraph()
+    nodes: list = []
+    edges: list = []
+    lines: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) == 1:
-            graph.add_node(_parse_node(parts[0]))
+            nodes.append(_parse_node(parts[0]))
         elif len(parts) == 3:
             try:
                 weight = float(parts[2])
             except ValueError:
                 raise GraphError(f"malformed edge-list line: {raw!r}") from None
-            if not math.isfinite(weight):
-                # float() happily parses 'nan'/'inf', and NaN slips past
-                # add_edge's `weight <= 0` guard to poison every cut.
-                raise GraphError(f"non-finite weight in edge-list line: {raw!r}")
-            graph.add_edge(_parse_node(parts[0]), _parse_node(parts[1]), weight)
+            u, v = _parse_node(parts[0]), _parse_node(parts[1])
+            # Endpoints join ``nodes`` too, so a bare-node line keeps its
+            # place in the node order relative to the edges around it.
+            nodes += (u, v)
+            edges.append((u, v, weight))
+            lines.append(raw)
         else:
             raise GraphError(f"malformed edge-list line: {raw!r}")
-    return graph
+    return _graph_from_wire(
+        nodes,
+        edges,
+        lambda position, _weight: (
+            f"non-finite weight in edge-list line: {lines[position]!r}"
+        ),
+    )
 
 
 def _parse_node(token: str):
@@ -134,30 +145,74 @@ def graph_from_json(data: dict) -> WeightedGraph:
     nodes = data.get("nodes", [])
     if not isinstance(edges, list) or not isinstance(nodes, list):
         raise GraphError("JSON graph 'nodes' and 'edges' must be lists")
+    return _graph_from_wire(
+        nodes,
+        edges,
+        lambda position, weight: (
+            f"edge #{position} weight must be a finite number, got {weight!r}"
+        ),
+    )
+
+
+def _graph_from_wire(
+    nodes: list, edges: list, bad_weight: Callable[[int, object], str]
+) -> WeightedGraph:
+    """The one validated graph builder behind both wire forms.
+
+    Inserts ``nodes`` in order, then each ``[u, v]`` / ``[u, v, weight]``
+    entry of ``edges``, filling the adjacency map directly in one loop:
+    the map comes out in exactly the order repeated
+    :meth:`~WeightedGraph.add_node` / :meth:`~WeightedGraph.add_edge`
+    calls would give it, so the :class:`~repro.graphs.index.GraphIndex`
+    built from it is unchanged, and parallel edges merge by summing.
+    Rejects, with the messages :meth:`~WeightedGraph.add_edge` uses,
+    self-loops and non-positive weights; rejects non-JSON nodes and
+    malformed entries; and rejects non-numeric or non-finite weights
+    with ``bad_weight(position, weight)``.
+    """
     graph = WeightedGraph()
+    adj = graph._adj
     for node in nodes:
-        _check_json_node(node)
-        graph.add_node(node)
+        # ``type(...) is`` admits plain ints and strings on the fast
+        # path; bools and subclasses fall through to the full check.
+        if type(node) is not int and type(node) is not str:
+            _check_json_node(node)
+        if node not in adj:
+            adj[node] = {}
     for position, edge in enumerate(edges):
         if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             raise GraphError(
                 f"edge #{position} must be [u, v] or [u, v, weight], got {edge!r}"
             )
         u, v = edge[0], edge[1]
-        _check_json_node(u)
-        _check_json_node(v)
+        if type(u) is not int and type(u) is not str:
+            _check_json_node(u)
+        if type(v) is not int and type(v) is not str:
+            _check_json_node(v)
         weight = edge[2] if len(edge) == 3 else 1.0
         if (
-            isinstance(weight, bool)
-            or not isinstance(weight, (int, float))
+            type(weight) is not float
+            and (isinstance(weight, bool) or not isinstance(weight, (int, float)))
             # json.loads accepts NaN/Infinity by default, and NaN slips
-            # past add_edge's `weight <= 0` guard to poison every cut.
+            # past the `weight <= 0` guard to poison every cut.
             or not math.isfinite(weight)
         ):
-            raise GraphError(
-                f"edge #{position} weight must be a finite number, got {weight!r}"
-            )
-        graph.add_edge(u, v, float(weight))
+            raise GraphError(bad_weight(position, weight))
+        weight = float(weight)
+        if u == v:
+            raise GraphError(f"self-loop on node {u!r} is not allowed")
+        if weight <= 0:
+            raise GraphError(f"edge weight must be positive, got {weight!r}")
+        row_u = adj.get(u)
+        if row_u is None:
+            row_u = adj[u] = {}
+        row_v = adj.get(v)
+        if row_v is None:
+            row_v = adj[v] = {}
+        merged = row_u.get(v, 0.0) + weight
+        row_u[v] = merged
+        row_v[u] = merged
+    graph._mutated()
     return graph
 
 

@@ -178,13 +178,18 @@ class WorkerPool:
         return self
 
     def _run(self) -> None:
-        while True:
-            try:
-                self.refresh()
-            except Exception:  # noqa: BLE001 - the refresher must survive
-                pass
-            if self._wake.wait(self.interval):
-                return
+        try:
+            while True:
+                try:
+                    self.refresh()
+                except Exception:  # noqa: BLE001 - the refresher must survive
+                    pass
+                if self._wake.wait(self.interval):
+                    return
+        finally:
+            # Keep-alive connections are per thread; this one is ending.
+            for client in list(self._clients.values()):
+                client.close()
 
     def stop(self) -> None:
         with self._lock:
@@ -243,10 +248,13 @@ class Heartbeat:
         return self
 
     def _run(self) -> None:
-        while True:
-            self.beat()
-            if self._wake.wait(self.interval):
-                return
+        try:
+            while True:
+                self.beat()
+                if self._wake.wait(self.interval):
+                    return
+        finally:
+            self._client.close()  # this thread's keep-alive connection
 
     def stop(self) -> None:
         thread, self._thread = self._thread, None

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from repro.api import CutResult, Engine, default_engine, solve, solve_batch
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, DisconnectedGraphError
 from repro.exec import (
     BACKENDS,
     CACHE_SCHEMA_VERSION,
@@ -24,7 +24,7 @@ from repro.exec import (
     resolve_backend,
 )
 from repro.exec.task import run_task_captured
-from repro.graphs import build_family
+from repro.graphs import WeightedGraph, build_family
 
 
 def _graphs(count, family="cycle", n=8):
@@ -312,6 +312,42 @@ class TestCacheSchemaAndMerge:
         replayed = warm.solve_batch(graphs, "stoer_wagner")
         assert all(r.extras["cache"]["hit"] for r in replayed)
         assert _identity(replayed) == _identity(recorded)
+
+
+class TestHitPath:
+    """The cache is consulted before the connectivity check."""
+
+    def test_hit_skips_the_connectivity_check(self):
+        engine = Engine(cache=ResultCache())
+        graph = build_family("gnp", 20, seed=4)
+        first = engine.solve(graph, "stoer_wagner")
+        again = WeightedGraph(list(graph.edges()))  # same content, no index yet
+        assert again._index_cache is None
+        result = engine.solve(again, "stoer_wagner")
+        assert result.extras["cache"]["hit"] is True
+        assert result.value == first.value
+        assert again._index_cache is None
+
+    def test_disconnected_graph_raises_and_is_not_cached(self):
+        cache = ResultCache()
+        engine = Engine(cache=cache)
+        graph = WeightedGraph([(0, 1), (2, 3)])
+        for _ in range(2):
+            with pytest.raises(DisconnectedGraphError):
+                engine.solve(graph, "stoer_wagner")
+        assert len(cache) == 0
+        assert cache.hits == 0
+
+    @pytest.mark.parametrize("cache", [None, ResultCache()])
+    def test_inapplicable_solver_wins_over_disconnection(self, cache):
+        # Solver resolution precedes the lookup, and the connectivity
+        # check follows it: a named solver that cannot run on the graph
+        # is reported first, as AlgorithmError, not DisconnectedGraphError.
+        graph = WeightedGraph([(i, i + 1) for i in range(0, 24, 2)])
+        assert not graph.is_connected()
+        engine = Engine(cache=cache)
+        with pytest.raises(AlgorithmError, match="limited to 18 nodes"):
+            engine.solve(graph, "brute_force")
 
 
 def _key(graph):

@@ -6,8 +6,10 @@ HTTP path: `Engine.build_batch_tasks` → shard slices with frozen
 seeds/solvers → worker-side `Engine.solve_tasks` → reassembly.
 """
 
+import gc
 import socket
 import threading
+import warnings
 
 import pytest
 
@@ -102,6 +104,17 @@ class TestRemoteDeterminism:
         assert _identity(remote) == _identity(
             solve_batch(graphs, "stoer_wagner")
         )
+
+    def test_sweep_closes_its_connections(self, workers):
+        # Each streaming dispatcher thread holds a keep-alive connection
+        # and ends with the sweep; it must close it, not leave the
+        # socket to the garbage collector (an unclosed-socket warning).
+        urls, _ = workers
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            solve_batch(_graphs(4), "stoer_wagner", backend=RemoteExecutor(urls))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestRemoteFailover:
@@ -325,10 +338,13 @@ class TestRemoteFallbacks:
 
         urls, _ = workers
         client = ServiceClient(urls[0], timeout=10.0)
-        with pytest.raises(ServiceError, match="backend") as info:
-            client.solve_batch(
-                _graphs(2), "stoer_wagner", backend="remote"
-            )
+        try:
+            with pytest.raises(ServiceError, match="backend") as info:
+                client.solve_batch(
+                    _graphs(2), "stoer_wagner", backend="remote"
+                )
+        finally:
+            client.close()
         assert info.value.status == 400
 
     def test_solver_failure_named_by_graph_index(self, workers):

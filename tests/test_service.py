@@ -274,12 +274,42 @@ class TestDispatch:
         assert "unknown solver" in payload["error"]["message"]
 
     def test_disconnected_graph_is_400(self):
+        # The connectivity check follows the cache lookup, so a repeat
+        # of the request must fail the same way, never hit.
         service = ReproService()
-        status, payload = post(
-            service, "/solve", {"graph": [[0, 1], [2, 3]]}
-        )
-        assert status == 400
-        assert self.error_type(payload) == "DisconnectedGraphError"
+        for _ in range(2):
+            status, payload = post(
+                service, "/solve", {"graph": [[0, 1], [2, 3]]}
+            )
+            assert status == 400
+            assert self.error_type(payload) == "DisconnectedGraphError"
+        assert len(service.cache) == 0
+        assert service.cache.hits == 0
+
+    def test_warm_hit_builds_no_graph_index(self, monkeypatch):
+        # A hit is keyed by the content hash alone: the connectivity
+        # check (a GraphIndex build) runs only on a miss.
+        from repro.service import server as server_module
+
+        parsed = []
+
+        def recording_parse(body):
+            request = parse_solve_request(body)
+            parsed.append(request["graph"])
+            return request
+
+        monkeypatch.setattr(server_module, "parse_solve_request", recording_parse)
+        service = ReproService()
+        body = {"graph": graph_to_json(small_graph()), "solver": "stoer_wagner"}
+        _, first = post(service, "/solve", body)
+        status, second = post(service, "/solve", body)
+        assert status == 200
+        assert first["result"]["extras"]["cache"]["hit"] is False
+        assert second["result"]["extras"]["cache"]["hit"] is True
+        assert second["result"]["value"] == first["result"]["value"]
+        miss_graph, hit_graph = parsed
+        assert miss_graph._index_cache is not None
+        assert hit_graph._index_cache is None
 
     def test_over_node_limit_is_413(self):
         service = ReproService(config=ServiceConfig(max_nodes=4))
