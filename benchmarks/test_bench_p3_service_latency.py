@@ -160,7 +160,9 @@ def _run_experiment():
         executor = RemoteExecutor(pool=pool)
         joiner = threading.Timer(
             0.15,
-            lambda: ServiceClient(manager.url).register(late_worker.url),
+            lambda: ServiceClient(manager.url, keep_alive=False).register(
+                late_worker.url
+            ),
         )
         joiner.start()
         join_results = Engine(backend=executor).solve_batch(
@@ -181,13 +183,13 @@ def _run_experiment():
         latency_lock = threading.Lock()
 
         def client_loop(offset):
-            client = ServiceClient(server.url)
             mine = []
-            for i in range(REQUESTS):
-                graph = graphs[(offset + i) % len(graphs)]
-                started = time.perf_counter()
-                client.solve(graph, solver="stoer_wagner")
-                mine.append(time.perf_counter() - started)
+            with ServiceClient(server.url) as client:
+                for i in range(REQUESTS):
+                    graph = graphs[(offset + i) % len(graphs)]
+                    started = time.perf_counter()
+                    client.solve(graph, solver="stoer_wagner")
+                    mine.append(time.perf_counter() - started)
             with latency_lock:
                 request_latencies.extend(mine)
 
@@ -201,7 +203,8 @@ def _run_experiment():
         for thread in threads:
             thread.join()
         elapsed = time.perf_counter() - started
-        throttled = ServiceClient(server.url).health()["requests"]["throttled"]
+        with ServiceClient(server.url) as client:
+            throttled = client.health()["requests"]["throttled"]
         rows.append([
             f"/solve x{CLIENTS} clients",
             f"{CLIENTS * REQUESTS} requests, keep-alive",

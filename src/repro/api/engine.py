@@ -749,11 +749,13 @@ def _resolve_spec(
 
 
 def _stamp_cache(
-    result: CutResult, cache: ResultCache, *, hit: bool
+    result: CutResult, cache: ResultCache, *, hit: bool, **more: Any
 ) -> CutResult:
-    """Surface the cache outcome and running counters in ``extras``."""
+    """Surface the cache outcome and running counters in ``extras``
+    (plus any ``more`` keys, in one copy of the result)."""
     extras = dict(result.extras)
     extras["cache"] = {"hit": hit, "hits": cache.hits, "misses": cache.misses}
+    extras.update(more)
     return replace(result, extras=extras)
 
 

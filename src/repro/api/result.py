@@ -23,7 +23,7 @@ from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutResult:
     """A global minimum-cut answer with provenance.
 

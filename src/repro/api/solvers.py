@@ -226,7 +226,7 @@ def _solve_two_respect(graph, *, epsilon=None, mode="reference", seed=0,
     guarantee="exact",
     display="Stoer-Wagner",
     implementation=stoer_wagner_min_cut,
-    summary="n-1 maximum-adjacency phases; the ground-truth oracle",
+    summary="min-degree bound + MA-scan contraction; the ground-truth oracle",
     ground_truth=True,
     cost_model=_cost_stoer_wagner,
     priority=90,

@@ -1,22 +1,50 @@
-"""Stoer–Wagner global minimum cut — the exact ground-truth oracle.
+"""Exact global minimum cut — the ground-truth oracle.
 
-Implemented from scratch (no networkx): n−1 maximum-adjacency phases,
-each ending with a *cut of the phase* (the last-added super-node against
-the rest); the lightest phase cut is a global minimum cut.  Merged
-super-nodes track their member sets so the witness side is returned.
+The registry name is still ``stoer_wagner``, but the routine is the
+Nagamochi–Ono–Ibaraki contraction loop with the min-degree bound, as
+engineered by Henzinger, Noe, Schulz and Strash ("Practical Minimum Cut
+Algorithms", ALENEX 2018).  It works on the int ids of the cached
+:class:`~repro.graphs.index.GraphIndex`:
 
-Complexity O(n·m + n² log n)-ish with the heap-based phase; plenty for
-the evaluation sizes.  Every other min-cut algorithm in the library is
-cross-validated against this one (and this one against brute force).
+* λ̂, the lightest cut seen so far, starts as the minimum weighted
+  degree; its node is the first witness.
+* Each round runs one maximum-adjacency (MA) scan over the contracted
+  graph.  When the scanned node ``x`` adds edge ``e = (x, y)`` to the
+  scanned weight ``r(y)``, the new ``q(e) = r(y)`` lower-bounds the
+  ``x``–``y`` edge connectivity (Nagamochi–Ibaraki), so if ``q(e) ≥ λ̂``
+  no cut lighter than λ̂ separates ``x`` and ``y`` and the edge is
+  contracted through a union–find.  The scan's last node ``t`` also
+  yields the Stoer–Wagner cut of the phase ``r(t)``; it is recorded,
+  and when no edge qualified the last two scanned nodes are contracted
+  instead, exactly the Stoer–Wagner step.
+* The weighted degrees of the merged super-nodes are cuts of the input
+  graph and lower λ̂.  The loop stops at two super-nodes, whose one
+  cut is already a degree that λ̂ has seen.
+
+Every round contracts at least one edge, and on dense graphs, where λ
+is the minimum degree, the first few scans contract almost every edge.
+A round costs O(m log n) for the heap-based scan plus the merge work,
+so the worst case (a cycle: one contraction per round) is the
+O(n·m log n) of the plain Stoer–Wagner loop this replaces.
+
+Floats: ``q(e)`` and the degrees are float sums, each within a few ulps
+of its exact value.  A rounded-up ``q(e) ≥ λ̂`` can contract an edge
+whose true connectivity is that many ulps below λ̂, so on non-dyadic
+weights the returned λ can differ from the exact minimum by that much;
+integer and dyadic weights sum exactly.  The returned value is the
+witness side re-valued on the input graph (``graph.cut_value``), so it
+always equals :meth:`~repro.api.result.CutResult.verify` exactly.
+Every other min-cut algorithm in the library is cross-validated
+against this one, and this one against brute force and Gomory–Hu.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 
 from ..api.result import CutResult
 from ..errors import AlgorithmError
-from ..graphs.graph import Node, WeightedGraph
+from ..graphs.graph import WeightedGraph
 
 
 class MinCutResult(CutResult):
@@ -38,68 +66,89 @@ def stoer_wagner_min_cut(graph: WeightedGraph) -> MinCutResult:
     graph.require_connected()
     if graph.number_of_nodes < 2:
         raise AlgorithmError("minimum cut requires at least two nodes")
-
-    # Working adjacency over super-nodes; ``members`` maps a super-node
-    # to the original nodes merged into it.  Seeded from the cached
-    # GraphIndex's per-node weight maps (copies — the phases contract
-    # them) instead of per-edge ``graph.weight`` lookups, so one shared
-    # index serves every solver in a ``compare`` fan-out.
     index = graph.index()
-    adjacency: dict[Node, dict[Node, float]] = {
-        u: dict(weights) for u, weights in zip(index.nodes, index.weight_maps)
+    n = index.node_count
+    starts, targets, weights = index.adj_start, index.adj_target, index.adj_weight
+    # Super-node id → {neighbour super-node id: summed weight}; a
+    # super-node keeps the id of its union–find root.
+    adjacency = {
+        i: dict(zip(targets[starts[i]:starts[i + 1]], weights[starts[i]:starts[i + 1]]))
+        for i in range(n)
     }
-    members: dict[Node, set[Node]] = {u: {u} for u in index.nodes}
+    members = {i: [i] for i in range(n)}
+    degree = {i: sum(nbrs.values()) for i, nbrs in adjacency.items()}
+    best = min(degree, key=degree.__getitem__)
+    bound, best_side = degree[best], [best]
 
-    best_value = float("inf")
-    best_side: frozenset = frozenset()
+    while len(adjacency) > 2:
+        parent = list(range(n))
+        last, second_last, phase_cut, contracted = _scan(adjacency, n, bound, parent)
+        if phase_cut < bound:
+            bound, best_side = phase_cut, list(members[last])
+        if not contracted:
+            parent[last] = second_last
+        for root in _contract(adjacency, members, parent):
+            degree = sum(adjacency[root].values())
+            if degree < bound and len(adjacency) > 1:
+                bound, best_side = degree, list(members[root])
 
-    while len(adjacency) > 1:
-        last, second_last, phase_cut = _maximum_adjacency_phase(adjacency)
-        if phase_cut < best_value:
-            best_value = phase_cut
-            best_side = frozenset(members[last])
-        _merge(adjacency, members, second_last, last)
-
-    return MinCutResult(value=best_value, side=best_side)
+    side = frozenset(index.nodes[i] for i in best_side)
+    return MinCutResult(value=graph.cut_value(side), side=side)
 
 
-def _maximum_adjacency_phase(adjacency):
-    """One MA phase: returns (last node, second-to-last, cut of phase)."""
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _scan(adjacency: dict, n: int, bound: float, parent: list):
+    """One MA scan: (last, second-to-last, cut of the phase, contracted?).
+
+    Unions every edge whose scan value ``q(e)`` reaches ``bound`` into
+    ``parent``.  ``r`` only grows, so a node's first heap pop carries its
+    final value and later entries for it are stale.
+    """
+    r = [0.0] * n
+    scanned = [False] * n
     start = next(iter(adjacency))
-    in_order = {start}
-    weights = {v: 0.0 for v in adjacency}
-    heap: list[tuple[float, int, Node]] = []
-    counter = 0
-    for v, w in adjacency[start].items():
-        weights[v] = w
-        counter += 1
-        heapq.heappush(heap, (-w, counter, v))
-    last, second_last = start, start
-    phase_cut = 0.0
-    while len(in_order) < len(adjacency):
-        while True:
-            neg_w, _tick, v = heapq.heappop(heap)
-            if v not in in_order and -neg_w == weights[v]:
-                break
-        second_last, last = last, v
-        phase_cut = weights[v]
-        in_order.add(v)
-        for u, w in adjacency[v].items():
-            if u not in in_order:
-                weights[u] += w
-                counter += 1
-                heapq.heappush(heap, (-weights[u], counter, u))
-    return last, second_last, phase_cut
-
-
-def _merge(adjacency, members, keep: Node, absorb: Node) -> None:
-    """Contract ``absorb`` into ``keep`` (summing parallel weights)."""
-    for v, w in adjacency[absorb].items():
-        if v == keep:
+    heap = [(0.0, start)]
+    last = second_last = start
+    contracted = False
+    while heap:
+        x = heappop(heap)[1]
+        if scanned[x]:
             continue
-        adjacency[keep][v] = adjacency[keep].get(v, 0.0) + w
-        adjacency[v][keep] = adjacency[keep][v]
-        del adjacency[v][absorb]
-    adjacency[keep].pop(absorb, None)
-    del adjacency[absorb]
-    members[keep] |= members.pop(absorb)
+        scanned[x] = True
+        second_last, last = last, x
+        for y, w in adjacency[x].items():
+            if not scanned[y]:
+                q = r[y] = r[y] + w
+                if q >= bound:
+                    a, b = _find(parent, x), _find(parent, y)
+                    if a != b:
+                        parent[b] = a
+                    contracted = True
+                heappush(heap, (-q, y))
+    return last, second_last, r[last], contracted
+
+
+def _contract(adjacency: dict, members: dict, parent: list) -> list:
+    """Merge every super-node into its union–find root; return the roots
+    that absorbed something (their degrees are new cuts)."""
+    merged = {}
+    for v in list(adjacency):
+        keep = _find(parent, v)
+        if keep == v:
+            continue
+        merged[keep] = None
+        kept = adjacency[keep]
+        # Every key of every dict is a live super-node: a merge rewires
+        # the absorbed node's neighbours to ``keep`` as it goes.
+        for u, w in adjacency.pop(v).items():
+            neighbour = adjacency[u]
+            del neighbour[v]
+            if u != keep:
+                kept[u] = neighbour[keep] = kept.get(u, 0.0) + w
+        members[keep] += members.pop(v)
+    return list(merged)

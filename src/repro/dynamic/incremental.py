@@ -64,26 +64,26 @@ def _edge_entry(u: Node, v: Node, w: float) -> tuple[tuple, str]:
 class DigestState:
     """Live sorted node/edge lines mirroring ``content_hash``'s input."""
 
-    __slots__ = ("_node_keys", "_edge_keys", "_edge_lines")
+    __slots__ = ("_node_lines", "_edge_keys", "_edge_lines")
 
     def __init__(self, graph: WeightedGraph) -> None:
-        self._node_keys: list[str] = sorted(repr(u) for u in graph.nodes)
+        # ``n:`` is a common prefix, so the lines sort as the reprs do.
+        self._node_lines: list[str] = sorted(f"n:{u!r}" for u in graph.nodes)
         entries = sorted(_edge_entry(u, v, w) for u, v, w in graph.edges())
         self._edge_keys: list[tuple] = [key for key, _ in entries]
         self._edge_lines: list[str] = [line for _, line in entries]
 
     def digest(self) -> str:
-        lines = [f"n:{r}" for r in self._node_keys]
-        lines.extend(self._edge_lines)
+        lines = self._node_lines + self._edge_lines
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     # -- primitive splices ---------------------------------------------
     def _add_node(self, u: Node) -> None:
-        insort(self._node_keys, repr(u))
+        insort(self._node_lines, f"n:{u!r}")
 
     def _remove_node(self, u: Node) -> None:
-        i = bisect_left(self._node_keys, repr(u))
-        del self._node_keys[i]
+        i = bisect_left(self._node_lines, f"n:{u!r}")
+        del self._node_lines[i]
 
     def _add_edge(self, u: Node, v: Node, w: float) -> None:
         key, line = _edge_entry(u, v, w)

@@ -17,7 +17,7 @@ the positional restore seams on :class:`WeightedGraph`, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
 from ..errors import AlgorithmError, GraphError
@@ -59,7 +59,7 @@ def _check_weight(value: Any) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MutationOp:
     """Base class for typed mutation operations."""
 
@@ -74,7 +74,7 @@ class MutationOp:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddEdge(MutationOp):
     """Insert edge ``{u, v}``; merges by summing if it already exists."""
 
@@ -91,7 +91,7 @@ class AddEdge(MutationOp):
         return f"add_edge {self.u} {self.v} {float(self.weight)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoveEdge(MutationOp):
     """Delete edge ``{u, v}``; raises if absent."""
 
@@ -106,7 +106,7 @@ class RemoveEdge(MutationOp):
         return f"remove_edge {self.u} {self.v}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reweight(MutationOp):
     """Overwrite the weight of existing edge ``{u, v}``."""
 
@@ -123,7 +123,7 @@ class Reweight(MutationOp):
         return f"reweight {self.u} {self.v} {float(self.weight)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddNode(MutationOp):
     """Insert isolated node ``u`` (no-op if present)."""
 
@@ -137,7 +137,7 @@ class AddNode(MutationOp):
         return f"add_node {self.u}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoveNode(MutationOp):
     """Delete node ``u`` and all incident edges; raises if absent."""
 
@@ -271,26 +271,33 @@ def parse_stream(
 # Applying ops and reverting effects
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Effect:
     """What applying one op actually did — everything undo needs.
 
     ``positions`` (for ``remove_edge``) and ``node_pos``/``incident``
     (for ``remove_node``) capture adjacency insertion positions so the
     revert path restores the exact pre-op dict order (and therefore the
-    exact CSR layout).
+    exact CSR layout).  A session keeps every effect for undo, so the
+    record is slotted and reads its endpoints from ``op``.
     """
 
     op: MutationOp
     kind: str
-    u: Optional[Node] = None
-    v: Optional[Node] = None
     old_weight: Optional[float] = None
     new_weight: Optional[float] = None
     created_nodes: tuple = ()
     positions: tuple = ()
     node_pos: Optional[int] = None
-    incident: tuple = field(default=())
+    incident: tuple = ()
+
+    @property
+    def u(self) -> Node:
+        return self.op.u
+
+    @property
+    def v(self) -> Optional[Node]:
+        return getattr(self.op, "v", None)
 
 
 def apply_op(graph: WeightedGraph, op: MutationOp) -> Effect:
@@ -302,29 +309,28 @@ def apply_op(graph: WeightedGraph, op: MutationOp) -> Effect:
         graph.add_edge(op.u, op.v, op.weight)
         return Effect(
             op, "merge_edge" if existing else "add_edge",
-            u=op.u, v=op.v, old_weight=old, new_weight=graph.weight(op.u, op.v),
+            old_weight=old, new_weight=graph.weight(op.u, op.v),
             created_nodes=created,
         )
     if isinstance(op, Reweight):
         old = graph.weight(op.u, op.v)
         if old == op.weight:
-            return Effect(op, "noop", u=op.u, v=op.v,
-                          old_weight=old, new_weight=old)
+            return Effect(op, "noop", old_weight=old, new_weight=old)
         graph.set_edge_weight(op.u, op.v, op.weight)
-        return Effect(op, "reweight", u=op.u, v=op.v,
-                      old_weight=old, new_weight=graph.weight(op.u, op.v))
+        return Effect(op, "reweight", old_weight=old,
+                      new_weight=graph.weight(op.u, op.v))
     if isinstance(op, RemoveEdge):
         old = graph.weight(op.u, op.v)
         pos_u = graph.neighbors(op.u).index(op.v)
         pos_v = graph.neighbors(op.v).index(op.u)
         graph.remove_edge(op.u, op.v)
-        return Effect(op, "remove_edge", u=op.u, v=op.v,
-                      old_weight=old, positions=(pos_u, pos_v))
+        return Effect(op, "remove_edge", old_weight=old,
+                      positions=(pos_u, pos_v))
     if isinstance(op, AddNode):
         if op.u in graph:
-            return Effect(op, "noop", u=op.u)
+            return Effect(op, "noop")
         graph.add_node(op.u)
-        return Effect(op, "add_node", u=op.u, created_nodes=(op.u,))
+        return Effect(op, "add_node", created_nodes=(op.u,))
     if isinstance(op, RemoveNode):
         if op.u not in graph:
             raise GraphError(f"node {op.u!r} does not exist")
@@ -334,8 +340,7 @@ def apply_op(graph: WeightedGraph, op: MutationOp) -> Effect:
             for v in graph.neighbors(op.u)
         )
         graph.remove_node(op.u)
-        return Effect(op, "remove_node", u=op.u,
-                      node_pos=node_pos, incident=incident)
+        return Effect(op, "remove_node", node_pos=node_pos, incident=incident)
     raise AlgorithmError(f"unsupported mutation op {op!r}")
 
 

@@ -217,7 +217,12 @@ class DynamicSession:
         """
         last = self._last
         graph = self.graph
-        if not graph.is_connected():
+        # The last solve saw a connected graph, and only a deletion can
+        # disconnect it, so a removal-free window skips the O(m) BFS.
+        if any(
+            effect.kind in ("remove_edge", "remove_node")
+            for effect in self._pending
+        ) and not graph.is_connected():
             return None
         try:
             spec = _resolve_spec(
@@ -256,9 +261,8 @@ class DynamicSession:
             cache.put(key, result)
         if self.validate:
             self._check_certified(result)
-        result = _stamp_cache(result, cache, hit=hit is not None)
-        return replace(
-            result, extras={**result.extras, "certificate": provenance}
+        return _stamp_cache(
+            result, cache, hit=hit is not None, certificate=provenance
         )
 
     def _witness_result(self, value: float, started: float) -> CutResult:

@@ -107,7 +107,7 @@ def _entries_of(payload) -> Optional[dict]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CacheKey:
     """Everything that determines a ``solve`` outcome, canonicalised."""
 
@@ -193,17 +193,18 @@ class ResultCache:
         self.maxsize = int(maxsize)
         self.path = Path(path) if path is not None else None
         self._memory: OrderedDict[CacheKey, CutResult] = OrderedDict()
+        #: The single-file tier's digest → payload map.  A store-backed
+        #: cache leaves it empty: the store indexes its entries on disk.
         self._disk: dict[str, dict] = {}
         self.store: Optional[SegmentStore] = None
-        #: Records not yet appended to the store: fresh entries and
-        #: coalesced per-digest hit counts.
-        self._pending_puts: list[tuple[str, dict]] = []
+        #: Records not yet appended to the store: fresh entries (digest →
+        #: payload) and coalesced per-digest hit counts.
+        self._pending_puts: dict[str, dict] = {}
         self._pending_hits: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         if self.path is not None and is_store_path(self.path):
             self.store = SegmentStore(self.path)
-            self._disk = self.store.entries()
         elif self.path is not None and self.path.exists():
             try:
                 loaded = json.loads(self.path.read_text(encoding="utf-8"))
@@ -223,7 +224,9 @@ class ResultCache:
             self.hits += 1
             self._note_hit(key)
             return entry
-        payload = self._disk.get(key.digest())
+        payload = None
+        if self.store is not None or self._disk:  # skip the digest if no tier
+            payload = self._disk_payload(key.digest())
         if payload is not None:
             result = _result_from_payload(payload)
             if result is not None:
@@ -265,14 +268,31 @@ class ResultCache:
             payload = _result_to_payload(result)
             if payload is not None:
                 digest = key.digest()
-                if self.store is not None:
-                    if digest not in self._disk:
-                        self._disk[digest] = payload
-                        self._pending_puts.append((digest, payload))
-                else:
+                if self.store is None:
                     self._disk[digest] = payload
+                elif not self._on_disk(digest):
+                    self._pending_puts[digest] = payload
             if flush:
                 self.flush()
+
+    def _on_disk(self, digest: str) -> bool:
+        if self.store is None:
+            return digest in self._disk
+        return digest in self._pending_puts or digest in self.store
+
+    def _disk_payload(self, digest: str) -> Optional[dict]:
+        """The persisted payload for ``digest``: a dict lookup for the
+        file tier, one segment-line read for the store."""
+        if self.store is None:
+            return self._disk.get(digest)
+        pending = self._pending_puts.get(digest)
+        return pending if pending is not None else self.store.payload(digest)
+
+    def _disk_entries(self) -> dict[str, dict]:
+        """Every persisted digest → payload (for merges)."""
+        if self.store is None:
+            return dict(self._disk)
+        return {**self.store.entries(), **self._pending_puts}
 
     def _remember(self, key: CacheKey, result: CutResult) -> None:
         self._memory[key] = result
@@ -302,9 +322,9 @@ class ResultCache:
         if self.path is None:
             return
         if self.store is not None:
-            puts, self._pending_puts = self._pending_puts, []
+            puts, self._pending_puts = self._pending_puts, {}
             hits, self._pending_hits = self._pending_hits, {}
-            self.store.append(puts, hits.items())
+            self.store.append(puts.items(), hits.items())
             return
         with self._file_lock():
             if self.path.exists():
@@ -394,7 +414,7 @@ class ResultCache:
         is exactly the schema-3 migration path.
         """
         if isinstance(source, ResultCache):
-            entries = dict(source._disk)
+            entries = source._disk_entries()
             for key, result in source._memory.items():
                 digest = key.digest()
                 if digest not in entries:
@@ -407,12 +427,13 @@ class ResultCache:
         for digest, payload in entries.items():
             if not isinstance(payload, dict):
                 skipped += 1
-            elif digest in self._disk:
+            elif self._on_disk(digest):
                 kept_ours += 1
             else:
-                self._disk[digest] = payload
-                if self.store is not None:
-                    self._pending_puts.append((digest, payload))
+                if self.store is None:
+                    self._disk[digest] = payload
+                else:
+                    self._pending_puts[digest] = payload
                 added += 1
         if added and flush and self.path is not None:
             self.flush()
@@ -433,7 +454,8 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "memory_entries": len(self._memory),
-            "disk_entries": len(self._disk),
+            "disk_entries": len(self._disk) if self.store is None
+            else len(self.store) + len(self._pending_puts),
         }
         if self.store is not None:
             stats.update(self.store.stats())
@@ -443,7 +465,7 @@ class ResultCache:
         return len(self._memory)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._memory or key.digest() in self._disk
+        return key in self._memory or self._on_disk(key.digest())
 
 
 class MergeCounts(int):

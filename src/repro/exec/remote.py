@@ -355,6 +355,11 @@ class RemoteExecutor(Executor):
                 _run_shard_inner(home, shard)
             finally:
                 shard_seconds[home] += time.perf_counter() - started
+                # Keep-alive connections are per thread, and the posting
+                # pool's threads end with the sweep: close what this
+                # thread opened rather than leave it to the collector.
+                for client in clients:
+                    client.close()
 
         def _run_shard_inner(
             home: int, shard: list[tuple[int, SolveTask]]

@@ -217,7 +217,7 @@ class WeightedGraph:
 
     @property
     def number_of_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     def has_edge(self, u: Node, v: Node) -> bool:
         return u in self._adj and v in self._adj[u]

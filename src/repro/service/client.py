@@ -124,6 +124,12 @@ class ServiceClient:
         """Close the calling thread's persistent connection, if any."""
         self._drop()
 
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def _request(self, method: str, path: str, payload: Optional[dict] = None):
         data = None
         headers = {"Accept": "application/json"}

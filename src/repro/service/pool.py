@@ -192,11 +192,15 @@ class WorkerPool:
                 client.close()
 
     def stop(self) -> None:
+        """Stop the background refresh, and close the probe connections
+        that synchronous :meth:`refresh` calls opened on this thread."""
         with self._lock:
             thread, self._thread = self._thread, None
         if thread is not None:
             self._wake.set()
             thread.join(timeout=self.timeout + self.interval)
+        for client in list(self._clients.values()):
+            client.close()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -265,6 +269,8 @@ class Heartbeat:
             self._client.register(self.advertise, leaving=True)
         except ServiceError:
             pass
+        finally:
+            self._client.close()  # the withdrawal ran on this thread
 
     def __enter__(self) -> "Heartbeat":
         return self.start()

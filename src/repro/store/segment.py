@@ -89,7 +89,18 @@ def read_segment(
 ) -> tuple[list[dict], Optional[int]]:
     """Decode one segment file into its records.
 
-    Returns ``(records, truncated_at)``.  With ``lenient_tail`` (the
+    Returns ``(records, truncated_at)``; see :func:`scan_segment`.
+    """
+    located, truncated_at = scan_segment(path, lenient_tail=lenient_tail)
+    return [record for _offset, record in located], truncated_at
+
+
+def scan_segment(
+    path: Union[str, Path], *, lenient_tail: bool = False
+) -> tuple[list[tuple[int, dict]], Optional[int]]:
+    """Decode one segment file into ``(byte offset, record)`` pairs.
+
+    Returns ``(located, truncated_at)``.  With ``lenient_tail`` (the
     *active* segment — the only file a crash can leave half-written) a
     final line that is missing its newline or fails to parse is
     dropped and its byte offset returned, so the caller can repair the
@@ -102,7 +113,7 @@ def read_segment(
         blob = path.read_bytes()
     except OSError as exc:
         raise AlgorithmError(f"cannot read segment {path}: {exc}") from exc
-    records: list[dict] = []
+    located: list[tuple[int, dict]] = []
     offset = 0
     while offset < len(blob):
         newline = blob.find(b"\n", offset)
@@ -117,24 +128,37 @@ def read_segment(
             # No trailing newline, or undecodable bytes: a crash
             # mid-append if (and only if) this is the file's tail.
             if lenient_tail and (is_tail or newline == len(blob) - 1):
-                return records, offset
+                return located, offset
             raise AlgorithmError(
                 f"{where}: truncated or corrupt record"
                 + ("" if is_tail else f" {line[:80]!r}")
             )
-        records.append(validate_record(decoded, where))
+        located.append((offset, validate_record(decoded, where)))
         offset = newline + 1
-    return records, None
+    return located, None
 
 
-def append_lines(path: Union[str, Path], lines: Iterable[str]) -> int:
-    """Append encoded lines to ``path`` (one write), returning bytes added."""
-    blob = "".join(lines).encode("utf-8")
-    if not blob:
-        return 0
+def record_at(blob: bytes, offset: int) -> Optional[dict]:
+    """The record whose line starts at ``offset`` of ``blob``, or ``None``
+    when no complete, decodable line starts there."""
+    newline = blob.find(b"\n", offset)
+    if newline < 0:
+        return None
+    try:
+        record = json.loads(blob[offset:newline].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def append_lines(path: Union[str, Path], lines: Iterable[bytes]) -> int:
+    """Append encoded lines to ``path`` in one write; returns the byte
+    offset the first line landed at (the file's size before the write)."""
+    blob = b"".join(lines)
     with open(path, "ab") as handle:
+        start = handle.seek(0, 2)
         handle.write(blob)
-    return len(blob)
+    return start
 
 
 def segment_name(content: bytes) -> str:
@@ -156,6 +180,8 @@ __all__ = [
     "hit_record",
     "put_record",
     "read_segment",
+    "record_at",
+    "scan_segment",
     "segment_name",
     "validate_record",
 ]

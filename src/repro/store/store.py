@@ -53,7 +53,8 @@ from .segment import (
     encode_record,
     hit_record,
     put_record,
-    read_segment,
+    record_at,
+    scan_segment,
     segment_name,
 )
 
@@ -108,11 +109,13 @@ class RetentionPolicy:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Live:
-    """Folded per-digest state: the entry plus its usage metadata."""
+    """Folded per-digest state: where the entry's ``put`` line lives, plus
+    its usage metadata.  The payload itself stays on disk."""
 
-    payload: dict
+    segment: str
+    offset: int
     hits: int
     last_ts: float
 
@@ -156,6 +159,11 @@ class SegmentStore:
     repaired by truncating the file).  All mutation runs under an
     advisory ``flock`` on a sibling ``.lock`` file so concurrent
     workers sharing one store append instead of clobbering.
+
+    Memory holds an index, digest → (segment, byte offset) of the
+    entry's ``put`` line, not the payloads: :meth:`payload` reads one
+    line, and :meth:`entries`, compaction and adoption read each
+    segment they need once.
     """
 
     def __init__(self, root: Union[str, Path], *, create: bool = True) -> None:
@@ -222,15 +230,15 @@ class SegmentStore:
     def _load(self) -> None:
         self._read_manifest()
         for name in self._manifest_segments:
-            records, _ = read_segment(self.root / name)
+            located, _ = scan_segment(self.root / name)
             info = _SegmentInfo(
                 name=name, bytes=(self.root / name).stat().st_size
             )
-            self._fold(records, info)
+            self._fold(located, info)
             self._sealed.append(info)
         active = self.root / ACTIVE_SEGMENT
         if active.exists():
-            records, truncated_at = read_segment(active, lenient_tail=True)
+            located, truncated_at = scan_segment(active, lenient_tail=True)
             if truncated_at is not None:
                 # Repair: drop the half-written tail so later appends
                 # start on a clean line boundary instead of gluing new
@@ -240,20 +248,21 @@ class SegmentStore:
                     with open(active, "r+b") as handle:
                         handle.truncate(truncated_at)
             self._active.bytes = active.stat().st_size
-            self._fold(records, self._active)
+            self._fold(located, self._active)
 
-    def _fold(self, records: Sequence[dict], info: _SegmentInfo) -> None:
-        """Apply ``records`` to the live map and charge them to ``info``."""
-        for record in records:
+    def _fold(
+        self, located: Sequence[tuple[int, dict]], info: _SegmentInfo
+    ) -> None:
+        """Apply ``(offset, record)`` pairs read from or written to
+        ``info``'s file to the live map, and charge them to ``info``."""
+        for offset, record in located:
             digest = record["digest"]
             live = self._live.get(digest)
             if record["op"] == "put":
                 info.puts += 1
                 if live is None:
                     self._live[digest] = _Live(
-                        payload=record["entry"],
-                        hits=record["hits"],
-                        last_ts=float(record["ts"]),
+                        info.name, offset, record["hits"], float(record["ts"])
                     )
                 else:
                     # Duplicate put (another worker raced the insert, or
@@ -267,8 +276,8 @@ class SegmentStore:
                 if live is not None:
                     live.hits += record["count"]
                     live.last_ts = max(live.last_ts, float(record["ts"]))
-        info.records += len(records)
-        self.total_records += len(records)
+        info.records += len(located)
+        self.total_records += len(located)
 
     # -- locking -------------------------------------------------------
 
@@ -329,21 +338,61 @@ class SegmentStore:
     def _append_records(self, records: list[dict]) -> int:
         if not records:
             return 0
-        lines = [encode_record(record) for record in records]
+        lines = [encode_record(record).encode("utf-8") for record in records]
         with self._lock():
-            added = append_lines(self.root / ACTIVE_SEGMENT, lines)
+            offset = append_lines(self.root / ACTIVE_SEGMENT, lines)
             if not self._manifest_path().exists():
                 self._write_manifest()
-        self._fold(records, self._active)
-        self._active.bytes += added
+        located = []
+        for line, record in zip(lines, records):
+            located.append((offset, record))
+            offset += len(line)
+        self._fold(located, self._active)
+        self._active.bytes += sum(map(len, lines))
         self.appended_records += len(records)
         return len(records)
 
     # -- read ----------------------------------------------------------
 
+    def payload(self, digest: str) -> Optional[dict]:
+        """The entry stored under ``digest``, read from its one segment
+        line; ``None`` when absent or no longer readable (another
+        process compacted the store away under this one)."""
+        live = self._live.get(digest)
+        if live is None:
+            return None
+        try:
+            with open(self.root / live.segment, "rb") as handle:
+                handle.seek(live.offset)
+                line = handle.readline()
+        except OSError:
+            return None
+        return _entry_of(record_at(line, 0), digest)
+
     def entries(self) -> dict[str, dict]:
         """Digest → entry payload for every live entry (fold order)."""
-        return {digest: live.payload for digest, live in self._live.items()}
+        return self._payloads(self._live)
+
+    def _payloads(self, digests: Iterable[str]) -> dict[str, dict]:
+        """Digest → payload for ``digests``, reading each segment once;
+        unreadable entries (see :meth:`payload`) are skipped."""
+        blobs: dict[str, bytes] = {}
+        out: dict[str, dict] = {}
+        for digest in digests:
+            live = self._live.get(digest)
+            if live is None:
+                continue
+            blob = blobs.get(live.segment)
+            if blob is None:
+                try:
+                    blob = (self.root / live.segment).read_bytes()
+                except OSError:
+                    blob = b""
+                blobs[live.segment] = blob
+            entry = _entry_of(record_at(blob, live.offset), digest)
+            if entry is not None:
+                out[digest] = entry
+        return out
 
     def entry_meta(self) -> dict[str, tuple[int, float]]:
         """Digest → ``(hits, last_ts)`` usage metadata for every live entry."""
@@ -415,7 +464,9 @@ class SegmentStore:
         reference = self.newest_ts() if now is None else float(now)
         kept: list[str] = []
         budget = policy.max_bytes
-        for digest in self._ranked():
+        ranked = self._ranked()
+        lines = self._compacted_lines(ranked) if budget is not None else {}
+        for digest in ranked:
             live = self._live[digest]
             if (
                 policy.max_age is not None
@@ -426,18 +477,23 @@ class SegmentStore:
             if policy.max_entries is not None and len(kept) >= policy.max_entries:
                 break
             if budget is not None:
-                cost = len(self._compacted_line(digest).encode("utf-8"))
+                cost = len(lines.get(digest, "").encode("utf-8"))
                 if cost > budget:
                     continue
                 budget -= cost
             kept.append(digest)
         return sorted(kept)
 
-    def _compacted_line(self, digest: str) -> str:
-        live = self._live[digest]
-        return encode_record(
-            put_record(digest, live.payload, ts=live.last_ts, hits=live.hits)
-        )
+    def _compacted_lines(self, digests: Sequence[str]) -> dict[str, str]:
+        """Digest → canonical compacted ``put`` line, for the readable
+        entries among ``digests``."""
+        out = {}
+        for digest, payload in self._payloads(digests).items():
+            live = self._live[digest]
+            out[digest] = encode_record(
+                put_record(digest, payload, ts=live.last_ts, hits=live.hits)
+            )
+        return out
 
     # -- compaction ----------------------------------------------------
 
@@ -460,8 +516,10 @@ class SegmentStore:
         segments_before = len(self._infos())
         records_before = self.total_records
         entries_before = len(self._live)
-        kept = self.select(policy, now=now)
-        blob = "".join(self._compacted_line(d) for d in kept).encode("utf-8")
+        lines = self._compacted_lines(self.select(policy, now=now))
+        kept = sorted(lines)
+        encoded = [lines[digest].encode("utf-8") for digest in kept]
+        blob = b"".join(encoded)
         with self._lock():
             old_files = [info.name for info in self._infos()]
             if kept:
@@ -481,7 +539,12 @@ class SegmentStore:
                         (self.root / old).unlink()
                     except OSError:
                         pass
-        self._live = {digest: self._live[digest] for digest in kept}
+        live, offset = {}, 0
+        for digest, line in zip(kept, encoded):
+            old = self._live[digest]
+            live[digest] = _Live(name, offset, old.hits, old.last_ts)
+            offset += len(line)
+        self._live = live
         self.total_records = len(kept)
         self._sealed = (
             [
@@ -539,8 +602,11 @@ class SegmentStore:
         counts still accumulate).  Returns the records appended.
         """
         records = [
-            put_record(digest, live.payload, ts=live.last_ts, hits=live.hits)
-            for digest, live in other._live.items()
+            put_record(
+                digest, payload,
+                ts=other._live[digest].last_ts, hits=other._live[digest].hits,
+            )
+            for digest, payload in other.entries().items()
         ]
         return self._append_records(records)
 
@@ -558,6 +624,19 @@ class SegmentStore:
         self._sealed = []
         self._active = _SegmentInfo(name=ACTIVE_SEGMENT, sealed=False)
         self.total_records = 0
+
+
+def _entry_of(record: Optional[dict], digest: str) -> Optional[dict]:
+    """The entry of ``digest``'s ``put`` record, or ``None`` when the line
+    read holds something else (its file was rewritten underneath)."""
+    if (
+        record is not None
+        and record.get("op") == "put"
+        and record.get("digest") == digest
+        and isinstance(record.get("entry"), dict)
+    ):
+        return record["entry"]
+    return None
 
 
 def is_store_path(path: Union[str, Path]) -> bool:

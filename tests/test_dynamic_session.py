@@ -200,6 +200,46 @@ class TestSolverFallbacks:
             session.solve()
 
 
+class TestConnectivityCheck:
+    """A certified solve re-checks connectivity only after a deletion."""
+
+    @pytest.fixture
+    def bfs_calls(self, monkeypatch):
+        calls = []
+        original = WeightedGraph.is_connected
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(WeightedGraph, "is_connected", counting)
+        return calls
+
+    def test_removal_free_window_skips_the_bfs(self, session, bfs_calls):
+        base = session.solve()
+        u, v = internal_pair(session.graph, base.side)
+        a, b = crossing_edge(session.graph, base.side)
+        session.apply(AddEdge(u, v, 2.0))
+        session.apply(Reweight(a, b, 0.5))
+        bfs_calls.clear()
+        result = session.solve()
+        assert result.extras["certificate"]["kinds"] == [
+            "non-crossing-increase", "crossing-decrease",
+        ]
+        assert bfs_calls == []
+        assert result.value == cold_solve(session).value
+
+    def test_crossing_deletion_still_checks(self, session, bfs_calls):
+        base = session.solve()
+        a, b = crossing_edge(session.graph, base.side)
+        session.apply(RemoveEdge(a, b))
+        bfs_calls.clear()
+        result = session.solve()
+        assert result.extras["certificate"]["kinds"] == ["crossing-decrease"]
+        assert bfs_calls == [session.graph]
+        assert result.value == base.value - 1.0 == cold_solve(session).value
+
+
 class TestUndoAndCache:
     def test_undo_across_solve_point_hits_engine_cache(self, session):
         base = session.solve()

@@ -346,6 +346,7 @@ def live():
     client = ServiceClient(server.url, timeout=30.0)
     client.wait_until_ready()
     yield server, client
+    client.close()
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
@@ -424,10 +425,10 @@ class TestHTTP:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            client = ServiceClient(server.url, timeout=10.0)
-            client.wait_until_ready()
-            with pytest.raises(ServiceError) as excinfo:
-                client.solve([[0, 1, 1.0]] * 2000)
+            with ServiceClient(server.url, timeout=10.0) as client:
+                client.wait_until_ready()
+                with pytest.raises(ServiceError) as excinfo:
+                    client.solve([[0, 1, 1.0]] * 2000)
             assert excinfo.value.status == 413
             assert "over this service's limit" in str(excinfo.value)
         finally:

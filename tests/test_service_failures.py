@@ -81,26 +81,26 @@ def _drain_request(conn) -> None:
 
 class TestConnectionRefused:
     def test_health_raises_status_zero(self):
-        client = ServiceClient(f"http://127.0.0.1:{_free_port()}", timeout=2.0)
-        with pytest.raises(ServiceError, match="unreachable") as info:
-            client.health()
-        assert info.value.status == 0
+        with ServiceClient(f"http://127.0.0.1:{_free_port()}", timeout=2.0) as client:
+            with pytest.raises(ServiceError, match="unreachable") as info:
+                client.health()
+            assert info.value.status == 0
 
     def test_solve_raises_status_zero(self):
-        client = ServiceClient(f"http://127.0.0.1:{_free_port()}", timeout=2.0)
-        with pytest.raises(ServiceError) as info:
-            client.solve(build_family("cycle", 6))
-        assert info.value.status == 0
+        with ServiceClient(f"http://127.0.0.1:{_free_port()}", timeout=2.0) as client:
+            with pytest.raises(ServiceError) as info:
+                client.solve(build_family("cycle", 6))
+            assert info.value.status == 0
 
 
 class TestDroppedMidExchange:
     def test_connection_slammed_after_accept(self, stub_server):
         url, start = stub_server
         start(lambda conn: None)  # accept, say nothing, close
-        client = ServiceClient(url, timeout=2.0)
-        with pytest.raises(ServiceError) as info:
-            client.solve(build_family("cycle", 6))
-        assert info.value.status == 0
+        with ServiceClient(url, timeout=2.0) as client:
+            with pytest.raises(ServiceError) as info:
+                client.solve(build_family("cycle", 6))
+            assert info.value.status == 0
 
     def test_connection_dropped_after_headers_read(self, stub_server):
         url, start = stub_server
@@ -109,10 +109,10 @@ class TestDroppedMidExchange:
             _drain_request(conn)  # looks alive, then vanishes
 
         start(read_then_die)
-        client = ServiceClient(url, timeout=2.0)
-        with pytest.raises(ServiceError) as info:
-            client.health()
-        assert info.value.status == 0
+        with ServiceClient(url, timeout=2.0) as client:
+            with pytest.raises(ServiceError) as info:
+                client.health()
+            assert info.value.status == 0
 
 
 class TestOverLimit:
@@ -121,15 +121,15 @@ class TestOverLimit:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            client = ServiceClient(server.url, timeout=10.0)
-            graphs = [build_family("cycle", 6, seed=s) for s in range(3)]
-            with pytest.raises(ServiceError, match="limit of 2") as info:
-                client.solve_batch(graphs, "stoer_wagner")
-            assert info.value.status == 413
-            assert info.value.payload["error"]["type"] == "ServiceError"
-            # Under the limit still works on the same connection/client.
-            results = client.solve_batch(graphs[:2], "stoer_wagner")
-            assert len(results) == 2
+            with ServiceClient(server.url, timeout=10.0) as client:
+                graphs = [build_family("cycle", 6, seed=s) for s in range(3)]
+                with pytest.raises(ServiceError, match="limit of 2") as info:
+                    client.solve_batch(graphs, "stoer_wagner")
+                assert info.value.status == 413
+                assert info.value.payload["error"]["type"] == "ServiceError"
+                # Under the limit still works on the same connection/client.
+                results = client.solve_batch(graphs[:2], "stoer_wagner")
+                assert len(results) == 2
         finally:
             server.shutdown()
             server.server_close()
@@ -144,9 +144,9 @@ class TestMalformedResponses:
             conn.sendall(_http_response(b"<html>not json</html>"))
 
         start(garbage)
-        client = ServiceClient(url, timeout=2.0)
-        with pytest.raises(ServiceError, match="not valid JSON"):
-            client.health()
+        with ServiceClient(url, timeout=2.0) as client:
+            with pytest.raises(ServiceError, match="not valid JSON"):
+                client.health()
 
     def test_json_with_wrong_shape_is_a_service_error(self, stub_server):
         url, start = stub_server
@@ -158,9 +158,9 @@ class TestMalformedResponses:
             )
 
         start(wrong_shape)
-        client = ServiceClient(url, timeout=2.0)
-        with pytest.raises(ServiceError, match="result payload"):
-            client.solve(build_family("cycle", 6))
+        with ServiceClient(url, timeout=2.0) as client:
+            with pytest.raises(ServiceError, match="result payload"):
+                client.solve(build_family("cycle", 6))
 
     def test_non_json_4xx_body_still_raises_typed_error(self, stub_server):
         url, start = stub_server
@@ -172,7 +172,7 @@ class TestMalformedResponses:
             )
 
         start(html_error)
-        client = ServiceClient(url, timeout=2.0)
-        with pytest.raises(ServiceError) as info:
-            client.health()
-        assert info.value.status == 502
+        with ServiceClient(url, timeout=2.0) as client:
+            with pytest.raises(ServiceError) as info:
+                client.health()
+            assert info.value.status == 502

@@ -221,6 +221,7 @@ def live():
     client = ServiceClient(server.url, timeout=30.0)
     client.wait_until_ready()
     yield server, client
+    client.close()
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)

@@ -70,34 +70,34 @@ def _graphs(count, n=12):
 
 class TestRegistration:
     def test_register_lists_and_withdraws(self, manager):
-        client = ServiceClient(manager.url)
-        reply = client.register("http://10.0.0.1:8101/")
-        assert reply["workers"] == ["http://10.0.0.1:8101"]
-        client.register("http://10.0.0.2:8102")
-        assert client.workers() == [
-            "http://10.0.0.1:8101", "http://10.0.0.2:8102",
-        ]
-        client.register("http://10.0.0.1:8101", leaving=True)
-        assert client.workers() == ["http://10.0.0.2:8102"]
+        with ServiceClient(manager.url) as client:
+            reply = client.register("http://10.0.0.1:8101/")
+            assert reply["workers"] == ["http://10.0.0.1:8101"]
+            client.register("http://10.0.0.2:8102")
+            assert client.workers() == [
+                "http://10.0.0.1:8101", "http://10.0.0.2:8102",
+            ]
+            client.register("http://10.0.0.1:8101", leaving=True)
+            assert client.workers() == ["http://10.0.0.2:8102"]
 
     def test_reregistration_is_a_heartbeat_not_a_duplicate(self, manager):
-        client = ServiceClient(manager.url)
-        client.register("http://10.0.0.1:8101")
-        client.register("http://10.0.0.1:8101")
-        assert client.workers() == ["http://10.0.0.1:8101"]
+        with ServiceClient(manager.url) as client:
+            client.register("http://10.0.0.1:8101")
+            client.register("http://10.0.0.1:8101")
+            assert client.workers() == ["http://10.0.0.1:8101"]
 
     def test_silent_worker_expires_after_ttl(self, manager):
-        client = ServiceClient(manager.url)
-        client.register("http://10.0.0.1:8101")
-        deadline = time.monotonic() + 5.0
-        while client.workers() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert client.workers() == []  # worker_ttl=0.6 pruned it
+        with ServiceClient(manager.url) as client:
+            client.register("http://10.0.0.1:8101")
+            deadline = time.monotonic() + 5.0
+            while client.workers() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert client.workers() == []  # worker_ttl=0.6 pruned it
 
     def test_health_reports_registered_worker_count(self, manager):
-        client = ServiceClient(manager.url)
-        client.register("http://10.0.0.1:8101")
-        assert client.health()["workers"] == 1
+        with ServiceClient(manager.url) as client:
+            client.register("http://10.0.0.1:8101")
+            assert client.health()["workers"] == 1
 
     def test_register_bypasses_backpressure_gate(self):
         # queue_depth=1 with one solve in flight: /register still works.
@@ -105,12 +105,14 @@ class TestRegistration:
         try:
             graph = build_family("gnp", 12, seed=0)
             worker = threading.Thread(
-                target=lambda: ServiceClient(server.url).solve(graph),
+                target=lambda: ServiceClient(server.url, keep_alive=False).solve(graph),
                 daemon=True,
             )
             worker.start()
             time.sleep(0.1)
-            reply = ServiceClient(server.url).register("http://10.0.0.9:1")
+            reply = ServiceClient(server.url, keep_alive=False).register(
+                "http://10.0.0.9:1"
+            )
             assert "http://10.0.0.9:1" in reply["workers"]
             worker.join()
         finally:
@@ -145,6 +147,7 @@ class TestWorkerPool:
             stop_server(b)
             assert pool.wait_for(1) == [a.url]
         finally:
+            pool.stop()
             stop_server(a)
 
     def test_fail_after_grace_keeps_flapping_member(self, monkeypatch):
@@ -161,6 +164,7 @@ class TestWorkerPool:
             assert pool.refresh() == member_urls + ["http://127.0.0.1:1"]
             assert pool.refresh() == member_urls  # third strike ejects
         finally:
+            pool.stop()
             stop_server(a)
 
     def test_manager_discovery_and_background_refresh(self, manager):
@@ -184,12 +188,13 @@ class TestWorkerPool:
     def test_manager_blip_does_not_empty_pool(self, manager):
         worker = start_server()
         try:
-            ServiceClient(manager.url).register(worker.url)
+            ServiceClient(manager.url, keep_alive=False).register(worker.url)
             pool = WorkerPool(manager=manager.url, fail_after=2)
             assert pool.members() == [worker.url]
             stop_server(manager)
             # Manager gone: fall back to probing known members directly.
             assert pool.refresh() == [worker.url]
+            pool.stop()
         finally:
             stop_server(worker)
 
@@ -199,6 +204,7 @@ class TestWorkerPool:
             pool = WorkerPool([a.url])
             with pytest.raises(ServiceError, match="did not converge"):
                 pool.wait_for(2, timeout=0.3)
+            pool.stop()
         finally:
             stop_server(a)
 
@@ -209,13 +215,13 @@ class TestBackpressure:
         try:
             graph = build_family("gnp", 12, seed=0)
             hold = threading.Thread(
-                target=lambda: ServiceClient(server.url).solve(graph),
+                target=lambda: ServiceClient(server.url, keep_alive=False).solve(graph),
                 daemon=True,
             )
             hold.start()
             time.sleep(0.15)  # let the first request take the only slot
             with pytest.raises(ServiceError) as excinfo:
-                ServiceClient(server.url).solve(graph)
+                ServiceClient(server.url, keep_alive=False).solve(graph)
             exc = excinfo.value
             assert exc.status == 429
             assert exc.retry_after == 2.0
@@ -248,15 +254,15 @@ class TestBackpressure:
         try:
             graph = build_family("gnp", 12, seed=0)
             hold = threading.Thread(
-                target=lambda: ServiceClient(server.url).solve(graph),
+                target=lambda: ServiceClient(server.url, keep_alive=False).solve(graph),
                 daemon=True,
             )
             hold.start()
             time.sleep(0.1)
             with pytest.raises(ServiceError):
-                ServiceClient(server.url).solve(graph)
+                ServiceClient(server.url, keep_alive=False).solve(graph)
             # /healthz bypasses the gate even while the queue is full.
-            health = ServiceClient(server.url).health()
+            health = ServiceClient(server.url, keep_alive=False).health()
             assert health["requests"]["throttled"] == 1
             hold.join()
         finally:
@@ -271,13 +277,13 @@ class TestBackpressure:
             stop = threading.Event()
 
             def contend():
-                client = ServiceClient(server.url)
                 graph = build_family("gnp", 12, seed=99)
-                while not stop.is_set():
-                    try:
-                        client.solve(graph)
-                    except ServiceError:
-                        time.sleep(0.01)
+                with ServiceClient(server.url) as client:
+                    while not stop.is_set():
+                        try:
+                            client.solve(graph)
+                        except ServiceError:
+                            time.sleep(0.01)
 
             contender = threading.Thread(target=contend, daemon=True)
             contender.start()
@@ -368,7 +374,7 @@ class TestStreamingChurn:
 
             def join_later():
                 time.sleep(0.2)
-                ServiceClient(manager.url).register(late.url)
+                ServiceClient(manager.url, keep_alive=False).register(late.url)
 
             threading.Thread(target=join_later, daemon=True).start()
             remote = solve_batch(graphs, "stoer_wagner", backend=executor)

@@ -261,7 +261,7 @@ class TestRetentionPolicy:
     def test_max_bytes_budget(self, tmp_path):
         store = SegmentStore(tmp_path / "st")
         fill(store, 6)
-        line_cost = len(store._compacted_line("d0000").encode("utf-8"))
+        line_cost = len(store._compacted_lines(["d0000"])["d0000"].encode("utf-8"))
         kept = store.select(RetentionPolicy(max_bytes=3 * line_cost))
         assert len(kept) == 3
         report = store.compact(RetentionPolicy(max_bytes=3 * line_cost))
@@ -394,6 +394,45 @@ class TestResultCacheStoreTier:
         assert (tmp_path / "cache_store" / ACTIVE_SEGMENT).exists()
         cold = ResultCache(path=tmp_path / "cache_store")
         assert cold.get(self._key(0)) is not None
+
+    def test_memory_holds_line_offsets_not_payloads(self, tmp_path):
+        cache = ResultCache(path=tmp_path / "st")
+        for seed in range(3):
+            cache.put(self._key(seed), self._result(float(seed)))
+        cold = ResultCache(path=tmp_path / "st")
+        assert cold._disk == {} and cold.stats()["disk_entries"] == 3
+        live = cold.store._live[self._key(2).digest()]
+        assert not hasattr(live, "__dict__")  # slotted index record
+        assert live.segment == ACTIVE_SEGMENT and live.offset > 0
+        assert cold.get(self._key(2)).value == 2.0  # one line read
+        assert self._key(2) in cold and self._key(7) not in cold
+
+    def test_offsets_follow_compaction_and_adoption(self, tmp_path):
+        store = SegmentStore(tmp_path / "a")
+        fill(store, 5)
+        store.append([], [("d0003", 4)], ts=200.0)
+        store.compact()
+        assert {live.segment for live in store._live.values()} == {
+            store.segment_infos()[0]["name"]
+        }
+        assert store.payload("d0003") == entry(3)
+        assert store.entries() == {f"d{i:04d}": entry(i) for i in range(5)}
+        other = SegmentStore(tmp_path / "b")
+        fill(other, 2)
+        other.adopt_segments(store)
+        assert other.payload("d0004") == entry(4)
+        assert other.entry_meta()["d0003"][0] == 4
+
+    def test_line_rewritten_underneath_reads_as_a_miss(self, tmp_path):
+        store = SegmentStore(tmp_path / "st")
+        fill(store, 2)
+        other = SegmentStore(tmp_path / "st")  # another process
+        other.clear()
+        other.append([(f"x{i:04d}", entry(i + 5)) for i in range(2)], ts=300.0)
+        # d0001's offset now starts x0001's line: a miss, not its payload.
+        assert store.payload("d0001") is None
+        assert store.entries() == {}
+        assert store.payload("missing") is None
 
     def test_flush_appends_instead_of_rewriting(self, tmp_path):
         cache = ResultCache(path=tmp_path / "st")
