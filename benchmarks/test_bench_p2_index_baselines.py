@@ -150,7 +150,7 @@ def test_p2_index_baselines(benchmark, record_table):
     record_table("P2_index_baselines", table)
 
     # Identity is always enforced above; the wall-clock floor only means
-    # something on a quiet machine (same policy as P1).
+    # something on a quiet machine (same policy as P4 and P5).
     if not benchmark.disabled and not os.environ.get("CI"):
         assert aggregate_speedup >= 1.1
         # The rebuild slice itself must clearly win on every family.

@@ -241,7 +241,7 @@ def test_p5_scheduler_balance(benchmark, record_table):
     record_table("P5_scheduler_balance", table)
 
     # The structural claims hold anywhere; the wall-clock floor only on
-    # a quiet non-CI machine (same gating as P1).
+    # a quiet non-CI machine (same gating as P2 and P4).
     stripe_heavy = [
         sum(1 for i in indices if i % HEAVY_EVERY == 0)
         for indices in stripe_pack.assignments

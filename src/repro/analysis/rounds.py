@@ -29,7 +29,7 @@ class PowerLawFit:
 
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
-    """Least-squares line through ``(log x, log y)`` (no numpy needed)."""
+    """Least-squares line through ``(log x, log y)`` (pure Python)."""
     if len(xs) != len(ys):
         raise AlgorithmError("xs and ys must have equal length")
     if len(xs) < 2:

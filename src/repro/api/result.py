@@ -2,8 +2,8 @@
 
 Historically each algorithm family grew its own result type
 (:class:`repro.mincut.ExactMinCut`, :class:`repro.mincut.ApproxMinCut`,
-``repro.baselines.MinCutResult`` …) with overlapping but incompatible
-fields.  :class:`CutResult` is the canonical shape: a value, a witness
+the baselines' own ``(value, side)`` class …) with overlapping but
+incompatible fields.  :class:`CutResult` is the canonical shape: a value, a witness
 side, provenance (solver name, guarantee, seed), optional CONGEST
 metrics, wall time, and an ``extras`` dict for solver-specific detail
 (packing-tree indices, sampling rates, repetition counts).

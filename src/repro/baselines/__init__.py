@@ -8,14 +8,9 @@ of the paper's Ghaffari–Kuhn comparator — and Su's sampling + bridges
 
 Every global min-cut entry point here is also registered with
 :mod:`repro.api`, so ``solve(graph, solver="stoer_wagner")`` (etc.)
-returns the canonical :class:`repro.api.CutResult`.  ``MinCutResult``
-is a deprecated thin alias of that class: importing it from this
-package emits :class:`DeprecationWarning` (the sunset path is
-``from repro.api import CutResult`` — results returned by the solvers
-remain ``isinstance``-compatible either way).
+returns the canonical :class:`repro.api.CutResult`; the functions
+called directly return it too.
 """
-
-import warnings
 
 from .stoer_wagner import stoer_wagner_min_cut
 from .brute_force import MAX_BRUTE_FORCE_NODES, brute_force_min_cut
@@ -29,29 +24,7 @@ from .maxflow import FlowResult, max_flow_min_cut, minimum_st_cut_value
 from .gomory_hu import GomoryHuTree, gomory_hu_min_cut, gomory_hu_tree
 
 
-def __getattr__(name: str):
-    """Deprecated aliases, warned on access rather than on import.
-
-    ``repro.baselines.MinCutResult`` keeps working (tests and historic
-    call sites rely on it) but now announces its sunset; internal
-    modules construct it via :mod:`repro.baselines.stoer_wagner`
-    directly, so solver calls stay quiet.
-    """
-    if name == "MinCutResult":
-        warnings.warn(
-            "repro.baselines.MinCutResult is a deprecated alias of "
-            "repro.api.CutResult; import CutResult from repro.api instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .stoer_wagner import MinCutResult
-
-        return MinCutResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "MinCutResult",  # noqa: F822 - provided lazily by module __getattr__
     "stoer_wagner_min_cut",
     "MAX_BRUTE_FORCE_NODES",
     "brute_force_min_cut",

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ..api.result import CutResult
 from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph
-from .stoer_wagner import MinCutResult
 
 MAX_BRUTE_FORCE_NODES = 18
 
 
-def brute_force_min_cut(graph: WeightedGraph) -> MinCutResult:
+def brute_force_min_cut(graph: WeightedGraph) -> CutResult:
     """Try every proper nonempty side containing the first node.
 
     Fixing the first node on one side halves the work and enumerates
@@ -40,4 +40,4 @@ def brute_force_min_cut(graph: WeightedGraph) -> MinCutResult:
             if value < best_value:
                 best_value = value
                 best_side = frozenset(side)
-    return MinCutResult(value=best_value, side=best_side)
+    return CutResult(value=best_value, side=best_side)

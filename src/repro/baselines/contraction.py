@@ -18,9 +18,9 @@ import math
 import random
 from typing import Optional
 
+from ..api.result import CutResult
 from ..errors import AlgorithmError
 from ..graphs.graph import Node, WeightedGraph
-from .stoer_wagner import MinCutResult
 
 
 class _ContractedGraph:
@@ -80,11 +80,11 @@ class _ContractedGraph:
             u, v = self.random_edge(rng)
             self.contract(u, v)
 
-    def as_cut(self) -> MinCutResult:
+    def as_cut(self) -> CutResult:
         if self.size != 2:
             raise AlgorithmError("cut extraction requires exactly two super-nodes")
         u, v = self.adjacency
-        return MinCutResult(
+        return CutResult(
             value=self.adjacency[u][v], side=frozenset(self.members[u])
         )
 
@@ -93,7 +93,7 @@ def karger_min_cut(
     graph: WeightedGraph,
     repetitions: Optional[int] = None,
     seed: int = 0,
-) -> MinCutResult:
+) -> CutResult:
     """Best cut over ``repetitions`` basic contraction runs.
 
     The default repetition count ``⌈n² ln n / 2⌉`` makes the failure
@@ -105,7 +105,7 @@ def karger_min_cut(
         raise AlgorithmError("minimum cut requires at least two nodes")
     runs = repetitions if repetitions is not None else _default_runs(n)
     rng = random.Random(seed)
-    best: Optional[MinCutResult] = None
+    best: Optional[CutResult] = None
     base = _ContractedGraph(graph)
     for _ in range(runs):
         state = base.copy()
@@ -121,7 +121,7 @@ def karger_stein_min_cut(
     graph: WeightedGraph,
     repetitions: Optional[int] = None,
     seed: int = 0,
-) -> MinCutResult:
+) -> CutResult:
     """Best cut over ``repetitions`` Karger–Stein recursions (default
     ``⌈log2(n)²⌉`` runs)."""
     graph.require_connected()
@@ -135,7 +135,7 @@ def karger_stein_min_cut(
     )
     rng = random.Random(seed)
     base = _ContractedGraph(graph)
-    best: Optional[MinCutResult] = None
+    best: Optional[CutResult] = None
     for _ in range(runs):
         candidate = _recursive_contract(base.copy(), rng)
         if best is None or candidate.value < best.value:
@@ -144,7 +144,7 @@ def karger_stein_min_cut(
     return best
 
 
-def _recursive_contract(state: _ContractedGraph, rng: random.Random) -> MinCutResult:
+def _recursive_contract(state: _ContractedGraph, rng: random.Random) -> CutResult:
     n = state.size
     if n <= 6:
         state.contract_down_to(2, rng)

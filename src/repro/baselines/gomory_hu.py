@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..api.result import CutResult
 from ..errors import AlgorithmError
 from ..graphs.graph import Node, WeightedGraph
 from .maxflow import max_flow_min_cut
-from .stoer_wagner import MinCutResult
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def gomory_hu_tree(graph: WeightedGraph) -> GomoryHuTree:
     return GomoryHuTree(root=root, parent=parent, weight=weight)
 
 
-def gomory_hu_min_cut(graph: WeightedGraph) -> MinCutResult:
+def gomory_hu_min_cut(graph: WeightedGraph) -> CutResult:
     """Global minimum cut via the cut tree's lightest edge.
 
     The witness side is recomputed with one extra max-flow across the
@@ -102,4 +102,4 @@ def gomory_hu_min_cut(graph: WeightedGraph) -> MinCutResult:
         raise AlgorithmError(
             f"cut tree inconsistency: edge weight {value} vs flow {flow.value}"
         )
-    return MinCutResult(value=value, side=frozenset(flow.source_side))
+    return CutResult(value=value, side=frozenset(flow.source_side))

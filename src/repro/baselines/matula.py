@@ -23,13 +23,13 @@ realised ratios against the ground truth and against this library's
 
 from __future__ import annotations
 
+from ..api.result import CutResult
 from ..errors import AlgorithmError
 from ..graphs.graph import Node, WeightedGraph
 from .nagamochi_ibaraki import scan_intervals
-from .stoer_wagner import MinCutResult
 
 
-def matula_approx_min_cut(graph: WeightedGraph, epsilon: float = 0.5) -> MinCutResult:
+def matula_approx_min_cut(graph: WeightedGraph, epsilon: float = 0.5) -> CutResult:
     """(2+ε)-approximate minimum cut (value and witness side)."""
     if epsilon <= 0:
         raise AlgorithmError(f"epsilon must be positive, got {epsilon}")
@@ -57,7 +57,7 @@ def matula_approx_min_cut(graph: WeightedGraph, epsilon: float = 0.5) -> MinCutR
         contracted = _contract_above(work, members, threshold)
         if not contracted:
             _stoer_wagner_phase_fallback(work, members, consider)
-    return MinCutResult(value=best_value, side=best_side)
+    return CutResult(value=best_value, side=best_side)
 
 
 def _contract_above(work: WeightedGraph, members, threshold: float) -> bool:

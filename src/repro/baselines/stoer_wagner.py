@@ -47,21 +47,7 @@ from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph
 
 
-class MinCutResult(CutResult):
-    """Deprecated alias of :class:`repro.api.result.CutResult`.
-
-    Historically the baselines carried their own ``(value, side)``
-    dataclass; it is now a thin subclass of the canonical
-    :class:`~repro.api.result.CutResult` so existing imports,
-    ``isinstance`` checks and ``MinCutResult(value=..., side=...)``
-    constructor calls keep working.  New code should import
-    ``CutResult`` from :mod:`repro.api` and use the façade's
-    :func:`repro.api.solve`, which stamps provenance (solver name,
-    guarantee, seed, wall time) onto every result.
-    """
-
-
-def stoer_wagner_min_cut(graph: WeightedGraph) -> MinCutResult:
+def stoer_wagner_min_cut(graph: WeightedGraph) -> CutResult:
     """Global minimum cut of a connected graph with ≥ 2 nodes."""
     graph.require_connected()
     if graph.number_of_nodes < 2:
@@ -93,7 +79,7 @@ def stoer_wagner_min_cut(graph: WeightedGraph) -> MinCutResult:
                 bound, best_side = degree, list(members[root])
 
     side = frozenset(index.nodes[i] for i in best_side)
-    return MinCutResult(value=graph.cut_value(side), side=side)
+    return CutResult(value=graph.cut_value(side), side=side)
 
 
 def _find(parent: list, x: int) -> int:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 
+from ..api.result import CutResult
 from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph
 from ..sampling.skeleton import sample_skeleton
 from .bridges import bridge_component, find_bridges
-from .stoer_wagner import MinCutResult
 
 DEFAULT_RATE_STEPS = 12
 DEFAULT_TRIALS_PER_RATE = 3
@@ -35,7 +35,7 @@ def su_approx_min_cut(
     seed: int = 0,
     rate_steps: int = DEFAULT_RATE_STEPS,
     trials_per_rate: int = DEFAULT_TRIALS_PER_RATE,
-) -> MinCutResult:
+) -> CutResult:
     """Sampling + bridge baseline (see module docstring).
 
     Always returns a valid cut (candidates are re-evaluated in the
@@ -66,12 +66,12 @@ def su_approx_min_cut(
                 if 0 < len(side) < len(node_set):
                     value = graph.cut_value(side)
                     if value < best.value:
-                        best = MinCutResult(value=value, side=frozenset(side))
+                        best = CutResult(value=value, side=frozenset(side))
     return best
 
 
-def _best_singleton(graph: WeightedGraph) -> MinCutResult:
+def _best_singleton(graph: WeightedGraph) -> CutResult:
     node = min(graph.nodes, key=lambda u: (graph.weighted_degree(u), repr(u)))
-    return MinCutResult(
+    return CutResult(
         value=graph.weighted_degree(node), side=frozenset({node})
     )

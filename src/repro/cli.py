@@ -91,7 +91,6 @@ from typing import Optional
 
 from .analysis import fit_power_law, format_cut_results, format_table
 from .api import CutResult, Engine, default_registry, solve
-from .congest import numpy_available, resolve_engine
 from .core import one_respecting_min_cut_congest
 from .errors import ReproError
 from .exec import (
@@ -219,10 +218,7 @@ def _print_metrics(result: CutResult) -> None:
             f"rounds            : {summary['total_rounds']} "
             f"({summary['measured_rounds']} measured + "
             f"{summary['charged_rounds']} charged), "
-            f"{summary['messages']} messages"
-        )
-        print(
-            f"congest engine    : {resolve_engine()!r}, "
+            f"{summary['messages']} messages, "
             f"{summary['wall_time']:.3f}s in run_phase"
         )
 
@@ -471,7 +467,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"sweep — family '{args.family}', {args.count} instance(s), "
-                f"backend {backend.name}, congest engine '{resolve_engine()}'"
+                f"backend {backend.name}"
             ),
         )
     )
@@ -534,15 +530,7 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
             for spec, entry in zip(registry, solvers):
                 entry["fitted_seconds_at_100_300"] = _fitted_seconds(spec)
                 entry["calibration"] = profile.status(spec)
-        payload = {
-            # Run metadata: which delivery engine CONGEST-mode solves in
-            # this environment would use (resolution honours
-            # $REPRO_CONGEST_ENGINE and numpy availability).
-            "congest_engine": resolve_engine(),
-            "numpy_available": numpy_available(),
-            "solvers": solvers,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({"solvers": solvers}, indent=2, sort_keys=True))
         return 0
     yn = {True: "yes", False: "-"}
     rows = []

@@ -12,10 +12,6 @@ from .network import (
     CongestNetwork,
     PhaseResult,
     DEFAULT_MAX_WORDS,
-    ENGINE_CHOICES,
-    ENGINE_ENV_VAR,
-    numpy_available,
-    resolve_engine,
 )
 from .node import Inbox, NodeContext, NodeProgram, single_message
 from .trace import MessageTracer, TraceEvent, kind_filter, node_filter
@@ -29,10 +25,6 @@ __all__ = [
     "CongestNetwork",
     "PhaseResult",
     "DEFAULT_MAX_WORDS",
-    "ENGINE_CHOICES",
-    "ENGINE_ENV_VAR",
-    "numpy_available",
-    "resolve_engine",
     "Inbox",
     "NodeContext",
     "NodeProgram",

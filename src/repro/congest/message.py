@@ -41,9 +41,9 @@ class Message:
         exactly once.
 
     The class is slotted: the engine allocates one instance per logical
-    message (shared across multicast fan-out and relays), and at P1
-    volumes the ``__dict__``-free layout is a measurable share of the
-    per-message cost.
+    message (shared across multicast fan-out and relays), and at
+    simulator volumes the ``__dict__``-free layout is a measurable share
+    of the per-message cost.
     """
 
     kind: str

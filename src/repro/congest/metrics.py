@@ -78,11 +78,10 @@ class RunMetrics:
     def wall_time(self) -> float:
         """Total simulator wall-clock seconds across measured phases.
 
-        An engine-speed observable: identical protocols produce identical
-        rounds/messages on every engine, so a jump here (at constant
-        rounds) is a delivery-engine regression — visible in
-        ``summary()`` and ``extras["congest"]`` without rerunning the P1
-        benchmark.
+        A simulator-speed observable: a protocol's rounds and messages
+        are deterministic, so a jump here (at constant rounds) is a
+        round-loop regression — visible in ``summary()`` and
+        ``extras["congest"]`` without rerunning a benchmark.
         """
         return sum(p.wall_time for p in self.phases)
 

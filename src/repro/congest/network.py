@@ -22,71 +22,21 @@ requested a tick.  Phases of a larger algorithm share each node's
 persistent ``memory`` dict, modelling local storage across phases (the
 phase barrier itself is charged by drivers as O(D) where relevant).
 
-Engine internals (PR 3 + PR 7)
-------------------------------
-The hot loop runs on the graph's cached
+The round loop runs on the graph's cached
 :class:`~repro.graphs.index.GraphIndex` rather than on dicts keyed by
-``(u, v)`` tuples: every directed edge has an integer id; its FIFO
-lives in a flat slot array, and the set of busy edges is an
-**activation-ordered list** of ids (exactly mirroring the original
-dict's insertion-order iteration, so delivery order — and therefore
-every protocol's output — is bit-identical across engines).
-
-PR 7 turned the round loop into a **batched delivery engine** with three
-selectable implementations behind the unchanged :meth:`run_phase`
-contract (``CongestNetwork(engine=...)`` / ``$REPRO_CONGEST_ENGINE``,
-values ``auto``/``batched``/``numpy``/``per-message``):
-
-``batched`` (pure Python, the no-dependency baseline)
-    * all per-edge structures — FIFOs, bound ``popleft``/inbox-append
-      methods, run-expiry slots — are built **once per network** (sized
-      by :meth:`~repro.graphs.index.GraphIndex.delivery_arrays` and
-      invalidated with it) instead of once per phase;
-    * FIFOs hold prebuilt ``(src, msg)`` inbox entries, built once per
-      logical message at flush time — a multicast shares one entry
-      across its whole fan-out, so delivery is a single bound-method
-      append per edge;
-    * message/word metrics are logged as one int per enqueue and folded
-      by bulk reduction (``len``/``sum``/``max``) at quiescence, and
-      backlog/expiry bookkeeping runs once per touched edge per round,
-      not once per message — no per-message branches anywhere;
-    * multi-message FIFOs are scheduled as **runs**: enqueueing ``k``
-      messages records the run's expiry round once, and rounds in which
-      no run expires, no edge activates, and no tick fires reuse the
-      busy list, the receiver set, and the touched-inbox list verbatim
-      instead of re-scanning and rebuilding them — a ``k``-deep drain
-      pays the frontier bookkeeping once, not ``k`` times.
-
-``numpy`` (optional fast path)
-    The same run-scheduled loop, with the frontier mirrored in
-    ``np.int64`` arrays: per-edge pending counts maintained per round
-    detect expiring runs with one vectorized compare, pruning is a
-    boolean mask instead of a rescan, and on wide rounds the receiver
-    set is built by fancy-indexing the precomputed edge→destination
-    array (:meth:`~repro.graphs.index.GraphIndex.delivery_arrays`) and
-    first-occurrence reduction instead of per-edge branching.  Falls
-    back to ``batched`` when numpy is not importable.
-
-``per-message``
-    The PR 3 loop — one branch per message hop — kept as the semantic
-    oracle and the tracing path: a :class:`MessageTracer` must observe
-    every hop in delivery order, so attaching one silently selects this
-    path whatever engine was requested (see
-    :attr:`CongestNetwork.active_engine`); it is also explicitly
-    selectable via ``engine="per-message"``.
-
-All paths produce bit-identical delivery and activation order — the
-activation-ordered busy list, the ``set(first-touch receivers) | ticks``
-active-set construction, and FIFO order are preserved exactly, which
-``tests/test_congest_engine_equivalence.py`` asserts with the
-per-message path as the oracle for every protocol in the library,
-hypothesis-generated programs included.  (The original PR 3
-standalone loop — ``repro.congest.legacy`` — was retired after two PRs
-of parity; the per-message engine shares its dispatch semantics.)
+``(u, v)`` tuples: every directed edge has an integer id, its FIFO
+lives in a flat slot array, and the busy edges form an
+**activation-ordered list** of ids.  Each FIFO holds ready-made
+``(src, msg)`` inbox entries, built once when the sender's outbox is
+flushed, so delivery moves an entry from a FIFO to an inbox and a
+:class:`~repro.congest.trace.MessageTracer` sees the same hop.  Delivery
+order, dispatch order and therefore every protocol's output are
+deterministic; ``tests/test_congest_golden.py`` pins them bit for bit
+against golden fixtures.
 
 The per-node programming API (:class:`~repro.congest.node.NodeContext`
-/ :class:`~repro.congest.node.NodeProgram`) is unchanged; node programs
-still see original node identifiers everywhere.
+/ :class:`~repro.congest.node.NodeProgram`) sees original node
+identifiers everywhere.
 
 One behavioural note: inbox lists are owned by the engine and are only
 valid for the duration of the ``on_round`` call — programs must not
@@ -96,7 +46,6 @@ No library program does.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from collections.abc import Callable, Hashable
@@ -106,70 +55,13 @@ from ..errors import CongestError, RoundLimitExceededError
 from ..graphs.graph import WeightedGraph
 from .message import Message, check_message_size
 from .metrics import PhaseMetrics, RunMetrics
-from .node import NodeContext, NodeProgram
+from .node import Inbox, NodeContext, NodeProgram
 
 NodeId = Hashable
 ProgramFactory = Callable[[NodeId], NodeProgram]
 
 DEFAULT_MAX_WORDS = 8
 DEFAULT_ROUND_LIMIT = 2_000_000
-
-#: Valid values for ``CongestNetwork(engine=...)`` / $REPRO_CONGEST_ENGINE.
-ENGINE_CHOICES = ("auto", "batched", "numpy", "per-message")
-
-#: Environment knob holding the process-wide default engine.
-ENGINE_ENV_VAR = "REPRO_CONGEST_ENGINE"
-
-#: Frontier width from which the numpy engine builds the receiver set by
-#: fancy indexing + first-occurrence reduction; below it, per-edge
-#: branching beats the fixed cost of the vectorized calls.
-_NUMPY_RECEIVER_THRESHOLD = 192
-
-_numpy_module: Any = None  # unresolved sentinel; False once probed absent
-
-
-def _numpy():
-    """The numpy module, or ``None`` when not importable (probed once)."""
-    global _numpy_module
-    if _numpy_module is None:
-        try:
-            import numpy
-
-            _numpy_module = numpy
-        except ImportError:
-            _numpy_module = False
-    return _numpy_module if _numpy_module is not False else None
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy delivery engine can run."""
-    return _numpy() is not None
-
-
-def resolve_engine(requested: Optional[str] = None) -> str:
-    """Resolve an engine request to the effective engine name.
-
-    ``requested=None`` reads ``$REPRO_CONGEST_ENGINE`` (default
-    ``auto``).  ``auto`` selects ``numpy`` when numpy is importable and
-    ``batched`` otherwise; an explicit ``numpy`` request also degrades
-    to ``batched`` on numpy-free installs — the fallback guarantee the
-    CI no-numpy leg pins down.  ``batched`` and ``per-message`` resolve
-    to themselves.  Unknown names raise
-    :class:`~repro.errors.CongestError`.
-    """
-    name = requested if requested is not None else os.environ.get(ENGINE_ENV_VAR)
-    if not name:
-        name = "auto"
-    if name not in ENGINE_CHOICES:
-        raise CongestError(
-            f"unknown congest engine {name!r}; expected one of "
-            f"{', '.join(ENGINE_CHOICES)}"
-        )
-    if name == "auto":
-        return "numpy" if numpy_available() else "batched"
-    if name == "numpy" and not numpy_available():
-        return "batched"
-    return name
 
 
 class PhaseResult:
@@ -184,55 +76,6 @@ class PhaseResult:
         produced it."""
         return {u: vals[key] for u, vals in self.outputs.items() if key in vals}
 
-
-class _EngineState:
-    """Per-network persistent delivery structures (batched/numpy paths).
-
-    Everything here is sized by the directed-edge/node counts and is a
-    pure function of the graph index, so it is built once and reused by
-    every subsequent phase: the FIFOs, their bound ``popleft`` methods,
-    the per-receiver inbox lists with bound ``append`` methods, and the
-    run-expiry slots.  All FIFOs are empty and all runs expired at
-    quiescence, which is what makes cross-phase reuse sound; a phase
-    that aborts (round limit, bandwidth audit, a raising program) leaves
-    the structures mid-flight, so :meth:`CongestNetwork.run_phase` drops
-    the state on any exception and the next phase rebuilds it.
-
-    The state is keyed on the index's
-    :class:`~repro.graphs.index.DeliveryArrays` *identity*: an in-place
-    index patch (:mod:`repro.dynamic.incremental`) invalidates the
-    delivery arrays, the identity changes, and the stale state is
-    rebuilt.  ``rounds_base`` is a monotonically increasing round clock
-    spanning phases, so absolute expiry rounds recorded in one phase can
-    never alias rounds of a later one.
-    """
-
-    __slots__ = (
-        "delivery",
-        "queues",
-        "pops",
-        "inboxes",
-        "box_appends",
-        "expiry",
-        "expire_counts",
-        "rounds_base",
-        "pending_np",
-    )
-
-    def __init__(self, index, delivery, with_numpy: bool) -> None:
-        edge_count = index.directed_edge_count
-        self.delivery = delivery
-        self.queues = [deque() for _ in range(edge_count)]
-        self.pops = [q.popleft for q in self.queues]
-        self.inboxes: list[list] = [[] for _ in range(len(index.nodes))]
-        self.box_appends = [self.inboxes[j].append for j in index.adj_target]
-        self.expiry = [0] * edge_count
-        self.expire_counts: dict[int, int] = {}
-        self.rounds_base = 0
-        self.pending_np = None
-        if with_numpy:
-            np = _numpy()
-            self.pending_np = np.zeros(edge_count, dtype=np.int64)
 
 
 class CongestNetwork:
@@ -249,16 +92,8 @@ class CongestNetwork:
         When True (default), oversize messages raise
         :class:`~repro.errors.BandwidthExceededError`.
     tracer:
-        Optional :class:`~repro.congest.trace.MessageTracer`.  Tracers
-        observe every hop, so a non-None tracer silently pins the
-        engine to the per-message path whatever ``engine`` says.
-    engine:
-        Delivery engine: ``"auto"`` (default; numpy when available),
-        ``"batched"`` (pure Python), ``"numpy"``, or ``"per-message"``
-        (the unbatched oracle loop tracers use).  ``None`` defers to
-        ``$REPRO_CONGEST_ENGINE``.  All engines are bit-identical in
-        delivery order, metrics, and outputs — the knob only trades
-        implementation.
+        Optional :class:`~repro.congest.trace.MessageTracer`, shown every
+        hop in delivery order.
     """
 
     def __init__(
@@ -267,17 +102,10 @@ class CongestNetwork:
         max_words_per_message: int = DEFAULT_MAX_WORDS,
         strict: bool = True,
         tracer=None,
-        engine: Optional[str] = None,
     ) -> None:
-        if engine is not None and engine not in ENGINE_CHOICES:
-            raise CongestError(
-                f"unknown congest engine {engine!r}; expected one of "
-                f"{', '.join(ENGINE_CHOICES)}"
-            )
         self.graph = graph
         self.strict = strict
         self.tracer = tracer
-        self.engine = engine
         self.max_words_per_message = max_words_per_message
         index = graph.index()
         self.index = index
@@ -288,7 +116,6 @@ class CongestNetwork:
         self._weights = index.weight_maps
         self.memory: dict[NodeId, dict[str, Any]] = {u: {} for u in self._nodes}
         self.metrics = RunMetrics()
-        self._state: Optional[_EngineState] = None
         # Reusable per-node contexts: rebound (memory/outputs/round) at
         # the start of every phase instead of reconstructed.
         n = len(self._nodes)
@@ -313,32 +140,6 @@ class CongestNetwork:
     @property
     def size(self) -> int:
         return len(self._nodes)
-
-    @property
-    def active_engine(self) -> str:
-        """The delivery path :meth:`run_phase` will actually take.
-
-        ``"per-message"`` whenever a tracer is attached (tracers must
-        see every hop); otherwise the resolved ``engine`` argument /
-        ``$REPRO_CONGEST_ENGINE`` — ``"numpy"`` or ``"batched"``.
-        """
-        if self.tracer is not None:
-            return "per-message"
-        return resolve_engine(self.engine)
-
-    def _engine_state(self, with_numpy: bool) -> _EngineState:
-        """The persistent delivery structures, (re)built when absent,
-        stale against the index's delivery arrays, or missing the numpy
-        mirror the requested path needs."""
-        delivery = self.index.delivery_arrays()
-        state = self._state
-        if (
-            state is None
-            or state.delivery is not delivery
-            or (with_numpy and state.pending_np is None)
-        ):
-            state = self._state = _EngineState(self.index, delivery, with_numpy)
-        return state
 
     # ------------------------------------------------------------------
     def reset_memory(self) -> None:
@@ -375,520 +176,21 @@ class CongestNetwork:
             ctx._tick_requested = False
             programs.append(program_factory(u))
 
-        engine = self.active_engine
-        try:
-            if engine == "numpy":
-                self._phase_numpy(name, phase, programs, limit)
-            elif engine == "batched":
-                self._phase_batched(name, phase, programs, limit)
-            else:
-                self._phase_permessage(name, phase, programs, limit)
-        except BaseException:
-            # An aborted phase leaves FIFOs / expiry mid-flight; drop
-            # the persistent structures so the next phase starts clean.
-            self._state = None
-            raise
-
-        for i in range(len(nodes)):
-            programs[i].on_stop(contexts[i])
-            if contexts[i]._outbox:
-                raise CongestError(
-                    f"node {nodes[i]!r} attempted to send from on_stop "
-                    f"in phase {name!r}"
-                )
-        phase.wall_time = time.perf_counter() - started
-        self.metrics.add_phase(phase)
-        return PhaseResult(phase, outputs)
-
-    # -- batched engine (pure Python) ----------------------------------
-    def _phase_batched(
-        self,
-        name: str,
-        phase: PhaseMetrics,
-        programs: list[NodeProgram],
-        limit: int,
-    ) -> None:
-        """Run-scheduled batched loop; see the module docstring.
-
-        Delivery order is bit-identical to the per-message path: the
-        busy-edge list is activation-ordered and pruned in place, the
-        active set is built from first-touch receivers, and FIFOs keep
-        enqueue order.  The batching only removes redundant bookkeeping
-        — metrics move to flush-time logs with one bulk reduction,
-        expiry/backlog fixup runs once per touched edge per round, and
-        frontier structures are reused across rounds in which no run
-        expires, activates, or ticks.
-        """
         index = self.index
-        nodes = self._nodes
         n = len(nodes)
         node_id = index.node_id
         edge_id_maps = index.edge_id_maps
         adj_target = index.adj_target
-        strict = self.strict
-        max_words = self.max_words_per_message
-        contexts = self._contexts
-        handlers = [p.on_round for p in programs]
-
-        state = self._engine_state(with_numpy=False)
-        queues = state.queues
-        pops = state.pops
-        inboxes = state.inboxes
-        box_appends = state.box_appends
-        dst_nodes = state.delivery.target_nodes
-        expiry = state.expiry
-        expire_counts = state.expire_counts
-        rounds_g = state.rounds_base  # cross-phase monotonic round clock
-
-        active_edges: list[int] = []
-        active_append = active_edges.append
-        tick_nodes: set[NodeId] = set()
-        touched_edges: list[int] = []  # flushed-to this round
-        touched_append = touched_edges.append
-        frontier_valid = False
-        active: set = set()
-        active_rows = None  # resolved dispatch rows for a stable window
-        touched: list[list] = []
-        # Receiver memo: a pipelined steady state (relay edges emptying
-        # and refilling every round) re-derives the same receiver list
-        # round after round even though the frontier churns.  When the
-        # freshly built list equals the previous round's (cheap: the
-        # elements are usually identical objects) we reuse the set and
-        # dispatch rows built then.  Bit-identical: the memoized set was
-        # constructed from the same insertion sequence a rebuild would
-        # use, so its iteration order matches the rebuild's exactly.
-        memo_receivers: list[NodeId] | None = None
-        memo_active: set = set()
-        memo_rows = None
-
-        # Metrics: one append per enqueued copy, reduced in bulk after
-        # quiescence (tentpole: no per-message branches on delivery).
-        words_log: list[int] = []
-        words_append = words_log.append
-        max_backlog = 0
-        rounds = 0
-
-        def flush_outbox(i: int, ctx: NodeContext) -> None:
-            nonlocal frontier_valid
-            outbox = ctx._outbox
-            if outbox:
-                edge_ids = edge_id_maps[i]
-                node_u = nodes[i]
-                prev = None
-                entry = None
-                w = 0
-                last_e = -1
-                for v, msg in outbox:
-                    if msg is not prev:
-                        prev = msg
-                        w = msg.words
-                        if strict and w > max_words:
-                            check_message_size(msg, max_words)  # raises
-                        entry = (node_u, msg)
-                    words_append(w)
-                    e = edge_ids[v]
-                    queue = queues[e]
-                    if not queue:
-                        active_append(e)
-                        frontier_valid = False
-                    queue.append(entry)
-                    if e != last_e:
-                        # Deferred per-edge fixup; an interleaved resend
-                        # may duplicate an id, which the fixup tolerates.
-                        touched_append(e)
-                        last_e = e
-                outbox.clear()
-            if ctx._tick_requested:
-                ctx._tick_requested = False
-                tick_nodes.add(ctx.node)
-
-        # Round 0: on_start for everyone.
-        for i in range(n):
-            ctx = contexts[i]
-            programs[i].on_start(ctx)
-            if ctx._outbox or ctx._tick_requested:
-                flush_outbox(i, ctx)
-
-        while True:
-            # Per-touched-edge (not per-message) end-of-round fixup:
-            # record the run's absolute expiry round and fold the edge's
-            # depth into the backlog high-water mark.  Each edge has one
-            # sender, so at most one flush touches it per round and
-            # len(queue) here is its peak depth for the round.
-            if touched_edges:
-                for e in touched_edges:
-                    depth = len(queues[e])
-                    if depth > max_backlog:
-                        max_backlog = depth
-                    old = expiry[e]
-                    if old > rounds_g:  # live run rescheduled
-                        expire_counts[old] -= 1
-                    end = rounds_g + depth
-                    expiry[e] = end
-                    expire_counts[end] = expire_counts.get(end, 0) + 1
-                touched_edges.clear()
-            if not active_edges and not tick_nodes:
-                break
-            if rounds >= limit:
-                raise RoundLimitExceededError(
-                    f"phase {name!r} did not reach quiescence within "
-                    f"{limit} rounds ({len(active_edges)} busy edges)"
-                )
-            rounds += 1
-            rounds_g += 1
-            ending = expire_counts.pop(rounds_g, 0)
-            if frontier_valid and not ending and not tick_nodes:
-                # Stable window: same busy edges, same receivers, same
-                # touched inboxes as last round — deliver and go.  The
-                # dispatch rows (context, handler, inbox per receiver)
-                # are also fixed, so resolve them once per window.
-                for e in active_edges:
-                    box_appends[e](pops[e]())
-                if active_rows is None:
-                    active_rows = [
-                        (j, contexts[j], handlers[j], inboxes[j])
-                        for j in (node_id[u] for u in active)
-                    ]
-                for i, ctx, handler, box in active_rows:
-                    ctx.round = rounds
-                    handler(ctx, box)
-                    if ctx._outbox or ctx._tick_requested:
-                        flush_outbox(i, ctx)
-                for box in touched:
-                    box.clear()
-                continue
-            else:
-                receiver_nodes: list[NodeId] = []
-                rn_append = receiver_nodes.append
-                t_append = (touched := []).append
-                if ending:
-                    still: list[int] = []
-                    s_append = still.append
-                    for e in active_edges:
-                        queue = queues[e]
-                        entry = queue.popleft()
-                        box = inboxes[adj_target[e]]
-                        if not box:
-                            rn_append(dst_nodes[e])
-                            t_append(box)
-                        box.append(entry)
-                        if queue:
-                            s_append(e)
-                    active_edges = still
-                    active_append = active_edges.append
-                    frontier_valid = False
-                else:
-                    for e in active_edges:
-                        box = inboxes[adj_target[e]]
-                        if not box:
-                            rn_append(dst_nodes[e])
-                            t_append(box)
-                        box.append(pops[e]())
-                    frontier_valid = not tick_nodes
-                # Same construction as the per-message oracle: a set
-                # built *from a dict* in first-touch order, then the
-                # tick union.  The dict detour is loadbearing — CPython
-                # presizes a set built from a dict but grows one built
-                # from a list incrementally, and the two table layouts
-                # can iterate in different orders for the same elements.
-                # The oracle iterates a set built from a dict, so
-                # matching its dispatch order bit for bit requires the
-                # same construction, not merely the same elements.
-                if not tick_nodes and receiver_nodes == memo_receivers:
-                    active = memo_active
-                    active_rows = memo_rows
-                else:
-                    active = set(dict.fromkeys(receiver_nodes)) | tick_nodes
-                    active_rows = None
-                    if tick_nodes:
-                        tick_nodes = set()
-                        memo_receivers = None
-                    else:
-                        memo_receivers = receiver_nodes
-                        memo_active = active
-                    memo_rows = None
-            if active_rows is None:
-                active_rows = [
-                    (j, contexts[j], handlers[j], inboxes[j])
-                    for j in (node_id[u] for u in active)
-                ]
-                if memo_receivers is receiver_nodes:
-                    memo_rows = active_rows
-            for i, ctx, handler, box in active_rows:
-                ctx.round = rounds
-                handler(ctx, box)
-                if ctx._outbox or ctx._tick_requested:
-                    flush_outbox(i, ctx)
-            for box in touched:
-                box.clear()
-
-        state.rounds_base = rounds_g
-        phase.rounds = rounds
-        phase.messages = len(words_log)
-        phase.words = sum(words_log)
-        phase.max_message_words = max(words_log, default=0)
-        phase.max_edge_backlog = max_backlog
-
-    # -- numpy engine ---------------------------------------------------
-    def _phase_numpy(
-        self,
-        name: str,
-        phase: PhaseMetrics,
-        programs: list[NodeProgram],
-        limit: int,
-    ) -> None:
-        """Run-scheduled loop with a numpy-mirrored frontier.
-
-        Identical delivery/activation order to the batched path.  The
-        differences are representational: per-edge pending counts live
-        in an ``np.int64`` array maintained at the per-round fixup, run
-        expiry is detected by one vectorized compare instead of per-run
-        counter dicts, pruning is a boolean mask over the frontier
-        array, and wide rounds build the receiver set by fancy-indexing
-        the precomputed edge→destination array with a first-occurrence
-        reduction (``np.unique``) instead of per-edge branching.
-        """
-        np = _numpy()
-        index = self.index
-        nodes = self._nodes
-        n = len(nodes)
-        node_id = index.node_id
-        edge_id_maps = index.edge_id_maps
-        adj_target = index.adj_target
-        strict = self.strict
-        max_words = self.max_words_per_message
-        contexts = self._contexts
-        handlers = [p.on_round for p in programs]
-
-        state = self._engine_state(with_numpy=True)
-        queues = state.queues
-        pops = state.pops
-        inboxes = state.inboxes
-        box_appends = state.box_appends
-        dst_nodes = state.delivery.target_nodes
-        target_ids_np = state.delivery.target_ids_np
-        pending = state.pending_np
-
-        active_edges: list[int] = []
-        active_append = active_edges.append
-        tick_nodes: set[NodeId] = set()
-        touched_edges: list[int] = []
-        touched_append = touched_edges.append
-        frontier = np.empty(0, dtype=np.int64)  # mirrors active_edges
-        frontier_stale = False  # activation appended since last mirror
-        frontier_valid = False  # receiver/touched/active reusable
-        active: set = set()
-        active_rows = None  # resolved dispatch rows for a stable window
-        touched: list[list] = []
-        # Receiver memo — see _phase_batched for the order argument.
-        memo_receivers: list[NodeId] | None = None
-        memo_active: set = set()
-        memo_rows = None
-        # Wide-round memo: destination array equality short-circuits the
-        # unique/ordering reduction (receivers depend only on ``dsts``,
-        # not on ticks, so this memo survives tick rounds).
-        memo_dsts = None
-        memo_wide_receivers: list[NodeId] = []
-        memo_touched: list[list] = []
-
-        words_log: list[int] = []
-        words_append = words_log.append
-        max_backlog = 0
-        rounds = 0
-
-        def flush_outbox(i: int, ctx: NodeContext) -> None:
-            nonlocal frontier_valid, frontier_stale
-            outbox = ctx._outbox
-            if outbox:
-                edge_ids = edge_id_maps[i]
-                node_u = nodes[i]
-                prev = None
-                entry = None
-                w = 0
-                last_e = -1
-                for v, msg in outbox:
-                    if msg is not prev:
-                        prev = msg
-                        w = msg.words
-                        if strict and w > max_words:
-                            check_message_size(msg, max_words)  # raises
-                        entry = (node_u, msg)
-                    words_append(w)
-                    e = edge_ids[v]
-                    queue = queues[e]
-                    if not queue:
-                        active_append(e)
-                        frontier_valid = False
-                        frontier_stale = True
-                    queue.append(entry)
-                    if e != last_e:
-                        touched_append(e)
-                        last_e = e
-                outbox.clear()
-            if ctx._tick_requested:
-                ctx._tick_requested = False
-                tick_nodes.add(ctx.node)
-
-        for i in range(n):
-            ctx = contexts[i]
-            programs[i].on_start(ctx)
-            if ctx._outbox or ctx._tick_requested:
-                flush_outbox(i, ctx)
-
-        while True:
-            if touched_edges:
-                # Vectorized fixup: one fancy-index assignment per round
-                # instead of one numpy scalar store per touched edge
-                # (duplicated ids carry equal depths, so last-wins
-                # assignment is exact).
-                depths = [len(queues[e]) for e in touched_edges]
-                peak = max(depths)
-                if peak > max_backlog:
-                    max_backlog = peak
-                pending[touched_edges] = depths
-                touched_edges.clear()
-            if not active_edges and not tick_nodes:
-                break
-            if rounds >= limit:
-                raise RoundLimitExceededError(
-                    f"phase {name!r} did not reach quiescence within "
-                    f"{limit} rounds ({len(active_edges)} busy edges)"
-                )
-            rounds += 1
-            if frontier_stale:
-                frontier = np.asarray(active_edges, dtype=np.int64)
-                frontier_stale = False
-            remaining = pending[frontier]
-            ending = bool((remaining == 1).any()) if active_edges else False
-            if frontier_valid and not ending and not tick_nodes:
-                for e in active_edges:
-                    box_appends[e](pops[e]())
-                pending[frontier] = remaining - 1
-                if active_rows is None:
-                    active_rows = [
-                        (j, contexts[j], handlers[j], inboxes[j])
-                        for j in (node_id[u] for u in active)
-                    ]
-                for i, ctx, handler, box in active_rows:
-                    ctx.round = rounds
-                    handler(ctx, box)
-                    if ctx._outbox or ctx._tick_requested:
-                        flush_outbox(i, ctx)
-                for box in touched:
-                    box.clear()
-                continue
-            else:
-                receiver_nodes: list[NodeId] = []
-                if len(active_edges) >= _NUMPY_RECEIVER_THRESHOLD:
-                    # Receiver set vectorized: destinations by fancy
-                    # index, first-occurrence order via np.unique's
-                    # return_index (argsort restores activation order).
-                    # A pipelined steady state presents the same
-                    # destination array round after round; one array
-                    # compare then reuses the previous reduction.
-                    dsts = target_ids_np[frontier]
-                    if memo_dsts is not None and np.array_equal(dsts, memo_dsts):
-                        receiver_nodes = memo_wide_receivers
-                        touched = memo_touched
-                    else:
-                        uniq, first_pos = np.unique(dsts, return_index=True)
-                        order = uniq[np.argsort(first_pos)].tolist()
-                        receiver_nodes = [nodes[j] for j in order]
-                        touched = [inboxes[j] for j in order]
-                        memo_dsts = dsts
-                        memo_wide_receivers = receiver_nodes
-                        memo_touched = touched
-                    for e in active_edges:
-                        box_appends[e](pops[e]())
-                else:
-                    rn_append = receiver_nodes.append
-                    t_append = (touched := []).append
-                    for e in active_edges:
-                        box = inboxes[adj_target[e]]
-                        if not box:
-                            rn_append(dst_nodes[e])
-                            t_append(box)
-                        box.append(pops[e]())
-                pending[frontier] = remaining - 1
-                if ending:
-                    # Prune expired runs with a mask; order within the
-                    # frontier array is preserved, so activation order
-                    # survives vectorized pruning.
-                    frontier = frontier[remaining > 1]
-                    active_edges = frontier.tolist()
-                    active_append = active_edges.append
-                    frontier_valid = False
-                else:
-                    frontier_valid = not tick_nodes
-                # Dict-detour set construction — see _phase_batched.
-                if not tick_nodes and receiver_nodes == memo_receivers:
-                    active = memo_active
-                    active_rows = memo_rows
-                else:
-                    active = set(dict.fromkeys(receiver_nodes)) | tick_nodes
-                    active_rows = None
-                    if tick_nodes:
-                        tick_nodes = set()
-                        memo_receivers = None
-                    else:
-                        memo_receivers = receiver_nodes
-                        memo_active = active
-                    memo_rows = None
-            if active_rows is None:
-                active_rows = [
-                    (j, contexts[j], handlers[j], inboxes[j])
-                    for j in (node_id[u] for u in active)
-                ]
-                if memo_receivers is receiver_nodes:
-                    memo_rows = active_rows
-            for i, ctx, handler, box in active_rows:
-                ctx.round = rounds
-                handler(ctx, box)
-                if ctx._outbox or ctx._tick_requested:
-                    flush_outbox(i, ctx)
-            for box in touched:
-                box.clear()
-
-        phase.rounds = rounds
-        phase.messages = len(words_log)
-        if words_log:
-            words_arr = np.asarray(words_log, dtype=np.int64)
-            phase.words = int(words_arr.sum())
-            phase.max_message_words = int(words_arr.max())
-        phase.max_edge_backlog = max_backlog
-
-    # -- per-message engine (tracer path, PR 3 loop) --------------------
-    def _phase_permessage(
-        self,
-        name: str,
-        phase: PhaseMetrics,
-        programs: list[NodeProgram],
-        limit: int,
-    ) -> None:
-        """One message at a time, in delivery order — the PR 3 loop.
-
-        Kept for tracers, which must observe every hop as it crosses;
-        also the most literal rendering of the round structure, which
-        makes it the readable reference for the batched paths above.
-        Self-contained (fresh per-phase FIFOs): it stores raw messages
-        where the batched paths store prebuilt inbox entries, so it
-        deliberately does not share the persistent engine state.
-        """
-        index = self.index
-        nodes = self._nodes
-        n = len(nodes)
-        node_id = index.node_id
-        edge_id_maps = index.edge_id_maps
-        adj_target = index.adj_target
-        edge_src_node = index.delivery_arrays().source_nodes
         strict = self.strict
         max_words = self.max_words_per_message
         tracer = self.tracer
-        contexts = self._contexts
 
-        queues: list[Optional[deque[Message]]] = [None] * index.directed_edge_count
+        # FIFOs and inboxes hold the same (src, msg) entries.
+        queues: list[Optional[deque[tuple[NodeId, Message]]]] = [
+            None
+        ] * index.directed_edge_count
         active_edges: list[int] = []
-        inboxes: list[list[tuple[NodeId, Message]]] = [[] for _ in range(n)]
+        inboxes: list[Inbox] = [[] for _ in range(n)]
         receivers: list[int] = []
         tick_nodes: set[NodeId] = set()
 
@@ -896,6 +198,7 @@ class CongestNetwork:
             outbox = ctx._outbox
             if outbox:
                 edge_ids = edge_id_maps[i]
+                src = nodes[i]
                 backlog = phase.max_edge_backlog
                 for v, msg in outbox:
                     if strict and msg.words > max_words:
@@ -906,7 +209,7 @@ class CongestNetwork:
                         queue = queues[e] = deque()
                     if not queue:
                         active_edges.append(e)
-                    queue.append(msg)
+                    queue.append((src, msg))
                     if len(queue) > backlog:
                         backlog = len(queue)
                 phase.max_edge_backlog = backlog
@@ -938,28 +241,26 @@ class CongestNetwork:
             still_active: list[int] = []
             for e in active_edges:
                 queue = queues[e]
-                msg = queue.popleft()
-                w = msg.words
+                entry = queue.popleft()
+                w = entry[1].words
                 message_count += 1
                 word_count += w
                 if w > max_word:
                     max_word = w
                 dst = adj_target[e]
                 if tracer is not None:
-                    tracer.record(
-                        name, rounds, edge_src_node[e], nodes[dst], msg
-                    )
+                    tracer.record(name, rounds, entry[0], nodes[dst], entry[1])
                 box = inboxes[dst]
                 if not box:
                     receivers.append(dst)
-                box.append((edge_src_node[e], msg))
+                box.append(entry)
                 if queue:
                     still_active.append(e)
             active_edges = still_active
-            # 2. Computation for receivers and tick requesters.  The
-            # active set is built over *original* node ids, via the
-            # canonical set(first-touch) | ticks construction the
-            # batched/numpy engines reproduce bit for bit.
+            # 2. Computation for receivers and tick requesters, over
+            # *original* node ids.  Building the set from a dict in
+            # first-touch order fixes its table layout, and with it the
+            # dispatch order the golden fixtures pin.
             active = set(dict.fromkeys(nodes[i] for i in receivers)) | tick_nodes
             tick_nodes = set()
             for u in active:
@@ -977,6 +278,17 @@ class CongestNetwork:
         phase.messages = message_count
         phase.words = word_count
         phase.max_message_words = max_word
+
+        for i in range(n):
+            programs[i].on_stop(contexts[i])
+            if contexts[i]._outbox:
+                raise CongestError(
+                    f"node {nodes[i]!r} attempted to send from on_stop "
+                    f"in phase {name!r}"
+                )
+        phase.wall_time = time.perf_counter() - started
+        self.metrics.add_phase(phase)
+        return PhaseResult(phase, outputs)
 
     # ------------------------------------------------------------------
     def charge(self, rounds: int, note: str) -> None:

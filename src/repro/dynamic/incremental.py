@@ -318,12 +318,7 @@ def _patch_delete_edge(index: GraphIndex, u: Node, v: Node) -> None:
 
 
 def index_equal(a: GraphIndex, b: GraphIndex) -> bool:
-    """Field-by-field equality of two indexes (the equivalence oracle).
-
-    Compares the semantic CSR fields only; derived caches (the
-    underscore slots, e.g. the CONGEST delivery arrays) are rebuilt on
-    demand and legitimately differ between a patched and a fresh index.
-    """
+    """Field-by-field equality of two indexes (the equivalence oracle)."""
     return all(
         getattr(a, name) == getattr(b, name) for name in GraphIndex.CORE_FIELDS
     )
@@ -431,7 +426,6 @@ class IncrementalIndexer:
         patcher = self._patcher(effect, forward)
         if patcher is not None:
             patcher(index)
-            index.invalidate_delivery()
             self.patched += 1
             verb = "patched"
         else:

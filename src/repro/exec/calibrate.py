@@ -32,9 +32,8 @@ index rebuild (:class:`DynamicCosts`), from which
 :meth:`CostProfile.patch_budget_for` derives the ``patch_budget``
 rebuild threshold that :meth:`Engine.dynamic_session` seeds.
 
-No numpy anywhere: the normal-equation solve is a tiny Gaussian
-elimination (at most 4×4), because the calibration path must work on
-the numpy-free CI leg.
+The normal-equation solve is a tiny Gaussian elimination (at most
+4×4), so calibration needs no third-party package.
 """
 
 from __future__ import annotations

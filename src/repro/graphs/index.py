@@ -51,8 +51,8 @@ class GraphIndex:
     from-scratch rebuild in its validation mode).
     """
 
-    #: Semantic CSR fields; underscore slots below are derived caches
-    #: (rebuilt on demand, skipped by ``dynamic.incremental.index_equal``).
+    #: Every field of the index; ``dynamic.incremental.index_equal``
+    #: compares them all.
     CORE_FIELDS = (
         "nodes",
         "node_id",
@@ -66,7 +66,7 @@ class GraphIndex:
         "edge_id_maps",
     )
 
-    __slots__ = CORE_FIELDS + ("_delivery",)
+    __slots__ = CORE_FIELDS
 
     def __init__(self, graph: "WeightedGraph") -> None:
         adj = graph._adj
@@ -108,7 +108,6 @@ class GraphIndex:
         self.neighbor_lists = tuple(neighbor_lists)
         self.weight_maps = tuple(weight_maps)
         self.edge_id_maps = tuple(edge_id_maps)
-        self._delivery: Any = None
 
     # -- sizes ----------------------------------------------------------
     @property
@@ -137,44 +136,6 @@ class GraphIndex:
             return self.edge_id_maps[self.node_id[u]][v]
         except KeyError:
             raise GraphError(f"edge ({u!r}, {v!r}) does not exist") from None
-
-    # -- delivery arrays (CONGEST engine fast path) ---------------------
-    def delivery_arrays(self) -> "DeliveryArrays":
-        """Per-directed-edge arrays the CONGEST delivery loop indexes.
-
-        Computed once per index and shared by every network built over
-        the graph: source/target nodes in *original id* space (inbox
-        entries and tracer events carry original identifiers) and, when
-        numpy is importable, ``int64`` mirrors of the edge→target map
-        for the vectorized engine (``target_ids_np``) plus reusable
-        per-edge scratch shapes.  ``target_ids_np`` is ``None`` on
-        numpy-free installs — the engine falls back to the pure-Python
-        batched path.
-
-        In-place patches from :mod:`repro.dynamic.incremental` call
-        :meth:`invalidate_delivery`, so a mutated index never serves a
-        stale array.
-        """
-        cached = self._delivery
-        if cached is None:
-            nodes = self.nodes
-            target_ids_np = None
-            try:  # pragma: no branch - single gated import
-                import numpy as np
-
-                target_ids_np = np.asarray(self.adj_target, dtype=np.int64)
-            except ImportError:
-                pass
-            cached = self._delivery = DeliveryArrays(
-                source_nodes=tuple(nodes[i] for i in self.edge_source),
-                target_nodes=tuple(nodes[j] for j in self.adj_target),
-                target_ids_np=target_ids_np,
-            )
-        return cached
-
-    def invalidate_delivery(self) -> None:
-        """Drop the cached delivery arrays (after an in-place patch)."""
-        self._delivery = None
 
     # -- traversal ------------------------------------------------------
     def bfs_distances_from(self, source_id: int) -> list[int]:
@@ -220,21 +181,4 @@ class GraphIndex:
         return -1 not in self.bfs_distances_from(0)
 
 
-class DeliveryArrays:
-    """Immutable bundle of per-directed-edge delivery views.
-
-    ``source_nodes[e]`` / ``target_nodes[e]`` are the original node
-    identifiers of directed edge ``e``; ``target_ids_np`` is the
-    ``np.int64`` form of ``GraphIndex.adj_target`` (``None`` without
-    numpy).
-    """
-
-    __slots__ = ("source_nodes", "target_nodes", "target_ids_np")
-
-    def __init__(self, source_nodes, target_nodes, target_ids_np):
-        self.source_nodes = source_nodes
-        self.target_nodes = target_nodes
-        self.target_ids_np = target_ids_np
-
-
-__all__ = ["DeliveryArrays", "GraphIndex"]
+__all__ = ["GraphIndex"]

@@ -13,7 +13,7 @@ from repro.api import (
     solve_all,
     solve_batch,
 )
-from repro.baselines import MinCutResult, stoer_wagner_min_cut
+from repro.baselines import stoer_wagner_min_cut
 from repro.errors import AlgorithmError
 from repro.graphs import WeightedGraph, build_family, complete_graph
 
@@ -398,12 +398,12 @@ class TestCutResult:
         assert result.side | result.other_side(graph) == set(graph.nodes)
         assert not result.side & result.other_side(graph)
 
-    def test_min_cut_result_is_cut_result_alias(self):
+    def test_baselines_return_slotted_cut_result(self):
         graph = _family("gnp", 10)
-        legacy = stoer_wagner_min_cut(graph)
-        assert isinstance(legacy, MinCutResult)
-        assert isinstance(legacy, CutResult)
-        assert legacy.matches(graph)
+        result = stoer_wagner_min_cut(graph)
+        assert type(result) is CutResult
+        assert not hasattr(result, "__dict__")
+        assert result.matches(graph)
 
     def test_results_are_hashable(self):
         graph = _family("cycle", 8)

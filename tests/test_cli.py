@@ -151,10 +151,7 @@ class TestJsonOutput:
             default_registry().names()
         )
         assert all("guarantee" in spec for spec in payload["solvers"])
-        from repro.congest import ENGINE_CHOICES
-
-        assert payload["congest_engine"] in ENGINE_CHOICES[1:]
-        assert isinstance(payload["numpy_available"], bool)
+        assert set(payload) == {"solvers"}
 
     def test_cache_stats_json(self, tmp_path, capsys):
         import json

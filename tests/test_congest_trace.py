@@ -1,14 +1,8 @@
 """Tests for the message tracer and its engine hook."""
 
-import pytest
+import hashlib
 
-from repro.congest import (
-    CongestNetwork,
-    MessageTracer,
-    kind_filter,
-    node_filter,
-    numpy_available,
-)
+from repro.congest import CongestNetwork, MessageTracer, kind_filter, node_filter
 from repro.graphs import RootedTree, build_family, path_graph, star_graph
 from repro.primitives import SPANNING_TREE, build_bfs_tree, load_tree_into_memory
 from repro.primitives.keyed_sums import PipelinedKeyedSum
@@ -84,47 +78,30 @@ class TestFilters:
         assert tracer.dropped > 0
 
 
-class TestEngineInteraction:
-    """A tracer must observe every hop, so batched delivery is illegal
-    while one is attached: the engine silently degrades to the
-    per-message path and produces the identical event stream."""
+class TestTracedStream:
+    """The traced event stream is pinned by a golden digest, frozen
+    while three delivery loops existed and all three traced it alike."""
 
-    def test_tracer_forces_per_message_path(self):
-        graph = star_graph(5)
-        for engine in (None, "auto", "batched", "numpy"):
-            if engine == "numpy" and not numpy_available():
-                continue
-            net = CongestNetwork(graph, tracer=MessageTracer(), engine=engine)
-            assert net.active_engine == "per-message"
+    GOLDEN_EVENTS = 724
+    GOLDEN_SHA256 = "5c52aab3f8dd6e3cf8853beb7788771b32d832fa8f932e845eb38de09ac58f01"
 
-    def test_active_engine_without_tracer(self):
-        graph = star_graph(5)
-        net = CongestNetwork(graph, engine="batched")
-        assert net.active_engine == "batched"
-
-    @pytest.mark.parametrize("engine", ["batched", "numpy"])
-    def test_traced_events_identical_to_oracle(self, engine):
-        if engine == "numpy" and not numpy_available():
-            pytest.skip("numpy not installed")
-        graph = build_family("gnp", 36, seed=3)
-
-        def events(net, tracer):
-            build_bfs_tree(net, root=0)
-            return [
-                (e.phase, e.round, e.src, e.dst, e.kind, e.payload)
-                for e in tracer.events
-            ]
-
-        oracle_tracer = MessageTracer()
-        oracle_net = CongestNetwork(
-            graph, tracer=oracle_tracer, engine="per-message"
-        )
-        oracle_events = events(oracle_net, oracle_tracer)
-
+    def test_traced_events_match_golden(self):
         tracer = MessageTracer()
-        net = CongestNetwork(graph, tracer=tracer, engine=engine)
-        assert net.active_engine == "per-message"
-        assert events(net, tracer) == oracle_events
+        _traced_bfs(build_family("gnp", 36, seed=3), tracer)
+        events = [
+            (e.phase, e.round, e.src, e.dst, e.kind, e.payload)
+            for e in tracer.events
+        ]
+        assert len(events) == self.GOLDEN_EVENTS
+        assert hashlib.sha256(repr(events).encode()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_tracing_does_not_change_the_run(self):
+        graph = build_family("gnp", 36, seed=3)
+        traced = _traced_bfs(graph, MessageTracer())
+        plain = CongestNetwork(graph)
+        build_bfs_tree(plain, root=0)
+        assert traced.metrics.phases == plain.metrics.phases
+        assert traced.memory == plain.memory
 
 
 class TestRendering:

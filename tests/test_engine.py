@@ -146,13 +146,6 @@ class TestRawKwargDeprecation:
             )
         assert len(results) == 2
 
-    def test_min_cut_result_alias_warns(self):
-        import repro.baselines
-
-        with pytest.warns(DeprecationWarning, match="CutResult"):
-            alias = repro.baselines.MinCutResult
-        assert issubclass(alias, CutResult)
-
 
 class TestTaskPlane:
     def test_build_batch_tasks_freezes_seeds_and_solvers(self):
