@@ -7,7 +7,8 @@ the charged rounds, and a sha256 of a canonical encoding of every
 node's persistent memory and of the driver's outputs.  The matrix is
 BFS, convergecast, pipelined keyed sums, gossip and Borůvka MST on four
 graphs, the 1-respecting min-cut sweep on two seeds, its simulated
-partition variant, and a randomized fuzzer on a fixed seed list.
+partition variant, and a randomized fuzzer on a fixed seed list, plus
+the same protocols on graphs with tuple and large negative node ids.
 
 The digests are as strict as comparing values directly, and stricter
 where equality is loose: floats are encoded by ``repr`` (so ``0.0`` and
@@ -39,6 +40,7 @@ import pytest
 from repro.congest import CongestNetwork, NodeProgram
 from repro.core import one_respecting_min_cut_congest
 from repro.graphs import (
+    WeightedGraph,
     build_family,
     grid_graph,
     random_spanning_tree,
@@ -109,6 +111,38 @@ def _graphs():
         # Float weights: bit-identical sums need identical delivery *and*
         # processing order.
         "ring-cliques": weighted_ring_of_cliques(5, 4, bridge_weight=0.7),
+    }
+
+
+def _relabel(graph, label):
+    """``graph`` with every node ``u`` renamed ``label(u)``, keeping the
+    node and edge insertion order."""
+    out = WeightedGraph()
+    for u in graph.nodes:
+        out.add_node(label(u))
+    for u, v, w in graph.edges():
+        out.add_edge(label(u), label(v), w)
+    return out
+
+
+def _id_graphs():
+    """Graphs whose node ids are not ``0..n-1``.
+
+    The ids ``0..n-1`` hash to themselves, so a set of them mostly
+    iterates in value order, and a change to how the loop builds its
+    dispatch set rarely shows on them.  Tuple ids and large or negative
+    ints collide in the set table, and then the table size and the
+    insertion order fix the dispatch order: building the set from a
+    list instead of a dict fails cases on the two tuple-id graphs.
+    Both hashes are unsalted, so the order is the same in every
+    process.
+    """
+    return {
+        "grid-rc-6x6": _relabel(grid_graph(6, 6), lambda u: divmod(u, 6)),
+        "gnp-rc-49": _relabel(build_family("gnp", 49, seed=4), lambda u: divmod(u, 7)),
+        "gnp-bigneg-49": _relabel(
+            build_family("gnp", 49, seed=4), lambda u: (u - 24) * 1_000_003
+        ),
     }
 
 
@@ -231,6 +265,19 @@ def cases() -> dict:
     for gname in ("gnp-49", "grid-36", "regular-36"):
         for seed in FUZZ_SEEDS:
             matrix[f"fuzz/{gname}/seed{seed}"] = (graphs[gname], _fuzz(seed))
+    # Non-identity node ids.  Keyed sums, Borůvka and the 1-respecting
+    # sweep order by id and need int ids, so tuple ids skip them.
+    for gname, graph in _id_graphs().items():
+        protos = ("bfs", "convergecast", "gossip")
+        if gname == "gnp-bigneg-49":
+            protos += ("keyed-sums", "boruvka")
+            tree = random_spanning_tree(graph, seed=3)
+            matrix[f"one-respect/{gname}"] = (graph, _sweep(graph, tree))
+        for proto in protos:
+            matrix[f"{proto}/{gname}"] = (graph, PROTOCOLS[proto])
+        if gname != "gnp-rc-49":
+            for seed in FUZZ_SEEDS:
+                matrix[f"fuzz/{gname}/seed{seed}"] = (graph, _fuzz(seed))
     return matrix
 
 
