@@ -13,13 +13,11 @@ breaking the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import BandwidthExceededError
 
 
-@dataclass(frozen=True, slots=True)
 class Message:
     """A single CONGEST message.
 
@@ -33,45 +31,46 @@ class Message:
         Tuple of scalars (ints, floats, strings, small tuples).  Charged
         one word per scalar, recursively.
     words:
-        Size of the payload in words, computed once at construction (the
-        payload of a frozen message never changes).  The engine reads
-        this both at the strict-mode send audit and at delivery
-        (metrics) — previously two full recursive recounts per hop; a
-        multicast message shared across many edges pays the count
-        exactly once.
+        Size of the payload in words, counted once in ``__init__``; the
+        send-time size check and the delivery-time metrics read it.
 
-    The class is slotted: the engine allocates one instance per logical
-    message (shared across multicast fan-out and relays), and at
-    simulator volumes the ``__dict__``-free layout is a measurable share
-    of the per-message cost.
+    **Immutability contract.**  A message is a value: nothing rebinds
+    its attributes after ``__init__``.  One instance is shared by every
+    edge of a multicast and every hop of a relay, and ``words`` is never
+    recounted.  The contract is kept by convention — a plain
+    ``__slots__`` class builds faster than a frozen dataclass — and no
+    library code assigns to a message.  Equality and hashing are by
+    ``(kind, payload)``; a message pickles as its constructor call.
     """
 
-    kind: str
-    payload: tuple = ()
-    words: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "payload", "words")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, payload: tuple = ()) -> None:
+        self.kind = kind
+        self.payload = payload
         # Flat tuples of scalars are the overwhelmingly common payload;
         # count them inline and only recurse for nested containers.
         total = 0
-        for item in self.payload:
+        for item in payload:
             if type(item) in _SCALAR_TYPES:
                 total += 1
             elif item is not None:
                 total += payload_words(item)
-        object.__setattr__(self, "words", total)
+        self.words = total
 
-    # Frozen+slotted dataclasses only pickle out of the box from Python
-    # 3.11; the explicit state hooks keep messages picklable on 3.10
-    # (node memory containing messages may cross the process backend).
-    def __getstate__(self) -> tuple:
-        return (self.kind, self.payload, self.words)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.payload) == (other.kind, other.payload)
 
-    def __setstate__(self, state: tuple) -> None:
-        setattr_ = object.__setattr__
-        setattr_(self, "kind", state[0])
-        setattr_(self, "payload", state[1])
-        setattr_(self, "words", state[2])
+    def __hash__(self) -> int:
+        return hash((self.kind, self.payload))
+
+    def __repr__(self) -> str:
+        return f"Message(kind={self.kind!r}, payload={self.payload!r})"
+
+    def __reduce__(self) -> tuple:
+        return (Message, (self.kind, self.payload))
 
 
 #: Scalar payload types charged exactly one word (exact type match is the

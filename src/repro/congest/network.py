@@ -13,9 +13,9 @@ A round consists of:
 
 Enqueueing many messages at once is therefore legal and models
 *pipelining*: `k` messages to the same neighbour drain over `k` rounds.
-Strict mode additionally audits every message's size in words
-(:mod:`repro.congest.message`), so an algorithm that tries to stuff a
-non-constant amount of data into one message fails loudly.
+Strict mode additionally checks every message's size in words when it
+is sent (:mod:`repro.congest.message`), so an algorithm that tries to
+stuff a non-constant amount of data into one message fails loudly.
 
 A phase ends at **quiescence**: no FIFO holds a message and no node
 requested a tick.  Phases of a larger algorithm share each node's
@@ -26,13 +26,20 @@ The round loop runs on the graph's cached
 :class:`~repro.graphs.index.GraphIndex` rather than on dicts keyed by
 ``(u, v)`` tuples: every directed edge has an integer id, its FIFO
 lives in a flat slot array, and the busy edges form an
-**activation-ordered list** of ids.  Each FIFO holds ready-made
-``(src, msg)`` inbox entries, built once when the sender's outbox is
-flushed, so delivery moves an entry from a FIFO to an inbox and a
-:class:`~repro.congest.trace.MessageTracer` sees the same hop.  Delivery
+**activation-ordered list** of ids.  A send is the enqueue: the
+:class:`~repro.congest.node.NodeContext` appends one ready-made
+``(src, msg)`` inbox entry to each target edge's FIFO, and the edge id
+to the busy list when its FIFO was empty.  Delivery moves an entry from
+a FIFO to an inbox, counts its words, and shows a
+:class:`~repro.congest.trace.MessageTracer` the same hop.  Delivery
 order, dispatch order and therefore every protocol's output are
 deterministic; ``tests/test_congest_golden.py`` pins them bit for bit
 against golden fixtures.
+
+FIFOs, the busy list, the tick set and the inboxes belong to the
+network and are reused from phase to phase.  A phase drains them all on
+the way to quiescence; a phase that raises clears them, so the next
+phase starts as on a fresh network.
 
 The per-node programming API (:class:`~repro.congest.node.NodeContext`
 / :class:`~repro.congest.node.NodeProgram`) sees original node
@@ -46,6 +53,7 @@ No library program does.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
 from collections.abc import Callable, Hashable
@@ -53,7 +61,6 @@ from typing import Any, Optional
 
 from ..errors import CongestError, RoundLimitExceededError
 from ..graphs.graph import WeightedGraph
-from .message import Message, check_message_size
 from .metrics import PhaseMetrics, RunMetrics
 from .node import Inbox, NodeContext, NodeProgram
 
@@ -110,26 +117,19 @@ class CongestNetwork:
         index = graph.index()
         self.index = index
         self._nodes: tuple[NodeId, ...] = index.nodes
-        # Original-id views shared with (and cached on) the graph index;
-        # node programs read these through their NodeContext.
-        self._neighbors = index.neighbor_lists
-        self._weights = index.weight_maps
         self.memory: dict[NodeId, dict[str, Any]] = {u: {} for u in self._nodes}
         self.metrics = RunMetrics()
-        # Reusable per-node contexts: rebound (memory/outputs/round) at
-        # the start of every phase instead of reconstructed.
-        n = len(self._nodes)
-        self._contexts: list[NodeContext] = [
-            NodeContext(
-                node=u,
-                neighbors=self._neighbors[i],
-                weights=self._weights[i],
-                network_size=n,
-                memory=self.memory[u],
-                outputs={},
-            )
-            for i, u in enumerate(self._nodes)
-        ]
+        # Delivery state, reused by every phase: one FIFO slot per
+        # directed edge (a deque made on the edge's first send), the busy
+        # edge ids in activation order, the tick requests, one inbox per
+        # node, and the ids of this round's receivers.
+        self._queues: list[Optional[deque]] = [None] * index.directed_edge_count
+        self._active: list[int] = []
+        self._ticks: set[NodeId] = set()
+        self._inboxes: list[Inbox] = [[] for _ in self._nodes]
+        self._receivers: list[int] = []
+        # Per-node contexts, rebound (memory/outputs/round) every phase.
+        self._contexts = [NodeContext(self, i) for i in range(len(self._nodes))]
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:
@@ -158,92 +158,73 @@ class CongestNetwork:
         :class:`RoundLimitExceededError` if quiescence is not reached
         within ``max_rounds`` (default: a large engine-level limit that
         only trips on livelocked protocols).  The phase's wall-clock
-        duration is recorded on ``PhaseMetrics.wall_time``.
+        duration is recorded on ``PhaseMetrics.wall_time``.  A phase
+        that raises records no metrics and leaves no message queued.
         """
         started = time.perf_counter()
-        limit = max_rounds if max_rounds is not None else DEFAULT_ROUND_LIMIT
-        phase = PhaseMetrics(name=name)
         nodes = self._nodes
-        outputs: dict[NodeId, dict[str, Any]] = {u: {} for u in nodes}
-        contexts = self._contexts
-        programs: list[NodeProgram] = []
-        for i, u in enumerate(nodes):
-            ctx = contexts[i]
-            ctx.memory = self.memory[u]
-            ctx._outputs = outputs[u]
+        memory = self.memory
+        max_words = self.max_words_per_message if self.strict else sys.maxsize
+        outputs: dict[NodeId, dict[str, Any]] = {}
+        for ctx in self._contexts:
+            u = ctx.node
+            ctx.memory = memory[u]
+            ctx._outputs = outputs[u] = {}
             ctx.round = 0
-            ctx._outbox.clear()
-            ctx._tick_requested = False
-            programs.append(program_factory(u))
+            ctx._max_words = max_words
+        programs = [program_factory(u) for u in nodes]
+        limit = max_rounds if max_rounds is not None else DEFAULT_ROUND_LIMIT
+        try:
+            phase = self._run_to_quiescence(name, programs, limit)
+        except BaseException:
+            self._clear_delivery_state()
+            raise
+        phase.wall_time = time.perf_counter() - started
+        self.metrics.add_phase(phase)
+        return PhaseResult(phase, outputs)
 
-        index = self.index
-        n = len(nodes)
-        node_id = index.node_id
-        edge_id_maps = index.edge_id_maps
-        adj_target = index.adj_target
-        strict = self.strict
-        max_words = self.max_words_per_message
+    def _run_to_quiescence(
+        self, name: str, programs: list[NodeProgram], limit: int
+    ) -> PhaseMetrics:
+        nodes = self._nodes
+        node_id = self.index.node_id
+        adj_target = self.index.adj_target
         tracer = self.tracer
-
-        # FIFOs and inboxes hold the same (src, msg) entries.
-        queues: list[Optional[deque[tuple[NodeId, Message]]]] = [
-            None
-        ] * index.directed_edge_count
-        active_edges: list[int] = []
-        inboxes: list[Inbox] = [[] for _ in range(n)]
-        receivers: list[int] = []
-        tick_nodes: set[NodeId] = set()
-
-        def flush_outbox(i: int, ctx: NodeContext) -> None:
-            outbox = ctx._outbox
-            if outbox:
-                edge_ids = edge_id_maps[i]
-                src = nodes[i]
-                backlog = phase.max_edge_backlog
-                for v, msg in outbox:
-                    if strict and msg.words > max_words:
-                        check_message_size(msg, max_words)  # raises
-                    e = edge_ids[v]
-                    queue = queues[e]
-                    if queue is None:
-                        queue = queues[e] = deque()
-                    if not queue:
-                        active_edges.append(e)
-                    queue.append((src, msg))
-                    if len(queue) > backlog:
-                        backlog = len(queue)
-                phase.max_edge_backlog = backlog
-                outbox.clear()
-            if ctx._tick_requested:
-                ctx._tick_requested = False
-                tick_nodes.add(ctx.node)
+        contexts = self._contexts
+        queues = self._queues
+        active = self._active
+        ticks = self._ticks
+        inboxes = self._inboxes
+        receivers = self._receivers
 
         # Round 0: on_start for everyone.
-        for i in range(n):
-            ctx = contexts[i]
-            programs[i].on_start(ctx)
-            if ctx._outbox or ctx._tick_requested:
-                flush_outbox(i, ctx)
+        for program, ctx in zip(programs, contexts):
+            program.on_start(ctx)
 
         rounds = 0
         message_count = 0
         word_count = 0
         max_word = 0
-        while active_edges or tick_nodes:
+        backlog = 0
+        while active or ticks:
             if rounds >= limit:
                 raise RoundLimitExceededError(
                     f"phase {name!r} did not reach quiescence within "
-                    f"{limit} rounds ({len(active_edges)} busy edges)"
+                    f"{limit} rounds ({len(active)} busy edges)"
                 )
             rounds += 1
             # 1. Delivery: one message per busy directed edge, scanned
-            # in activation order over the flat edge-id list.
+            # in activation order.  A queue only grows between two
+            # deliveries, so its length before the pop is its peak.
+            message_count += len(active)
             still_active: list[int] = []
-            for e in active_edges:
+            for e in active:
                 queue = queues[e]
+                length = len(queue)
+                if length > backlog:
+                    backlog = length
                 entry = queue.popleft()
                 w = entry[1].words
-                message_count += 1
                 word_count += w
                 if w > max_word:
                     max_word = w
@@ -254,41 +235,52 @@ class CongestNetwork:
                 if not box:
                     receivers.append(dst)
                 box.append(entry)
-                if queue:
+                if length > 1:
                     still_active.append(e)
-            active_edges = still_active
+            # Sends during computation append newly busy edges after the
+            # ones still draining.
+            active[:] = still_active
             # 2. Computation for receivers and tick requesters, over
-            # *original* node ids.  Building the set from a dict in
-            # first-touch order fixes its table layout, and with it the
-            # dispatch order the golden fixtures pin.
-            active = set(dict.fromkeys(nodes[i] for i in receivers)) | tick_nodes
-            tick_nodes = set()
-            for u in active:
+            # *original* node ids.  A set built from a dict is sized for
+            # the dict's length up front and filled in first-touch
+            # order; that table layout fixes the dispatch order, which
+            # the golden fixtures pin (a set built from a list grows
+            # step by step and, on tuple ids, iterates differently).
+            dispatch = set(dict.fromkeys(map(nodes.__getitem__, receivers)))
+            if ticks:
+                dispatch |= ticks
+                ticks.clear()
+            for u in dispatch:
                 i = node_id[u]
                 ctx = contexts[i]
                 ctx.round = rounds
-                programs[i].on_round(ctx, inboxes[i])
-                if ctx._outbox or ctx._tick_requested:
-                    flush_outbox(i, ctx)
-            for i in receivers:
-                inboxes[i].clear()
+                box = inboxes[i]
+                programs[i].on_round(ctx, box)
+                box.clear()
             receivers.clear()
 
-        phase.rounds = rounds
-        phase.messages = message_count
-        phase.words = word_count
-        phase.max_message_words = max_word
+        base_on_stop = NodeProgram.on_stop
+        for program, ctx in zip(programs, contexts):
+            if type(program).on_stop is not base_on_stop:
+                program.on_stop(ctx)
+                if active:
+                    raise CongestError(
+                        f"node {ctx.node!r} attempted to send from on_stop "
+                        f"in phase {name!r}"
+                    )
+        ticks.clear()  # a tick requested in on_stop has no round to run in
+        return PhaseMetrics(name, rounds, message_count, word_count, max_word, backlog)
 
-        for i in range(n):
-            programs[i].on_stop(contexts[i])
-            if contexts[i]._outbox:
-                raise CongestError(
-                    f"node {nodes[i]!r} attempted to send from on_stop "
-                    f"in phase {name!r}"
-                )
-        phase.wall_time = time.perf_counter() - started
-        self.metrics.add_phase(phase)
-        return PhaseResult(phase, outputs)
+    def _clear_delivery_state(self) -> None:
+        """Drop everything an aborted phase left queued."""
+        queues = self._queues
+        for e in self._active:
+            queues[e].clear()
+        self._active.clear()
+        self._ticks.clear()
+        for i in self._receivers:
+            self._inboxes[i].clear()
+        self._receivers.clear()
 
     # ------------------------------------------------------------------
     def charge(self, rounds: int, note: str) -> None:

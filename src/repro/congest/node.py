@@ -12,10 +12,11 @@ weights of incident edges, and (by the standard convention) ``n``.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Hashable, Sequence
 from typing import Any, Optional
 
-from .message import Message
+from .message import Message, check_message_size
 
 NodeId = Hashable
 Inbox = list[tuple[NodeId, Message]]
@@ -24,41 +25,36 @@ Inbox = list[tuple[NodeId, Message]]
 class NodeContext:
     """Capability handle passed to node programs by the engine.
 
-    The engine owns the actual queues; the context only records intents.
-    ``memory`` persists across phases of a pipeline (it models the node's
-    local storage), while program instances are per-phase.
+    A send is the enqueue: :meth:`send`, :meth:`multicast` and the
+    forwarders from :meth:`relay` append one ``(sender, message)`` entry
+    straight onto each target edge's FIFO, which the network owns, and
+    in strict mode check the message's size once, when it is sent.
+    ``memory`` persists across phases of a pipeline (it models the
+    node's local storage), while program instances are per-phase.
     """
 
     __slots__ = (
-        "node",
-        "neighbors",
-        "_weights",
-        "round",
-        "network_size",
-        "memory",
-        "_outbox",
-        "_outputs",
-        "_tick_requested",
+        "node", "neighbors", "_weights", "round", "network_size", "memory",
+        "_outputs", "_edge_ids", "_queues", "_active", "_ticks", "_max_words",
     )
 
-    def __init__(
-        self,
-        node: NodeId,
-        neighbors: "Sequence[NodeId]",
-        weights: dict[NodeId, float],
-        network_size: int,
-        memory: dict[str, Any],
-        outputs: dict[str, Any],
-    ) -> None:
-        self.node = node
-        self.neighbors = neighbors
-        self._weights = weights
+    def __init__(self, network, i: int) -> None:
+        index = network.index
+        self.node = index.nodes[i]
+        self.neighbors: Sequence[NodeId] = index.neighbor_lists[i]
+        self._weights: dict[NodeId, float] = index.weight_maps[i]
         self.round = 0
-        self.network_size = network_size
-        self.memory = memory
-        self._outbox: list[tuple[NodeId, Message]] = []
-        self._outputs = outputs
-        self._tick_requested = False
+        self.network_size = len(index.nodes)
+        self.memory: dict[str, Any] = network.memory[self.node]
+        self._outputs: dict[str, Any] = {}
+        # The network's delivery state: this node's {neighbour: directed
+        # edge id}, the per-edge FIFOs (made on first use), the busy
+        # edge ids in activation order, and the tick requests.
+        self._edge_ids: dict[NodeId, int] = index.edge_id_maps[i]
+        self._queues: list[Optional[deque[tuple[NodeId, Message]]]] = network._queues
+        self._active: list[int] = network._active
+        self._ticks: set = network._ticks
+        self._max_words: int = network.max_words_per_message
 
     # -- knowledge ------------------------------------------------------
     def edge_weight(self, neighbor: NodeId) -> float:
@@ -81,80 +77,84 @@ class NodeContext:
         the engine's FIFO implements CONGEST pipelining, so enqueueing k
         messages at once is allowed and they arrive over k rounds.
         """
-        if neighbor not in self._weights:
-            raise KeyError(
-                f"node {self.node!r} has no edge to {neighbor!r}"
-            )
-        self._outbox.append((neighbor, Message(kind, payload)))
+        try:
+            e = self._edge_ids[neighbor]
+        except KeyError:
+            raise _no_edge(self.node, neighbor) from None
+        message = Message(kind, payload)
+        if message.words > self._max_words:
+            check_message_size(message, self._max_words)  # raises
+        queue = self._queues[e]
+        if not queue:
+            if queue is None:
+                queue = self._queues[e] = deque()
+            self._active.append(e)
+        queue.append((self.node, message))
 
     def multicast(self, neighbors: "Sequence[NodeId]", kind: str, *payload: Any) -> None:
         """Send one identical message to several neighbours.
 
-        Builds a single frozen :class:`Message` shared by every target —
-        semantically identical to calling :meth:`send` per neighbour,
-        but the payload is constructed (and its word size audited) once
-        instead of once per copy.  Flood and downcast primitives, which
-        forward the same item to every child, use this.
+        Semantically identical to calling :meth:`send` per neighbour, but
+        one :class:`Message` and one ``(sender, message)`` entry are
+        built, and size-checked, for all of them.  Flood and downcast
+        primitives, which forward the same item to every child, use this.
         """
         if not neighbors:  # leaves multicast to no one constantly
             return
-        weights = self._weights
-        outbox = self._outbox
         message = Message(kind, payload)
+        if message.words > self._max_words:
+            check_message_size(message, self._max_words)  # raises
+        entry = (self.node, message)
+        edge_ids = self._edge_ids
+        queues = self._queues
         for v in neighbors:
-            if v not in weights:
-                raise KeyError(f"node {self.node!r} has no edge to {v!r}")
-            outbox.append((v, message))
+            try:
+                e = edge_ids[v]
+            except KeyError:
+                raise _no_edge(self.node, v) from None
+            queue = queues[e]
+            if not queue:
+                if queue is None:
+                    queue = queues[e] = deque()
+                self._active.append(e)
+            queue.append(entry)
 
     def broadcast(self, kind: str, *payload: Any) -> None:
         """Send the same message to every neighbour."""
         self.multicast(self.neighbors, kind, *payload)
 
-    def forward(self, neighbors: "Sequence[NodeId]", message: Message) -> None:
-        """Relay a received message onward, unchanged.
-
-        Messages are frozen, so relays (downcasts, floods) can enqueue
-        the received object itself instead of re-wrapping an identical
-        kind/payload at every hop — same wire semantics, one message
-        object (and one size audit) per item end to end.
-        """
-        if not neighbors:
-            return
-        weights = self._weights
-        outbox = self._outbox
-        for v in neighbors:
-            if v not in weights:
-                raise KeyError(f"node {self.node!r} has no edge to {v!r}")
-            outbox.append((v, message))
-
     def relay(self, neighbors: "Sequence[NodeId]") -> Callable[[Message], None]:
-        """A prevalidated bulk-forwarder over a fixed neighbour set.
+        """A prevalidated forwarder of received messages over a fixed
+        neighbour set.
 
         Validates ``neighbors`` once and returns ``relay(message)``,
-        semantically identical to :meth:`forward` with the same targets
-        but without re-validating per call.  Streaming relays (downcast,
-        flood) call the forwarder once per hop on the hot path, so the
-        per-call membership checks were a measurable share of per-hop
-        cost.  The forwarder is bound to this context's outbox and valid
-        for the phase (contexts are per-phase rebound by the engine).
+        which enqueues ``message`` itself, unchanged, on every target
+        edge.  Streaming relays (downcast, flood) call it once per hop on
+        the hot path, so the edge lookups are done here and not per
+        call.  The forwarder is valid for the current phase.
         """
-        targets = tuple(neighbors)
-        weights = self._weights
-        for v in targets:
-            if v not in weights:
-                raise KeyError(f"node {self.node!r} has no edge to {v!r}")
-        outbox_append = self._outbox.append
-        if len(targets) == 1:
-            only = targets[0]
-
-            def _relay_one(message: Message) -> None:
-                outbox_append((only, message))
-
-            return _relay_one
+        own = self._edge_ids
+        try:
+            edge_ids = [own[v] for v in neighbors]
+        except KeyError:
+            missing = next(v for v in neighbors if v not in own)
+            raise _no_edge(self.node, missing) from None
+        queues = self._queues
+        active = self._active
+        node = self.node
+        max_words = self._max_words
 
         def _relay(message: Message) -> None:
-            for v in targets:
-                outbox_append((v, message))
+            if message.words > max_words:
+                check_message_size(message, max_words)  # raises
+            entry = (node, message)
+            for e in edge_ids:
+                queue = queues[e]
+                if not queue:
+                    if queue is None:
+                        queue = queues[e] = deque()
+                    active.append(e)
+                queue.append(entry)
 
         return _relay
 
@@ -168,20 +168,11 @@ class NodeContext:
         Programs that are purely message-driven never need this; it
         exists for round-counting protocols (e.g. tests of the engine).
         """
-        self._tick_requested = True
+        self._ticks.add(self.node)
 
-    # -- engine internal -------------------------------------------------
-    def _drain(self) -> list[tuple[NodeId, Message]]:
-        # Copy-and-clear rather than rebind: bound forwarders from
-        # :meth:`relay` hold a reference to the outbox list, which must
-        # stay the live one across drains.
-        out = list(self._outbox)
-        self._outbox.clear()
-        return out
 
-    def _take_tick(self) -> bool:
-        t, self._tick_requested = self._tick_requested, False
-        return t
+def _no_edge(node: NodeId, neighbor: NodeId) -> KeyError:
+    return KeyError(f"node {node!r} has no edge to {neighbor!r}")
 
 
 class NodeProgram:

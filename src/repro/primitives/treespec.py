@@ -9,7 +9,7 @@ so one primitive implementation serves every tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..congest.node import NodeContext, NodeId
@@ -22,18 +22,16 @@ class TreeSpec:
     """Names the memory keys of a tree structure known to each node."""
 
     prefix: str
+    # The memory keys, built once: primitives read them on every
+    # on_start of every node.
+    parent_key: str = field(init=False, repr=False, compare=False)
+    children_key: str = field(init=False, repr=False, compare=False)
+    depth_key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def parent_key(self) -> str:
-        return f"{self.prefix}:parent"
-
-    @property
-    def children_key(self) -> str:
-        return f"{self.prefix}:children"
-
-    @property
-    def depth_key(self) -> str:
-        return f"{self.prefix}:depth"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parent_key", f"{self.prefix}:parent")
+        object.__setattr__(self, "children_key", f"{self.prefix}:children")
+        object.__setattr__(self, "depth_key", f"{self.prefix}:depth")
 
     def parent(self, ctx: NodeContext) -> Optional[NodeId]:
         """This node's parent in the tree (None at the root)."""

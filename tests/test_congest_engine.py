@@ -245,3 +245,170 @@ class TestMetricsAccumulation:
         msgs = [(0, Message("a", (1,))), (0, Message("a", (2,)))]
         with pytest.raises(ValueError):
             single_message(msgs, "a")
+
+
+class _Traffic(NodeProgram):
+    """Keeps work in flight for six rounds: node 0 bursts six items to
+    node 1, and node 2 ticks and pings both neighbours in rounds 0-3."""
+
+    def on_start(self, ctx):
+        if ctx.node == 0:
+            for i in range(6):
+                ctx.send(1, "item", i)
+        if ctx.node == 2:
+            ctx.broadcast("ping", 0)
+            ctx.request_tick()
+
+    def on_round(self, ctx, inbox):
+        if ctx.node == 2 and ctx.round < 4:
+            ctx.broadcast("ping", ctx.round)
+            ctx.request_tick()
+
+
+class _AbortAt(_Traffic):
+    """_Traffic, plus node 3 misbehaves in round 2, or in ``on_stop``."""
+
+    def __init__(self, how):
+        self.how = how
+
+    def on_round(self, ctx, inbox):
+        super().on_round(ctx, inbox)
+        if ctx.node == 3 and ctx.round == 2:
+            if self.how == "oversize":
+                ctx.send(2, "big", *range(50))
+            elif self.how == "non-neighbour":
+                ctx.send(0, "x")
+
+    def on_stop(self, ctx):
+        if self.how == "on-stop" and ctx.node == 3:
+            ctx.request_tick()
+            ctx.send(2, "late")
+
+
+class _Follow(_Traffic):
+    """The phase run after an aborted one; records what it receives."""
+
+    def on_round(self, ctx, inbox):
+        super().on_round(ctx, inbox)
+        log = ctx.memory.setdefault("log", [])
+        log.extend((ctx.round, src, msg.kind, msg.payload) for src, msg in inbox)
+
+
+class TestAbortedPhases:
+    """FIFOs, inboxes and tick requests belong to the network and are
+    reused across phases; a phase that raises must leave none of its
+    traffic behind for the next phase."""
+
+    CASES = {
+        "oversize": BandwidthExceededError,
+        "non-neighbour": KeyError,
+        "round-limit": RoundLimitExceededError,
+        "on-stop": CongestError,
+    }
+
+    @pytest.mark.parametrize("how", sorted(CASES))
+    def test_abort_raises_and_next_phase_matches_fresh(self, how):
+        net = CongestNetwork(path_graph(5))
+        limit = 3 if how == "round-limit" else None
+        with pytest.raises(self.CASES[how]):
+            net.run_phase("abort", lambda u: _AbortAt(how), max_rounds=limit)
+        assert net.metrics.phases == []
+        for u in net.nodes:
+            net.memory[u].pop("log", None)
+        after = net.run_phase("follow", lambda u: _Follow())
+
+        fresh = CongestNetwork(path_graph(5))
+        expected = fresh.run_phase("follow", lambda u: _Follow())
+        assert after.metrics == expected.metrics
+        assert after.outputs == expected.outputs
+        assert net.memory == fresh.memory
+        assert net.metrics.phases == [expected.metrics]
+
+    def test_oversize_raises_at_send(self):
+        raised_in = []
+
+        class Oversend(NodeProgram):
+            def on_start(self, ctx):
+                if ctx.node == 0:
+                    try:
+                        ctx.send(1, "big", *range(9))
+                    except BandwidthExceededError:
+                        raised_in.append("send")
+                        raise
+
+        with pytest.raises(BandwidthExceededError):
+            CongestNetwork(path_graph(2)).run_phase("big", lambda u: Oversend())
+        assert raised_in == ["send"]
+
+    @pytest.mark.parametrize("via", ["multicast", "relay"])
+    def test_oversize_multicast_and_relay_raise(self, via):
+        class Oversend(NodeProgram):
+            def on_start(self, ctx):
+                if ctx.node == 1:
+                    if via == "multicast":
+                        ctx.multicast([0, 2], "big", *range(9))
+                    else:
+                        ctx.relay([0, 2])(Message("big", tuple(range(9))))
+
+        with pytest.raises(BandwidthExceededError):
+            CongestNetwork(path_graph(3)).run_phase("big", lambda u: Oversend())
+
+    @pytest.mark.parametrize("via", ["multicast", "relay"])
+    def test_multicast_and_relay_to_non_neighbour_raise(self, via):
+        class Bad(NodeProgram):
+            def on_start(self, ctx):
+                if ctx.node == 0:
+                    if via == "multicast":
+                        ctx.multicast([1, 2], "x")
+                    else:
+                        ctx.relay([1, 2])
+
+        with pytest.raises(KeyError, match="has no edge to 2"):
+            CongestNetwork(path_graph(3)).run_phase("bad", lambda u: Bad())
+
+    def test_not_strict_delivers_oversize_message(self):
+        class Oversend(NodeProgram):
+            def on_start(self, ctx):
+                if ctx.node == 0:
+                    ctx.send(1, "big", *range(50))
+
+            def on_round(self, ctx, inbox):
+                for _src, msg in inbox:
+                    ctx.output("got", msg.payload)
+
+        net = CongestNetwork(path_graph(2), strict=False)
+        result = net.run_phase("big", lambda u: Oversend())
+        assert result.output_map("got") == {1: tuple(range(50))}
+        assert result.metrics.max_message_words == 50
+        assert result.metrics.words == 50
+
+    def test_overridden_on_stop_runs_and_its_tick_is_dropped(self):
+        class Finish(NodeProgram):
+            def on_stop(self, ctx):
+                ctx.output("stopped", ctx.node)
+                ctx.request_tick()
+
+        net = CongestNetwork(path_graph(3))
+        result = net.run_phase("stop", lambda u: Finish())
+        assert result.output_map("stopped") == {0: 0, 1: 1, 2: 2}
+        assert net.run_phase("idle", lambda u: _Silent()).metrics.rounds == 0
+
+
+class TestMessageValue:
+    def test_words_counted_once_at_construction(self):
+        assert Message("k", (1, (2, 3), None, "s")).words == 4
+
+    def test_equality_hash_and_repr(self):
+        a, b = Message("k", (1, 2)), Message("k", (1, 2))
+        assert a == b and hash(a) == hash(b)
+        assert a != Message("k", (1, 3)) and a != Message("j", (1, 2))
+        assert a != ("k", (1, 2))
+        assert repr(a) == "Message(kind='k', payload=(1, 2))"
+
+    def test_pickles(self):
+        import pickle
+
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(Message("k", (1, (2, 3))), protocol))
+            assert copy == Message("k", (1, (2, 3)))
+            assert copy.words == 3
