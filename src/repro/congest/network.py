@@ -162,7 +162,6 @@ class CongestNetwork:
         that raises records no metrics and leaves no message queued.
         """
         started = time.perf_counter()
-        nodes = self._nodes
         memory = self.memory
         max_words = self.max_words_per_message if self.strict else sys.maxsize
         outputs: dict[NodeId, dict[str, Any]] = {}
@@ -172,7 +171,7 @@ class CongestNetwork:
             ctx._outputs = outputs[u] = {}
             ctx.round = 0
             ctx._max_words = max_words
-        programs = [program_factory(u) for u in nodes]
+        programs = [program_factory(u) for u in self._nodes]
         limit = max_rounds if max_rounds is not None else DEFAULT_ROUND_LIMIT
         try:
             phase = self._run_to_quiescence(name, programs, limit)
@@ -269,7 +268,14 @@ class CongestNetwork:
                         f"in phase {name!r}"
                     )
         ticks.clear()  # a tick requested in on_stop has no round to run in
-        return PhaseMetrics(name, rounds, message_count, word_count, max_word, backlog)
+        return PhaseMetrics(
+            name=name,
+            rounds=rounds,
+            messages=message_count,
+            words=word_count,
+            max_message_words=max_word,
+            max_edge_backlog=backlog,
+        )
 
     def _clear_delivery_state(self) -> None:
         """Drop everything an aborted phase left queued."""

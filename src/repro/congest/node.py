@@ -34,8 +34,18 @@ class NodeContext:
     """
 
     __slots__ = (
-        "node", "neighbors", "_weights", "round", "network_size", "memory",
-        "_outputs", "_edge_ids", "_queues", "_active", "_ticks", "_max_words",
+        "node",
+        "neighbors",
+        "_weights",
+        "round",
+        "network_size",
+        "memory",
+        "_outputs",
+        "_edge_ids",
+        "_queues",
+        "_active",
+        "_ticks",
+        "_max_words",
     )
 
     def __init__(self, network, i: int) -> None:
