@@ -14,8 +14,7 @@ Exercises the PR 9 tail-latency service core end to end and exits
 non-zero on the first broken property:
 
 1. **discovery** — the pool manager's ``/workers`` list converges to
-   ``--expect`` registered workers (no static ``$REPRO_REMOTE_WORKERS``
-   list anywhere);
+   ``--expect`` registered workers (no static worker list anywhere);
 2. **streaming identity** — a ``solve_batch`` sweep streamed over the
    discovered pool returns results identical (solver, value,
    partition, seed) to ``backend="serial"``, while the straggler's

@@ -9,7 +9,7 @@ Public API highlights
   engine and returns canonical :class:`repro.CutResult` objects
   (see :mod:`repro.api`).
 * :mod:`repro.exec` — registered execution backends (``serial``/
-  ``thread``/``process``/``remote``, the ``backend=`` knob) and
+  ``process``/``remote``, the ``backend=`` knob) and
   :class:`repro.ResultCache`, the content-addressed result cache with
   a versioned, mergeable on-disk tier (``python -m repro cache``).
 * :mod:`repro.service` — the façade served over JSON-per-request HTTP

@@ -72,7 +72,7 @@ class Engine:
         (default: the library registry with every built-in solver).
     backend:
         Default execution backend for batch entry points — a registered
-        name (``"serial"``/``"thread"``/``"process"``/``"remote"``/...),
+        name (``"serial"``/``"process"``/``"remote"``/...),
         an :class:`~repro.exec.backends.Executor` instance, or ``None``
         to defer to ``$REPRO_BACKEND`` then ``"serial"``.
     cache:

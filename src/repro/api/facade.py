@@ -20,7 +20,7 @@ These module-level functions are **thin delegations to the default
 the engine is the session object that owns registry, backend, cache
 and budget policy, and this module keeps the historic per-call-kwarg
 surface stable on top of it.  Every knob accepted here — ``backend=``
-(``"serial"``/``"thread"``/``"process"``/``"remote"`` or an
+(``"serial"``/``"process"``/``"remote"`` or an
 :class:`~repro.exec.backends.Executor`, default from
 ``$REPRO_BACKEND``), ``cache=`` (a
 :class:`~repro.exec.cache.ResultCache`), ``registry=``, ``budget=`` —
@@ -144,8 +144,8 @@ def solve_all(
     what was skipped as inapplicable.
 
     ``backend`` fans the per-solver runs out through
-    :mod:`repro.exec` (``"serial"``/``"thread"``/``"process"``/
-    ``"remote"``, default from ``$REPRO_BACKEND``); ``cache``
+    :mod:`repro.exec` (``"serial"``/``"process"``/``"remote"``,
+    default from ``$REPRO_BACKEND``); ``cache``
     short-circuits solvers whose result for this exact instance and
     knob set is already known.
     """
@@ -182,8 +182,7 @@ def solve_batch(
     Each graph gets seed ``seed + index`` so batch runs are deterministic
     yet not correlated across instances — and because every task's seed
     is frozen before dispatch, the ``backend`` knob (``"serial"``,
-    ``"thread"``, ``"process"``, ``"remote"``; default from
-    ``$REPRO_BACKEND``) never changes the results, only the wall time.
+    ``"process"``, ``"remote"``; default from ``$REPRO_BACKEND``) never changes the results, only the wall time.
 
     With ``solver="auto"``, ``budget`` is the expected-cost ceiling the
     per-graph selection trades on (see :func:`solve`) and is not

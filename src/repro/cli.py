@@ -42,7 +42,7 @@ iterate the solver registry instead of hard-coding algorithm lists, so
 a newly registered solver is immediately selectable with ``--solver``
 and shows up in ``compare`` and ``solvers``.  ``compare`` and ``sweep``
 additionally expose the execution engine (:mod:`repro.exec`): pick a
-backend with ``--backend serial|thread|process`` (default from
+backend with ``--backend serial|process|remote`` (default from
 ``$REPRO_BACKEND``) and enable result caching with ``--cache`` /
 ``--cache-file``.
 
@@ -60,7 +60,7 @@ Examples
     python -m repro exact --family grid --n 64 --solver stoer_wagner
     python -m repro approx --family complete --n 64 --epsilon 0.5 --mode congest
     python -m repro rounds --family grid --sizes 64,144,324
-    python -m repro compare --file mygraph.edges --backend thread
+    python -m repro compare --file mygraph.edges --backend process
     python -m repro sweep --family gnp --n 64 --count 16 --backend process
     python -m repro sweep --family grid --n 49 --count 8 --cache --repeat 2
     python -m repro sweep --stream ops.txt --family grid --n 49 --cache
@@ -583,7 +583,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serve={
             "host": args.host,
             "port": args.port,
-            "server": args.server,
             "pool_workers": args.pool_workers,
             "queue_depth": args.queue_depth,
             "retry_after": args.retry_after,
@@ -625,7 +624,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config=service_config,
         access_log=sc.access_log,
         warm_start=tuple(sc.warm_start),
-        server=sc.server,
         pool_workers=sc.pool_workers,
     )
     if sc.warm_start:
@@ -1193,15 +1191,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks a free one; default: 8000)",
     )
     p_serve.add_argument(
-        "--server", choices=("async", "threading"), default=None,
-        help="transport: 'async' (keep-alive event loop + bounded "
-             "dispatch pool, the default) or 'threading' (historical "
-             "thread-per-connection)",
-    )
-    p_serve.add_argument(
         "--pool-workers", type=int, default=None, metavar="N",
-        help="async transport: dispatch thread-pool size "
-             "(default: queue depth + headroom)",
+        help="dispatch thread-pool size (default: queue depth + headroom)",
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=None, metavar="N",

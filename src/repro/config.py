@@ -16,12 +16,10 @@ Precedence — one rule, applied everywhere::
 * *CLI flag* — ``repro --config repro.toml serve --port 9000`` serves
   on 9000 regardless of what the file says.  Flags are overlaid via
   :meth:`ReproConfig.merged`.
-* *environment* — the historical variables (``$REPRO_BACKEND``,
-  ``$REPRO_COST_PROFILE``, ``$REPRO_CONFIG``) overlay the file at
-  :func:`load_config` time.  ``$REPRO_REMOTE_WORKERS`` still works as
-  a deprecated compat shim, resolved inside
-  :class:`~repro.exec.remote.RemoteExecutor` (it only applies when no
-  config supplies workers, and warns).
+* *environment* — ``$REPRO_BACKEND``, ``$REPRO_COST_PROFILE``,
+  ``$REPRO_CONFIG`` and the ``$REPRO_CACHE_MAX_*`` bounds overlay the
+  file at :func:`load_config` time.  Remote workers have no variable:
+  they come from the ``[remote]`` section or an explicit argument.
 * *config file* — TOML (``repro.toml``) or JSON, with ``[engine]``,
   ``[serve]``, ``[remote]`` and ``[cache]`` sections.  Unknown
   sections or keys are a :class:`~repro.errors.ConfigError`, not a
@@ -36,12 +34,10 @@ Example ``repro.toml``::
 
     [remote]
     manager = "http://127.0.0.1:8100"   # health-driven discovery
-    dispatch = "stream"                 # max-of-shards latency
 
     [serve]
     port = 8101
     queue_depth = 16                    # backpressure: 429 past this
-    server = "async"
 
     [cache]
     max_entries = 10000                 # retention bound for `cache compact`
@@ -96,9 +92,8 @@ class EngineConfig:
 class ServeConfig:
     """Knobs for one ``repro serve`` process.
 
-    ``server`` selects the transport: ``"async"`` (asyncio event loop,
-    bounded dispatch pool, connection reuse — the tail-latency path) or
-    ``"threading"`` (the historical thread-per-connection server).
+    The transport is always the asyncio server; ``pool_workers`` sizes
+    its dispatch pool (``None``: just above ``queue_depth``).
     ``queue_depth`` bounds requests queued or running on the solver
     path; past it the service answers a structured 429 telling clients
     to retry after ``retry_after`` seconds.  ``delay`` injects that
@@ -112,7 +107,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8000
-    server: str = "async"
     pool_workers: Optional[int] = None
     queue_depth: Optional[int] = 32
     retry_after: float = 1.0
@@ -139,9 +133,8 @@ class RemoteConfig:
     Membership comes from exactly one of: ``manager`` (a pool-manager
     URL polled for its live ``/workers`` list — health-driven, workers
     join and leave without restarts) or ``workers`` (a static URL
-    list).  ``dispatch`` selects ``"stream"`` (chunked dispatch with
-    mid-sweep re-packing; batch latency is max-of-shards) or
-    ``"block"`` (the historical one-shard-per-worker fan-out).
+    list).  Dispatch is always streamed: chunked per-worker queues with
+    mid-sweep re-packing, so batch latency is max-of-shards.
     """
 
     workers: tuple = ()
@@ -149,7 +142,6 @@ class RemoteConfig:
     timeout: float = 300.0
     max_shard: Optional[int] = None
     plan: str = "cost"
-    dispatch: str = "stream"
     health_interval: float = 1.0
 
 
@@ -295,7 +287,6 @@ _ENGINE_FIELDS = {
 _SERVE_FIELDS = {
     "host": _str,
     "port": _int,
-    "server": _choice("async", "threading"),
     "pool_workers": _opt(_int),
     "queue_depth": _opt(_int),
     "retry_after": _float,
@@ -321,7 +312,6 @@ _REMOTE_FIELDS = {
     "timeout": _float,
     "max_shard": _opt(_int),
     "plan": _choice("cost", "stripe"),
-    "dispatch": _choice("stream", "block"),
     "health_interval": _float,
 }
 

@@ -7,14 +7,14 @@ every sweep workload; this package is the layer that scales it:
   façade call, and :func:`run_task`, the module-level runner every
   backend shares (the determinism contract).
 * :mod:`~repro.exec.backends` — :class:`Executor`, the
-  :func:`register_backend` registry, and the ``serial`` / ``thread`` /
-  ``process`` implementations, selected by the ``backend=`` knob on
+  :func:`register_backend` registry, and the ``serial`` / ``process``
+  implementations, selected by the ``backend=`` knob on
   ``solve_batch``/``solve_all`` or the ``REPRO_BACKEND`` environment
   variable.
 * :mod:`~repro.exec.remote` — :class:`RemoteExecutor`
   (``backend="remote"``), the sharded fan-out over a pool of
   ``repro serve`` workers (registered lazily; worker URLs via the
-  constructor or ``$REPRO_REMOTE_WORKERS``).
+  constructor, a ``WorkerPool`` or the ``[remote]`` config section).
 * :mod:`~repro.exec.plan` — :func:`pack_tasks`, the deterministic LPT
   planner the ``process`` and ``remote`` backends share for cost-aware
   chunk/shard packing (uniform costs degenerate to the historic
@@ -50,7 +50,6 @@ from .backends import (
     ProcessExecutor,
     REPRO_BACKEND_ENV,
     SerialExecutor,
-    ThreadExecutor,
     register_backend,
     resolve_backend,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "ResultCache",
     "SerialExecutor",
     "SolveTask",
-    "ThreadExecutor",
     "load_cache_file",
     "pack_tasks",
     "register_backend",

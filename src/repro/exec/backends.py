@@ -12,7 +12,7 @@ completed work; without a cache the serial backend fails fast instead.
 Backends are *registered*, not hard-coded: :func:`register_backend`
 maps a name onto an executor factory in :data:`BACKENDS`, which is
 everything :func:`resolve_backend` consults.  The built-ins are
-``serial`` / ``thread`` / ``process`` (this module) plus ``remote``
+``serial`` / ``process`` (this module) plus ``remote``
 (:mod:`repro.exec.remote` — a sharded fan-out over a pool of
 ``repro serve`` workers, registered lazily so the core engine never
 imports the service client unless asked to).  Third-party executors
@@ -28,21 +28,21 @@ join the same way::
 Determinism contract: a task's seed is frozen when the task is built
 (``seed + index`` for batches), every solver draws randomness from a
 local ``random.Random(seed)``, and all backends run the identical
-:func:`repro.exec.task.run_task` path — so serial, thread and process
+:func:`repro.exec.task.run_task` path — so serial and process
 execution of the same batch produce identical results, in the same
 order.  Parallelism only changes wall time.
 
 The process backend ships tasks by value (pickle) and re-dispatches
 through the worker's own default registry; a *custom* registry cannot
 be shipped to workers (its adapters may be closures), so it is
-rejected with a clear error — use the serial or thread backend for
-custom registries.
+rejected with a clear error — use the serial backend for custom
+registries.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional, Sequence, Union
 
 from ..errors import AlgorithmError
@@ -152,38 +152,6 @@ class SerialExecutor(Executor):
         return outcomes
 
 
-@register_backend("thread")
-class ThreadExecutor(Executor):
-    """Thread-pool backend.
-
-    Solvers are pure Python, so the GIL caps the speedup; the thread
-    backend still overlaps any I/O and is the cheap way to exercise the
-    concurrency contract (shared registry, local RNGs) without pickling.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers if max_workers is not None else _default_workers()
-
-    def run_tasks(
-        self,
-        tasks: Sequence[SolveTask],
-        registry=None,
-        keep_going: bool = False,
-    ) -> list:
-        if not tasks:
-            return []
-        workers = max(1, min(len(tasks), self.max_workers))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(
-                    lambda task: run_task_captured(task, registry=registry),
-                    tasks,
-                )
-            )
-
-
 def _run_chunk(tasks: Sequence[SolveTask]) -> list:
     """Worker-side runner for one packed chunk (module-level: pickles)."""
     return [run_task_captured(task) for task in tasks]
@@ -222,7 +190,7 @@ class ProcessExecutor(Executor):
         if registry is not None and registry is not DEFAULT_REGISTRY:
             raise AlgorithmError(
                 "the process backend cannot ship a custom registry to worker "
-                "processes; use backend='serial' or 'thread' instead"
+                "processes; use backend='serial' instead"
             )
         if not tasks:
             return []
@@ -256,7 +224,8 @@ def _remote_backend() -> Executor:
 
     The import cost (and the service-client machinery) is only paid
     when ``backend="remote"`` is actually resolved; worker URLs come
-    from the executor's constructor or ``$REPRO_REMOTE_WORKERS``.
+    from the executor's constructor, a ``WorkerPool`` or the ``[remote]``
+    config section.
     """
     from .remote import RemoteExecutor
 
@@ -291,7 +260,6 @@ __all__ = [
     "ProcessExecutor",
     "REPRO_BACKEND_ENV",
     "SerialExecutor",
-    "ThreadExecutor",
     "register_backend",
     "resolve_backend",
 ]

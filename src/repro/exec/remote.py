@@ -3,7 +3,7 @@
 This is the ROADMAP's "sharded/distributed execution" item made
 concrete: a fourth :class:`~repro.exec.backends.Executor` that ships
 :class:`~repro.exec.task.SolveTask` batches to a pool of service
-workers (:mod:`repro.service`) instead of local threads or processes.
+workers (:mod:`repro.service`) instead of local processes.
 The shape is exactly the seam PR 4 recorded — "a shard router is a
 ``ServiceClient`` pool behind the same dispatch contract":
 
@@ -13,11 +13,10 @@ The shape is exactly the seam PR 4 recorded — "a shard router is a
   balances; without a cost function the pack degenerates *exactly* to
   the historic round-robin stripe (task ``i`` homes on worker
   ``i % W``), selectable explicitly via ``plan="stripe"``.
-* **Streaming dispatch** (``dispatch="stream"``, the default) — each
-  bin is split into a queue of chunks and every worker gets its own
-  dispatcher thread: post a chunk (one HTTP ``/solve_batch`` carrying
-  the tasks' frozen per-task seeds and resolved solver names), consume
-  the result, take the next chunk.  A dispatcher that drains its own
+* **Streaming dispatch** — each bin is split into a queue of chunks
+  and every worker gets its own dispatcher thread: post a chunk (one
+  HTTP ``/solve_batch`` carrying the tasks' frozen per-task seeds and
+  resolved solver names), consume the result, take the next chunk.  A dispatcher that drains its own
   queue *steals the tail chunk of the most-loaded sibling* — which is
   exactly the LPT planner re-packing a straggler's remainder mid-sweep
   — so batch latency tracks max-of-shards instead of sum-of-stragglers
@@ -25,24 +24,19 @@ The shape is exactly the seam PR 4 recorded — "a shard router is a
   When a :class:`~repro.service.pool.WorkerPool` is attached, workers
   that join mid-sweep get dispatcher threads of their own and start
   stealing immediately; workers that die fall out (below).
-  ``dispatch="block"`` keeps the historical one-shot fan-out: every
-  shard posted wholesale, results collected when all return.
 * **Determinism** — because every task's seed and solver were frozen
   before dispatch, the workers run the identical
   :func:`repro.exec.task.run_task` path the serial backend runs, and
   results are re-assembled in input order — so ``backend="remote"`` is
   bit-identical (solver, value, partition, seed) to ``"serial"`` on
-  the same inputs, regardless of pool size, dispatch mode, stealing,
-  or which worker served which chunk.
+  the same inputs, regardless of pool size, stealing, or which worker
+  served which chunk.
 * **Failover** — a worker that refuses connections or dies mid-batch
-  is marked dead for the sweep; in stream mode its in-flight chunk
-  goes back on the steal queue and survivors (or mid-sweep joiners)
-  drain it, in block mode the shard is retried on the survivors
-  (each shard visits a worker at most once, so retries are bounded by
-  the pool size).  Work that exhausts every worker records a captured
-  failure per task — the executor contract — so sibling shards'
-  completed results survive (and get cached) before the caller
-  raises.  Deterministic tasks make retries safe: re-running a chunk
+  is marked dead for the sweep; its in-flight chunk goes back on the
+  steal queue and survivors (or mid-sweep joiners) drain it.  Work
+  that exhausts every worker records a captured failure per task —
+  the executor contract — so sibling shards' completed results
+  survive (and get cached) before the caller raises.  Deterministic tasks make retries safe: re-running a chunk
   elsewhere cannot change its results.
 * **Backpressure** — a worker answering the service's structured 429
   (queue full) is backed off for its advertised ``retry_after`` and
@@ -61,10 +55,9 @@ The shape is exactly the seam PR 4 recorded — "a shard router is a
 Workers are plain ``python -m repro serve`` processes.  Membership, in
 precedence order: an explicit ``pool``
 (:class:`~repro.service.pool.WorkerPool` — health-driven, discovers
-``/register``-ed workers via a manager), explicit ``workers`` URLs,
+``/register``-ed workers via a manager), explicit ``workers`` URLs, or
 the ``[remote]`` section of a config file
-(:meth:`RemoteExecutor.from_config`), or — deprecated, with a
-``DeprecationWarning`` — the ``$REPRO_REMOTE_WORKERS`` variable::
+(:meth:`RemoteExecutor.from_config`)::
 
     from repro.api import solve_batch
     from repro.exec.remote import RemoteExecutor
@@ -85,12 +78,9 @@ default registry.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -99,22 +89,11 @@ from .backends import Executor
 from .plan import pack_tasks
 from .task import SolveTask
 
-#: Environment variable listing default worker base URLs (comma-separated).
-#: Deprecated since PR 9 in favour of the config schema
-#: (``repro --config`` with a ``[remote]`` section) or a pool manager;
-#: still honoured, with a :class:`DeprecationWarning`.
-REPRO_REMOTE_WORKERS_ENV = "REPRO_REMOTE_WORKERS"
-
 #: Streaming dispatch splits each worker's bin into about this many
 #: chunks: enough steal granularity that a straggler's remainder can be
 #: re-packed mid-sweep, few enough that per-request overhead stays
 #: negligible next to solver work.
 _STREAM_SPLIT = 4
-
-
-def _env_workers() -> list[str]:
-    raw = os.environ.get(REPRO_REMOTE_WORKERS_ENV, "")
-    return [part.strip() for part in raw.split(",") if part.strip()]
 
 
 class RemoteExecutor(Executor):
@@ -124,8 +103,7 @@ class RemoteExecutor(Executor):
     ----------
     workers:
         Base URLs of running ``repro serve`` processes.  ``None`` defers
-        to the attached ``pool``, falling back (deprecated) to
-        ``$REPRO_REMOTE_WORKERS`` at :meth:`run_tasks` time (so
+        to the attached ``pool`` at :meth:`run_tasks` time (so
         ``resolve_backend("remote")`` can construct the executor before
         the pool is known).
     timeout:
@@ -146,10 +124,6 @@ class RemoteExecutor(Executor):
         unset: the engine attaches one (registry cost models, or a
         calibrated :class:`~repro.exec.calibrate.CostProfile`) before
         dispatch.
-    dispatch:
-        ``"stream"`` (default) — chunked per-worker queues with
-        mid-sweep work stealing, max-of-shards latency; ``"block"`` —
-        the historical post-everything-then-wait fan-out.
     pool:
         Optional :class:`~repro.service.pool.WorkerPool` for
         health-driven membership; mid-sweep joiners are picked up by
@@ -163,7 +137,6 @@ class RemoteExecutor(Executor):
     name = "remote"
 
     _PLAN_MODES = ("cost", "stripe")
-    _DISPATCH_MODES = ("stream", "block")
 
     def __init__(
         self,
@@ -173,7 +146,6 @@ class RemoteExecutor(Executor):
         max_shard: Optional[int] = None,
         plan: str = "cost",
         cost_fn=None,
-        dispatch: str = "stream",
         pool=None,
         backoff_limit: float = 30.0,
     ) -> None:
@@ -184,17 +156,11 @@ class RemoteExecutor(Executor):
                 f"unknown shard plan {plan!r}; choose one of "
                 f"{', '.join(self._PLAN_MODES)}"
             )
-        if dispatch not in self._DISPATCH_MODES:
-            raise AlgorithmError(
-                f"unknown dispatch mode {dispatch!r}; choose one of "
-                f"{', '.join(self._DISPATCH_MODES)}"
-            )
         self.workers = [str(url).rstrip("/") for url in workers] if workers else None
         self.timeout = float(timeout)
         self.max_shard = max_shard
         self.plan = plan
         self.cost_fn = cost_fn
-        self.dispatch = dispatch
         self.pool = pool
         self.backoff_limit = float(backoff_limit)
         self.last_plan: Optional[dict] = None
@@ -233,7 +199,6 @@ class RemoteExecutor(Executor):
             timeout=config.timeout,
             max_shard=config.max_shard,
             plan=config.plan,
-            dispatch=config.dispatch,
             pool=pool,
         )
 
@@ -262,24 +227,10 @@ class RemoteExecutor(Executor):
             return urls
         if self.workers:
             return list(self.workers)
-        env = _env_workers()
-        if env:
-            warnings.warn(
-                f"configuring the remote backend via ${REPRO_REMOTE_WORKERS_ENV} "
-                "is deprecated; pass RemoteExecutor(workers=[...]), use a "
-                "[remote] section in a config file (repro --config), or "
-                "attach a WorkerPool (remote.manager) for health-driven "
-                "membership",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return env
         raise AlgorithmError(
             "the remote backend needs worker URLs: pass "
-            "RemoteExecutor([...]), configure [remote] workers/manager in "
-            "a config file (repro --config), or set $"
-            f"{REPRO_REMOTE_WORKERS_ENV} to comma-separated "
-            "`repro serve` base URLs"
+            "RemoteExecutor([...]) or configure [remote] workers/manager "
+            "in a config file (repro --config)"
         )
 
     # -- the Executor contract -------------------------------------------
@@ -295,128 +246,13 @@ class RemoteExecutor(Executor):
         if registry is not None and registry is not DEFAULT_REGISTRY:
             raise AlgorithmError(
                 "the remote backend cannot ship a custom registry to service "
-                "workers; use backend='serial' or 'thread' instead"
+                "workers; use backend='serial' instead"
             )
         if not tasks:
             return []
         urls = self._membership()
         cost_fn = self.cost_fn if self.plan == "cost" else None
-        if self.dispatch == "stream":
-            return self._run_stream(tasks, urls, cost_fn)
-        return self._run_block(tasks, urls, cost_fn)
-
-    # -- blocking dispatch (the historical fan-out) ----------------------
-
-    def _run_block(self, tasks, urls, cost_fn) -> list:
-        clients = [self._client(url) for url in urls]
-
-        # LPT packing: one bin per worker (bounded by the task count,
-        # matching the old "no empty stripes" shard count), balanced by
-        # the attached cost function.  With no cost function — or under
-        # ``plan="stripe"`` — the pack degenerates exactly to the old
-        # round-robin stripe (task i homes on worker i % W), preserving
-        # the locality of each worker's ``--cache-file`` across warm
-        # re-runs.  Optional sub-chunking keeps one request under
-        # ``max_shard`` tasks; chunks of worker w's bin still home on w.
-        bins = min(len(clients), len(tasks))
-        pack = pack_tasks(tasks, bins, cost_fn)
-        shards: list[tuple[int, list[tuple[int, SolveTask]]]] = []
-        for home, indices in enumerate(pack.assignments):
-            shard = [(i, tasks[i]) for i in indices]
-            if self.max_shard is None:
-                shards.append((home, shard))
-            else:
-                shards.extend(
-                    (home, shard[lo: lo + self.max_shard])
-                    for lo in range(0, len(shard), self.max_shard)
-                )
-        shard_seconds = [0.0] * bins
-
-        dead: set[int] = set()
-        dead_lock = threading.Lock()
-        outcomes: list = [None] * len(tasks)
-
-        def _mark_dead(worker: int) -> None:
-            with dead_lock:
-                dead.add(worker)
-
-        def _alive_order(home: int) -> list[int]:
-            """Workers to try for a shard: its home first, then the rest."""
-            with dead_lock:
-                return [
-                    w
-                    for offset in range(len(clients))
-                    if (w := (home + offset) % len(clients)) not in dead
-                ]
-
-        def _run_shard(home: int, shard: list[tuple[int, SolveTask]]) -> None:
-            started = time.perf_counter()
-            try:
-                _run_shard_inner(home, shard)
-            finally:
-                shard_seconds[home] += time.perf_counter() - started
-                # Keep-alive connections are per thread, and the posting
-                # pool's threads end with the sweep: close what this
-                # thread opened rather than leave it to the collector.
-                for client in clients:
-                    client.close()
-
-        def _run_shard_inner(
-            home: int, shard: list[tuple[int, SolveTask]]
-        ) -> None:
-            failures: list[str] = []
-            for worker in _alive_order(home):
-                try:
-                    self._shard_on_worker(clients[worker], shard, outcomes)
-                    return
-                except ServiceError as exc:
-                    # Connectivity-class failure: the worker is gone (or
-                    # answering 5xx, or persistently throttling); fail
-                    # over to a survivor.  Other 4xx-class problems were
-                    # already retried per task inside
-                    # ``_shard_on_worker`` and never reach this handler.
-                    failures.append(f"{clients[worker].base_url}: {exc}")
-                    _mark_dead(worker)
-            # Every worker failed for this shard.  Per the executor
-            # contract the failure is *captured* per task rather than
-            # raised, so sibling shards that did complete keep their
-            # outcomes (and, with a cache attached, get cached before
-            # the caller re-raises the first failure in task order).
-            error = AlgorithmError(
-                f"remote backend: every worker failed for a shard of "
-                f"{len(shard)} task(s); " + "; ".join(failures)
-            )
-            for position, _task in shard:
-                outcomes[position] = error
-
-        if len(shards) == 1:
-            _run_shard(*shards[0])
-        else:
-            # Cap the posting threads: shards beyond the cap just queue
-            # (the workers serialise solver work anyway), and a tiny
-            # ``max_shard`` on a big sweep must not spawn one OS thread
-            # per chunk.
-            posting_threads = min(len(shards), max(4 * len(clients), 8), 32)
-            with ThreadPoolExecutor(max_workers=posting_threads) as pool:
-                futures = [
-                    pool.submit(_run_shard, home, shard)
-                    for home, shard in shards
-                ]
-                errors = [f.exception() for f in futures]
-            for error in errors:
-                if error is not None:
-                    raise error
-        # Predicted-vs-actual makespan snapshot — *diagnostic only*, so
-        # it lives on the executor rather than in CutResult extras
-        # (extras must stay bit-identical to a serial run).
-        summary = pack.summary()
-        summary["plan"] = "stripe" if cost_fn is None else "cost"
-        summary["dispatch"] = "block"
-        summary["workers"] = len(clients)
-        summary["actual_loads"] = [round(s, 6) for s in shard_seconds]
-        summary["actual_makespan"] = round(max(shard_seconds), 6)
-        self.last_plan = summary
-        return outcomes
+        return self._run_stream(tasks, urls, cost_fn)
 
     # -- streaming dispatch (max-of-shards latency) ----------------------
 
@@ -604,7 +440,6 @@ class RemoteExecutor(Executor):
 
         summary = pack.summary()
         summary["plan"] = "stripe" if cost_fn is None else "cost"
-        summary["dispatch"] = "stream"
         summary["workers"] = len(threads)
         summary["chunks"] = total_chunks
         summary["stolen"] = state["stolen"]
@@ -701,4 +536,4 @@ def _error_message(exc: ServiceError) -> str:
     return str(exc)
 
 
-__all__ = ["REPRO_REMOTE_WORKERS_ENV", "RemoteExecutor"]
+__all__ = ["RemoteExecutor"]

@@ -150,9 +150,13 @@ class _AnnounceChosen(NodeProgram):
                 ctx.memory["mst:marked"].add(src)
 
     def _handle(self, ctx: NodeContext, chosen) -> None:
+        # The chosen edge names its endpoints by ``_ord`` (a ``repr``
+        # for non-int ids), so match and resolve them the same way.
         _key, lo, hi = chosen
-        if ctx.node in (lo, hi):
-            other = hi if ctx.node == lo else lo
+        me = _ord(ctx.node)
+        if me in (lo, hi):
+            target = hi if me == lo else lo
+            other = next(v for v in ctx.neighbors if _ord(v) == target)
             if other not in ctx.memory["mst:marked"]:
                 ctx.memory["mst:marked"].add(other)
                 ctx.send(other, "mark")

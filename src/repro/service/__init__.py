@@ -10,10 +10,8 @@ touching any solver:
 * :mod:`~repro.service.server` — :class:`ReproService` (transport-free
   dispatch over :func:`repro.api.solve`/``solve_batch`` with **one**
   shared :class:`~repro.exec.cache.ResultCache` across connections)
-  behind two interchangeable transports: :class:`AsyncHTTPServer`
-  (asyncio, keep-alive multiplexing, bounded dispatch pool +
-  queue-depth backpressure — the default) and :class:`ReproHTTPServer`
-  (the historical :class:`ThreadingHTTPServer`);
+  behind one transport, :class:`AsyncHTTPServer` (asyncio, keep-alive
+  multiplexing, bounded dispatch pool + queue-depth backpressure);
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the matching
   typed client (persistent keep-alive connections per thread);
 * :mod:`~repro.service.pool` — :class:`WorkerPool` (health-driven
@@ -40,7 +38,6 @@ from .protocol import (
 )
 from .server import (
     AsyncHTTPServer,
-    ReproHTTPServer,
     ReproService,
     ServiceConfig,
     create_server,
@@ -51,7 +48,6 @@ __all__ = [
     "Heartbeat",
     "PROTOCOL_VERSION",
     "RemoteDynamicSession",
-    "ReproHTTPServer",
     "ReproService",
     "ServiceClient",
     "ServiceConfig",

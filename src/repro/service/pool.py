@@ -1,7 +1,7 @@
 """Health-driven worker-pool membership (discovery without restarts).
 
-Two cooperating pieces replace the static ``$REPRO_REMOTE_WORKERS``
-list:
+Two cooperating pieces let the remote backend's workers come and go
+without a static URL list:
 
 * :class:`WorkerPool` — the *consumer* side.  Tracks which workers are
   alive right now, from two membership sources that compose freely:

@@ -13,16 +13,14 @@ Architecture — three layers, separable on purpose:
   funnels through the engine (:meth:`Engine.solve` /
   :meth:`Engine.build_batch_tasks` + :meth:`Engine.solve_tasks`), so
   requests become the same :class:`~repro.exec.task.SolveTask` fan-out
-  the CLI's ``sweep`` uses, on the same ``serial``/``thread``/
-  ``process`` backends — including shard slices whose per-task seeds
-  and solvers arrive frozen (the ``remote`` backend's wire form).
-* Two interchangeable transports wrap the core: :class:`AsyncHTTPServer`
-  (the default — an asyncio event loop where idle keep-alive
-  connections cost a coroutine, not an OS thread, and dispatch runs on
-  a bounded worker pool) and :class:`ReproHTTPServer` (the historical
-  stdlib :class:`~http.server.ThreadingHTTPServer`).  Both JSON over
-  HTTP, no new dependencies, optional access-log file, identical
-  lifecycle (``serve_forever`` / ``shutdown`` / ``server_close``).
+  the CLI's ``sweep`` uses, on the same ``serial``/``process``
+  backends — including shard slices whose per-task seeds and solvers
+  arrive frozen (the ``remote`` backend's wire form).
+* One transport wraps the core: :class:`AsyncHTTPServer`, an asyncio
+  event loop where idle keep-alive connections cost a coroutine, not
+  an OS thread, and dispatch runs on a bounded worker pool.  JSON over
+  HTTP, no new dependencies, optional access-log file, lifecycle
+  ``serve_forever`` / ``shutdown`` / ``server_close``.
 * :mod:`repro.service.client` speaks the same protocol back.
 
 Endpoints::
@@ -74,7 +72,6 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Union
 
@@ -96,7 +93,7 @@ from .protocol import (
 
 #: Backend names a *request* may select for the server-side fan-out.
 #: Local executors only — see the 400 in ``_handle_batch`` for why.
-_REQUEST_BACKENDS = frozenset({"serial", "thread", "process"})
+_REQUEST_BACKENDS = frozenset({"serial", "process"})
 
 
 def _retry_after_header(payload: object) -> Optional[str]:
@@ -541,103 +538,20 @@ class ReproService:
         }
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Thin HTTP shim: read body, call ``dispatch``, write JSON."""
-
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming contract
-        self._respond("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming contract
-        self._respond("POST")
-
-    def _respond(self, method: str) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        limit = self.server.service.config.max_body_bytes
-        if limit is not None and length > limit:
-            # Refuse before reading a single body byte; the unread body
-            # makes the connection unusable, so close it.
-            self.close_connection = True
-            status, payload = 413, error_body(
-                ServiceError(
-                    f"request body of {length} bytes is over this "
-                    f"service's limit of {limit}",
-                    status=413,
-                ),
-                413,
-            )
-        else:
-            body = self.rfile.read(length) if length > 0 else b""
-            status, payload = self.server.service.dispatch(method, self.path, body)
-        blob = json.dumps(payload, default=json_default).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        retry_after = _retry_after_header(payload)
-        if retry_after is not None:
-            self.send_header("Retry-After", retry_after)
-        self.end_headers()
-        self.wfile.write(blob)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        line = "%s - - [%s] %s\n" % (
-            self.address_string(), self.log_date_time_string(), format % args,
-        )
-        stream = self.server.access_log or sys.stderr
-        stream.write(line)
-        stream.flush()
-
-
-class ReproHTTPServer(ThreadingHTTPServer):
-    """:class:`ThreadingHTTPServer` bound to one :class:`ReproService`."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: ReproService,
-        access_log_path: Union[str, Path, None] = None,
-    ) -> None:
-        super().__init__(address, _ServiceHandler)
-        self.service = service
-        self.access_log = (
-            open(access_log_path, "a", encoding="utf-8")
-            if access_log_path is not None
-            else None
-        )
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def server_close(self) -> None:
-        super().server_close()
-        if self.access_log is not None:
-            self.access_log.close()
-            self.access_log = None
-
-
 class AsyncHTTPServer:
-    """Asyncio transport over one :class:`ReproService` — the tail path.
+    """Asyncio transport over one :class:`ReproService`.
 
-    Same lifecycle contract as :class:`ReproHTTPServer` (the tests and
-    the CLI treat them interchangeably): the socket binds eagerly in
-    the constructor so ``port=0`` resolves before ``serve_forever()``
-    runs, ``serve_forever()`` blocks until ``shutdown()`` is called
-    from another thread, and ``server_close()`` releases the socket,
-    the dispatch pool and the access log.
+    Lifecycle: the socket binds eagerly in the constructor so
+    ``port=0`` resolves before ``serve_forever()`` runs,
+    ``serve_forever()`` blocks until ``shutdown()`` is called from
+    another thread, and ``server_close()`` releases the socket, the
+    dispatch pool and the access log.
 
     Why asyncio when solver work is lock-serialised anyway: keep-alive
-    clients (every :class:`~repro.service.client.ServiceClient` since
-    PR 9) hold their connection open between requests.  Under the
-    threading transport each of those idle connections pins an OS
-    thread; here it costs one parked coroutine, and actual dispatch
+    clients (every :class:`~repro.service.client.ServiceClient`) hold
+    their connection open between requests.  A thread-per-connection
+    server would pin an OS thread for each of those idle connections;
+    here one costs a parked coroutine, and actual dispatch
     work runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
     sized just above the service's ``queue_depth`` — so memory stays
     flat no matter how many clients connect, and the queue gate (429 +
@@ -796,8 +710,8 @@ class AsyncHTTPServer:
         limit = self.service.config.max_body_bytes
         if limit is not None and length > limit:
             # Refuse before buffering a byte; the unread body makes the
-            # connection unusable, so close it (mirrors the threading
-            # transport's behaviour, pinned by the failure-mode tests).
+            # connection unusable, so close it (pinned by the
+            # failure-mode tests).
             exc = ServiceError(
                 f"request body of {length} bytes is over this "
                 f"service's limit of {limit}",
@@ -854,28 +768,18 @@ def create_server(
     config: Optional[ServiceConfig] = None,
     access_log: Union[str, Path, None] = None,
     warm_start: tuple = (),
-    server: str = "async",
     pool_workers: Optional[int] = None,
-) -> Union["AsyncHTTPServer", ReproHTTPServer]:
-    """Build a ready-to-serve HTTP server (``port=0`` picks a free port).
+) -> AsyncHTTPServer:
+    """Build a ready-to-serve :class:`AsyncHTTPServer` (``port=0`` picks a free port).
 
-    ``server`` selects the transport: ``"async"`` (default — the
-    :class:`AsyncHTTPServer` tail-latency path) or ``"threading"``
-    (the historical thread-per-connection server).  The caller owns
-    the lifecycle: ``serve_forever()`` to block (or run it in a
-    thread, as the tests do) and ``server_close()`` to release the
-    socket and the access log.  ``warm_start`` paths are merged into
+    The caller owns the lifecycle: ``serve_forever()`` to block (or run
+    it in a thread, as the tests do) and ``server_close()`` to release
+    the socket and the access log.  ``warm_start`` paths are merged into
     the shared cache before the socket accepts its first request.
     """
     service = ReproService(
         registry=registry, cache=cache, config=config, warm_start=warm_start
     )
-    if server == "threading":
-        return ReproHTTPServer((host, port), service, access_log_path=access_log)
-    if server != "async":
-        raise ConfigError(
-            f"server must be 'async' or 'threading', got {server!r}"
-        )
     return AsyncHTTPServer(
         (host, port), service, access_log_path=access_log,
         pool_workers=pool_workers,
@@ -884,7 +788,6 @@ def create_server(
 
 __all__ = [
     "AsyncHTTPServer",
-    "ReproHTTPServer",
     "ReproService",
     "ServiceConfig",
     "create_server",

@@ -42,7 +42,7 @@ def _clean_env(monkeypatch):
 
 TOML_TEXT = """
 [engine]
-backend = "thread"
+backend = "process"
 solver = "stoer_wagner"
 seed = 7
 cache = "warm.json"
@@ -51,12 +51,10 @@ cache = "warm.json"
 port = 9100
 queue_depth = 5
 delay = 0.25
-server = "threading"
 warm_start = ["a.json", "b.json"]
 
 [remote]
 workers = ["http://w1:8101/", "http://w2:8102"]
-dispatch = "block"
 max_shard = 3
 
 [cache]
@@ -78,9 +76,7 @@ class TestDefaults:
         assert config.source is None
         assert config.engine.solver == "auto"
         assert config.serve.port == 8000
-        assert config.serve.server == "async"
         assert config.serve.queue_depth == 32
-        assert config.remote.dispatch == "stream"
 
     def test_to_dict_is_jsonable(self):
         payload = load_config().to_dict()
@@ -92,7 +88,7 @@ class TestFileLoading:
     def test_toml_sections(self, tmp_path):
         config = load_config(write_toml(tmp_path))
         assert config.source == str(tmp_path / "repro.toml")
-        assert config.engine.backend == "thread"
+        assert config.engine.backend == "process"
         assert config.engine.seed == 7
         assert config.engine.cache == "warm.json"
         assert config.serve.port == 9100
@@ -101,7 +97,6 @@ class TestFileLoading:
         assert config.serve.warm_start == ("a.json", "b.json")
         # URL normalisation strips trailing slashes
         assert config.remote.workers == ("http://w1:8101", "http://w2:8102")
-        assert config.remote.dispatch == "block"
         assert config.remote.max_shard == 3
         assert config.cache.max_entries == 5000
         assert config.cache.max_age == 86400.0
@@ -123,7 +118,7 @@ class TestFileLoading:
     def test_env_var_names_the_file(self, tmp_path, monkeypatch):
         path = write_toml(tmp_path)
         monkeypatch.setenv(REPRO_CONFIG_ENV, str(path))
-        assert load_config().engine.backend == "thread"
+        assert load_config().engine.backend == "process"
         # explicit path=None + env=False ignores $REPRO_CONFIG
         assert load_config(env=False).engine.backend is None
 
@@ -161,10 +156,8 @@ class TestStrictness:
             ("engine", {"seed": "zero"}, "engine.seed must be an integer"),
             ("engine", {"seed": True}, "engine.seed must be an integer"),
             ("engine", {"mode": "fast"}, "engine.mode must be one of"),
-            ("serve", {"server": "twisted"}, "serve.server must be one of"),
             ("serve", {"retry_after": "soon"}, "serve.retry_after must be a number"),
             ("remote", {"workers": 8101}, "remote.workers must be a list"),
-            ("remote", {"dispatch": "chunked"}, "remote.dispatch must be one of"),
             ("cache", {"max_entries": "many"}, "cache.max_entries must be an integer"),
             ("cache", {"max_age": "soon"}, "cache.max_age must be a number"),
         ],
@@ -173,6 +166,18 @@ class TestStrictness:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({section: body}))
         with pytest.raises(ConfigError, match=match):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("serve", "server", "threading"), ("remote", "dispatch", "block")],
+    )
+    def test_retired_keys_are_unknown(self, tmp_path, section, key, value):
+        # The threading transport and block dispatch are gone; files
+        # that still name them get the ordinary unknown-key error.
+        path = tmp_path / "c.toml"
+        path.write_text(f'[{section}]\n{key} = "{value}"\n')
+        with pytest.raises(ConfigError, match=rf"unknown config key {section}\.{key}"):
             load_config(path)
 
     def test_cache_accepts_bool_and_path_only(self, tmp_path):
@@ -185,12 +190,12 @@ class TestStrictness:
 class TestPrecedence:
     def test_env_beats_file(self, tmp_path, monkeypatch):
         path = write_toml(tmp_path)
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert load_config(path).engine.backend == "process"
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert load_config(path).engine.backend == "serial"
 
     def test_flag_layer_beats_env_and_file(self, tmp_path, monkeypatch):
         path = write_toml(tmp_path)
-        monkeypatch.setenv("REPRO_BACKEND", "process")
+        monkeypatch.setenv("REPRO_BACKEND", "remote")
         config = load_config(path).merged(engine={"backend": "serial"})
         assert config.engine.backend == "serial"
 
@@ -232,9 +237,9 @@ class TestPrecedence:
         """The full chain: default < file < env < flag, one knob each."""
         path = write_toml(tmp_path)
         monkeypatch.setenv(REPRO_CONFIG_ENV, str(path))
-        monkeypatch.setenv("REPRO_BACKEND", "process")
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
         config = load_config().merged(engine={"solver": "exact"})
-        assert config.engine.backend == "process"   # env beat file's "thread"
+        assert config.engine.backend == "serial"    # env beat file's "process"
         assert config.engine.solver == "exact"      # flag beat file's solver
         assert config.engine.seed == 7              # file beat default 0
         assert config.engine.mode == "reference"    # schema default
@@ -251,11 +256,11 @@ class TestEngineFromConfig:
         config_path = tmp_path / "c.json"
         cache_path = tmp_path / "cache.json"
         config_path.write_text(json.dumps({
-            "engine": {"backend": "thread", "seed": 3,
+            "engine": {"backend": "process", "seed": 3,
                        "cache": str(cache_path)},
         }))
         engine = Engine.from_config(config_path)
-        assert engine.backend == "thread"
+        assert engine.backend == "process"
         assert engine.seed == 3
         assert isinstance(engine.cache, ResultCache)
 
@@ -269,19 +274,18 @@ class TestEngineFromConfig:
         config = ReproConfig(
             engine=EngineConfig(backend="remote"),
             remote=RemoteConfig(
-                workers=("http://w1:8101",), dispatch="block", max_shard=2
+                workers=("http://w1:8101",), max_shard=2
             ),
         )
         engine = Engine.from_config(config)
         assert isinstance(engine.backend, RemoteExecutor)
         assert engine.backend.workers == ["http://w1:8101"]
-        assert engine.backend.dispatch == "block"
         assert engine.backend.max_shard == 2
 
     def test_remote_backend_without_workers_stays_a_name(self):
         config = ReproConfig(engine=EngineConfig(backend="remote"))
         engine = Engine.from_config(config)
-        assert engine.backend == "remote"  # resolved (and env-shimmed) later
+        assert engine.backend == "remote"  # resolved at solve time
 
 
 class TestRemoteExecutorFromConfig:
@@ -314,7 +318,7 @@ class TestConfigCli:
         path = write_toml(tmp_path)
         assert main(["--config", str(path), "config", "show"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"]["backend"] == "thread"
+        assert payload["engine"]["backend"] == "process"
         assert payload["serve"]["queue_depth"] == 5
         assert payload["remote"]["workers"] == [
             "http://w1:8101", "http://w2:8102",

@@ -265,12 +265,12 @@ def cases() -> dict:
     for gname in ("gnp-49", "grid-36", "regular-36"):
         for seed in FUZZ_SEEDS:
             matrix[f"fuzz/{gname}/seed{seed}"] = (graphs[gname], _fuzz(seed))
-    # Non-identity node ids.  Keyed sums, Borůvka and the 1-respecting
-    # sweep order by id and need int ids, so tuple ids skip them.
+    # Non-identity node ids.  Keyed sums and the 1-respecting sweep
+    # order by id and need int ids, so tuple ids skip them.
     for gname, graph in _id_graphs().items():
-        protos = ("bfs", "convergecast", "gossip")
+        protos = ("bfs", "convergecast", "gossip", "boruvka")
         if gname == "gnp-bigneg-49":
-            protos += ("keyed-sums", "boruvka")
+            protos += ("keyed-sums",)
             tree = random_spanning_tree(graph, seed=3)
             matrix[f"one-respect/{gname}"] = (graph, _sweep(graph, tree))
         for proto in protos:

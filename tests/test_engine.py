@@ -192,7 +192,7 @@ class TestTaskPlane:
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert {"serial", "thread", "process", "remote"} <= set(BACKENDS)
+        assert {"serial", "process", "remote"} <= set(BACKENDS)
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(AlgorithmError, match="already registered"):

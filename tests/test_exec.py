@@ -12,7 +12,6 @@ from repro.exec import (
     REPRO_BACKEND_ENV,
     SerialExecutor,
     SolveTask,
-    ThreadExecutor,
     resolve_backend,
     run_task,
 )
@@ -42,20 +41,29 @@ class TestBackendResolution:
         assert isinstance(resolve_backend(None), SerialExecutor)
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "thread")
-        assert isinstance(resolve_backend(None), ThreadExecutor)
+        monkeypatch.setenv(REPRO_BACKEND_ENV, "process")
+        assert isinstance(resolve_backend(None), ProcessExecutor)
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "thread")
-        assert isinstance(resolve_backend("process"), ProcessExecutor)
+        monkeypatch.setenv(REPRO_BACKEND_ENV, "process")
+        assert isinstance(resolve_backend("serial"), SerialExecutor)
 
     def test_executor_instance_passes_through(self):
-        executor = ThreadExecutor(max_workers=2)
+        executor = ProcessExecutor(max_workers=2)
         assert resolve_backend(executor) is executor
 
     def test_unknown_backend_raises_with_choices(self):
         with pytest.raises(AlgorithmError, match="serial"):
             resolve_backend("gpu")
+
+    def test_thread_backend_is_gone(self):
+        assert "thread" not in BACKENDS
+        with pytest.raises(
+            AlgorithmError,
+            match=r"unknown execution backend 'thread'; choose one of "
+                  r"process, remote, serial",
+        ):
+            solve_batch(_graphs(1, family="cycle", n=6), backend="thread")
 
     def test_unknown_env_backend_raises(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, "nope")
@@ -80,9 +88,8 @@ class TestBackendDeterminism:
     def test_twenty_graph_sweep_identical_across_backends(self):
         graphs = _graphs(20)
         serial = solve_batch(graphs, backend="serial")
-        thread = solve_batch(graphs, backend="thread")
         process = solve_batch(graphs, backend="process")
-        assert _identity(serial) == _identity(thread) == _identity(process)
+        assert _identity(serial) == _identity(process)
         assert [r.seed for r in serial] == list(range(20))
         for graph, result in zip(graphs, serial):
             assert result.matches(graph)
@@ -91,23 +98,22 @@ class TestBackendDeterminism:
         graphs = _graphs(6, family="grid", n=9)
         runs = [
             solve_batch(graphs, "karger", seed=7, budget=16, backend=name)
-            for name in ("serial", "thread", "process")
+            for name in ("serial", "process")
         ]
-        assert _identity(runs[0]) == _identity(runs[1]) == _identity(runs[2])
+        assert _identity(runs[0]) == _identity(runs[1])
 
     def test_order_follows_input_order(self):
         # Distinct per-instance answers so a shuffled result list is visible.
         graphs = [build_family("complete", n) for n in (4, 6, 8, 10, 12)]
-        for name in ("thread", "process"):
+        for name in ("serial", "process"):
             results = solve_batch(graphs, backend=name)
             assert [r.value for r in results] == [3.0, 5.0, 7.0, 9.0, 11.0]
 
     def test_solve_all_identical_across_backends(self):
         graph = build_family("gnp", 12, seed=3)
         serial = solve_all(graph, epsilon=0.5, seed=2, backend="serial")
-        thread = solve_all(graph, epsilon=0.5, seed=2, backend="thread")
         process = solve_all(graph, epsilon=0.5, seed=2, backend="process")
-        assert _identity(serial) == _identity(thread) == _identity(process)
+        assert _identity(serial) == _identity(process)
         assert len(serial) >= 10  # registration order preserved, none dropped
 
 
@@ -126,7 +132,7 @@ class TestBatchErrors:
     def test_mid_batch_solver_error_named_by_index(self):
         # Unknown extra option only detonates inside the solver adapter.
         graphs = _graphs(3, family="cycle", n=8)
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             with pytest.raises(AlgorithmError, match=r"graph #0.*stoer_wagner"):
                 solve_batch(graphs, "stoer_wagner", backend=name, bogus=1)
 
@@ -189,7 +195,7 @@ class TestProcessBackend:
         with pytest.raises(AlgorithmError, match="custom registry"):
             solve_batch(graphs, "only", registry=registry, backend="process")
 
-    def test_custom_registry_fine_on_serial_and_thread(self):
+    def test_custom_registry_fine_on_serial(self):
         registry = SolverRegistry()
 
         @registry.register("first_node", kind="exact", guarantee="exact")
@@ -202,11 +208,10 @@ class TestProcessBackend:
             )
 
         graphs = _graphs(2, family="cycle", n=6)
-        for name in ("serial", "thread"):
-            results = solve_batch(
-                graphs, "first_node", registry=registry, backend=name
-            )
-            assert [r.value for r in results] == [2.0, 2.0]
+        results = solve_batch(
+            graphs, "first_node", registry=registry, backend="serial"
+        )
+        assert [r.value for r in results] == [2.0, 2.0]
 
     def test_task_round_trips_pickle(self):
         graph = build_family("grid", 9, seed=0)
@@ -219,5 +224,5 @@ class TestProcessBackend:
         assert shipped.seed == direct.seed
 
     def test_empty_batch(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert solve_batch([], backend=name) == []

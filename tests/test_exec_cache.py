@@ -157,7 +157,7 @@ class TestFacadeIntegration:
         graphs = [build_family("cycle", 8, seed=s) for s in range(4)]
         first = solve_batch(graphs, cache=cache)
         assert all(r.extras["cache"]["hit"] is False for r in first)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             again = solve_batch(graphs, backend=backend, cache=cache)
             assert all(r.extras["cache"]["hit"] is True for r in again)
             assert [r.value for r in again] == [r.value for r in first]
@@ -289,8 +289,8 @@ class TestPersistence:
             build_family("cycle", 8),
         ]
         cache = ResultCache(path=tmp_path / "cache.json")
-        # Custom registries cannot ship to the process backend; pin one
-        # that can run them so $REPRO_BACKEND never redirects this test.
+        # Custom registries cannot ship to the process backend; pin the
+        # serial one so $REPRO_BACKEND never redirects this test.
         with pytest.raises(AlgorithmError, match=r"graph #1.*boom"):
             solve_batch(
                 graphs, "flaky", registry=registry, cache=cache,
@@ -303,7 +303,7 @@ class TestPersistence:
         with pytest.raises(AlgorithmError, match=r"graph #1"):
             solve_batch(
                 graphs, "flaky", registry=registry, cache=cache,
-                backend="thread",
+                backend="serial",
             )
         assert cache.hits == 2
 

@@ -115,6 +115,13 @@ class TestBoruvkaCongest:
         k = minimum_spanning_tree(g)
         assert _edge_set(b) == _edge_set(k)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tuple_node_ids_match_kruskal(self, seed):
+        base = connected_gnp_graph(25, 0.3, seed=seed, weight_range=(1.0, 9.0))
+        g = WeightedGraph([(divmod(u, 5), divmod(v, 5), w) for u, v, w in base.edges()])
+        b = boruvka_mst(CongestNetwork(g))
+        assert _edge_set(b) == _edge_set(minimum_spanning_tree(g))
+
     def test_custom_edge_key(self):
         g = WeightedGraph([(0, 1, 10.0), (1, 2, 1.0), (0, 2, 1.0)])
         net = CongestNetwork(g)

@@ -1,9 +1,10 @@
 """The ``remote`` backend: sharding, determinism, failover, fallbacks.
 
-Real :class:`ThreadingHTTPServer` workers are spun up in-process (the
-same harness the service tests use), so these tests exercise the full
-HTTP path: `Engine.build_batch_tasks` → shard slices with frozen
-seeds/solvers → worker-side `Engine.solve_tasks` → reassembly.
+Real ``repro serve`` workers (:func:`create_server`) are spun up
+in-process (the same harness the service tests use), so these tests
+exercise the full HTTP path: `Engine.build_batch_tasks` → shard
+slices with frozen seeds/solvers → worker-side `Engine.solve_tasks` →
+reassembly.
 """
 
 import gc
@@ -16,7 +17,7 @@ import pytest
 from repro.api import solve_all, solve_batch
 from repro.api.registry import SolverRegistry
 from repro.errors import AlgorithmError
-from repro.exec.remote import REPRO_REMOTE_WORKERS_ENV, RemoteExecutor
+from repro.exec.remote import RemoteExecutor
 from repro.graphs import build_family
 from repro.service import ServiceConfig, create_server
 
@@ -96,11 +97,20 @@ class TestRemoteDeterminism:
             solve_batch(graphs, "stoer_wagner")
         )
 
-    def test_env_var_configures_the_pool(self, workers, monkeypatch):
+    def test_config_section_configures_the_pool(self, workers):
+        from repro.api import Engine
+        from repro.config import EngineConfig, RemoteConfig, ReproConfig
+
         urls, _ = workers
-        monkeypatch.setenv(REPRO_REMOTE_WORKERS_ENV, ",".join(urls))
+        engine = Engine.from_config(
+            ReproConfig(
+                engine=EngineConfig(backend="remote"),
+                remote=RemoteConfig(workers=tuple(urls)),
+            )
+        )
         graphs = _graphs(4)
-        remote = solve_batch(graphs, "stoer_wagner", backend="remote")
+        remote = engine.solve_batch(graphs, "stoer_wagner")
+        assert engine.backend.last_plan["workers"] == 2
         assert _identity(remote) == _identity(
             solve_batch(graphs, "stoer_wagner")
         )
@@ -185,8 +195,7 @@ class TestRemoteFailover:
         assert all(isinstance(o, AlgorithmError) for o in outcomes)
         assert all("every worker failed" in str(o) for o in outcomes)
 
-    def test_no_workers_configured_raises(self, monkeypatch):
-        monkeypatch.delenv(REPRO_REMOTE_WORKERS_ENV, raising=False)
+    def test_no_workers_configured_raises(self):
         with pytest.raises(AlgorithmError, match="worker URLs"):
             solve_batch(_graphs(2), "stoer_wagner", backend="remote")
 

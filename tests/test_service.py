@@ -225,10 +225,29 @@ class TestDispatch:
         graphs = [graph_to_json(planted_cut_graph((5, 5), 2, seed=s)) for s in (1, 2)]
         status, payload = post(
             service, "/solve_batch",
-            {"graphs": graphs, "solver": "stoer_wagner", "backend": "thread"},
+            {"graphs": graphs, "solver": "stoer_wagner", "backend": "process"},
         )
         assert status == 200
         assert [r["value"] for r in payload["results"]] == [2.0, 2.0]
+
+    def test_batch_with_thread_backend_is_structured_400(self):
+        graphs = [graph_to_json(small_graph())]
+        # Named by the request: refused against the local backends.
+        status, payload = post(
+            ReproService(), "/solve_batch", {"graphs": graphs, "backend": "thread"}
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "ServiceError"
+        assert "['process', 'serial']" in payload["error"]["message"]
+        # Named as the server default: the engine's unknown-backend error.
+        service = ReproService(config=ServiceConfig(backend="thread"))
+        status, payload = post(service, "/solve_batch", {"graphs": graphs})
+        assert status == 400
+        assert payload["error"]["type"] == "AlgorithmError"
+        assert payload["error"]["message"].startswith(
+            "unknown execution backend 'thread'; choose one of process, "
+            "remote, serial"
+        )
 
     def error_type(self, payload):
         return payload["error"]["type"]

@@ -20,8 +20,8 @@ import time
 import pytest
 
 from repro.api import solve_batch
-from repro.errors import ConfigError, ServiceError
-from repro.exec.remote import REPRO_REMOTE_WORKERS_ENV, RemoteExecutor
+from repro.errors import AlgorithmError, ConfigError, ServiceError
+from repro.exec.remote import RemoteExecutor
 from repro.graphs import build_family
 from repro.service import (
     Heartbeat,
@@ -338,7 +338,6 @@ class TestStreamingChurn:
             remote = solve_batch(graphs, "stoer_wagner", backend=executor)
             assert _identity(remote) == _identity(serial)
             plan = executor.last_plan
-            assert plan["dispatch"] == "stream"
             assert plan["stolen"] >= 1
             assert plan["dead"] == []
             assert plan["workers"] == 2
@@ -393,37 +392,22 @@ class TestStreamingChurn:
         stop_server(a)
         executor = RemoteExecutor([a.url])
         graphs = _graphs(3)
-        from repro.errors import AlgorithmError
-
         with pytest.raises(AlgorithmError, match="every worker failed"):
             solve_batch(graphs, "stoer_wagner", backend=executor)
 
 
-class TestEnvShim:
-    def test_env_workers_warn_deprecation(self, monkeypatch):
+class TestWorkerDiscovery:
+    def test_env_variable_is_ignored(self, monkeypatch, recwarn):
+        # Workers come from workers=, a WorkerPool or [remote] only: the
+        # retired $REPRO_REMOTE_WORKERS names a live worker here, and
+        # the executor still reports that it has none.
         server = start_server()
         try:
-            monkeypatch.setenv(REPRO_REMOTE_WORKERS_ENV, server.url)
-            graphs = _graphs(2)
-            serial = solve_batch(graphs, "stoer_wagner")
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                remote = solve_batch(
-                    graphs, "stoer_wagner", backend=RemoteExecutor()
-                )
-            assert _identity(remote) == _identity(serial)
-        finally:
-            stop_server(server)
-
-    def test_explicit_workers_do_not_warn(self, monkeypatch, recwarn):
-        server = start_server()
-        try:
-            monkeypatch.setenv(REPRO_REMOTE_WORKERS_ENV, "http://ignored:1")
-            solve_batch(
-                _graphs(2), "stoer_wagner",
-                backend=RemoteExecutor([server.url]),
-            )
-            assert not [
-                w for w in recwarn if w.category is DeprecationWarning
-            ]
+            monkeypatch.setenv("REPRO_REMOTE_WORKERS", server.url)
+            executor = RemoteExecutor()
+            with pytest.raises(AlgorithmError, match="worker URLs"):
+                solve_batch(_graphs(2), "stoer_wagner", backend=executor)
+            assert executor.last_plan is None
+            assert not [w for w in recwarn if w.category is DeprecationWarning]
         finally:
             stop_server(server)
