@@ -25,10 +25,7 @@ Both plans execute the identical frozen tasks, and the result
 identity (solver, value, cut side, seed) is asserted bit-equal
 between serial, striped, packed, and remote (2 live HTTP workers)
 runs — the improvement is never allowed to come from divergent
-behaviour.  The committed table also carries a tiny calibration run
-(:func:`repro.exec.run_calibration` on a 4-point grid) so the
-fit-quality story — fitted relative wall-time error vs the scaled
-hand-fit baseline — is visible next to the makespans it feeds.
+behaviour.
 """
 
 import os
@@ -39,7 +36,7 @@ from conftest import run_once
 
 from repro.analysis import format_table
 from repro.api import Engine
-from repro.exec import pack_tasks, run_calibration
+from repro.exec import pack_tasks
 from repro.exec.backends import _run_chunk
 from repro.exec.remote import RemoteExecutor
 from repro.graphs import build_family
@@ -139,19 +136,11 @@ def _experiment():
     remote_out, remote_plan = _remote_identity(tasks, cost_fn)
     assert _identity(remote_out) == _identity(serial)
 
-    calibration = run_calibration(
-        solvers=["stoer_wagner", "matula", "nagamochi_ibaraki"],
-        families=("gnp",),
-        sizes=(10, 14, 18, 22),
-        repeats=1,
-        include_dynamic=False,
-    )
     return {
         "serial_time": serial_time,
         "stripe": (stripe_pack, stripe_bins),
         "lpt": (lpt_pack, lpt_bins),
         "remote_plan": remote_plan,
-        "calibration": calibration,
     }
 
 
@@ -210,23 +199,6 @@ def test_p5_scheduler_balance(benchmark, record_table):
             "serial/stripe/lpt/remote"
         ),
     )
-    profile = data["calibration"].profile
-    beats = sum(
-        1
-        for model in profile.models.values()
-        if model.hand_rel_error is not None
-        and model.rel_error <= model.hand_rel_error + 1e-12
-    )
-    fit_table = format_table(
-        ["solver", "samples", "r2", "fit rel err", "hand rel err",
-         "s per cost unit", "status"],
-        profile.rows(),
-        title=(
-            "calibration fit quality (tiny gnp grid, repeats=1) — "
-            f"fitted beats scaled hand model on {beats}/"
-            f"{len(profile.models)} solver(s)"
-        ),
-    )
     remote_plan = data["remote_plan"]
     remote_line = (
         f"remote (2 workers, cost plan): bit-identical to serial; "
@@ -236,7 +208,7 @@ def test_p5_scheduler_balance(benchmark, record_table):
     table = (
         f"{plan_table}\n\n"
         f"lpt-over-stripe makespan improvement: {lpt_speedup:.2f}x\n"
-        f"{remote_line}\n\n{fit_table}"
+        f"{remote_line}"
     )
     record_table("P5_scheduler_balance", table)
 

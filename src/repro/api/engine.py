@@ -49,7 +49,6 @@ from typing import Any, Iterable, Optional, Sequence, Union
 from ..errors import AlgorithmError, ReproError
 from ..exec.backends import Executor, resolve_backend
 from ..exec.cache import CacheKey, ResultCache
-from ..exec.calibrate import CostProfile, resolve_cost_profile
 from ..exec.task import SolveTask
 from ..graphs.graph import WeightedGraph
 from .registry import SolverRegistry, SolverSpec, default_registry
@@ -87,15 +86,6 @@ class Engine:
         façade's: ``solver="auto"`` picks by capability (and treats
         ``budget`` as an expected-cost ceiling), a named solver
         receives ``budget`` as its effort cap.
-    cost_profile:
-        A calibrated :class:`~repro.exec.calibrate.CostProfile` (or a
-        path to one, as written by ``repro calibrate``); ``None``
-        defers to ``$REPRO_COST_PROFILE``.  With a profile attached,
-        task packing (``process`` chunks, ``remote`` shards) and the
-        auto policy's ``budget`` operate in predicted *wall seconds*
-        instead of abstract cost units, and
-        :meth:`dynamic_session`'s ``patch_budget`` defaults to the
-        calibrated patch-vs-rebuild break-even.
 
     Every method resolves configuration as **explicit argument > engine
     default > environment**, and returns the same canonical
@@ -113,7 +103,6 @@ class Engine:
         mode: str = "reference",
         seed: int = 0,
         budget: Optional[int] = None,
-        cost_profile: Union[CostProfile, str, Path, None] = None,
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
         self.backend = backend
@@ -125,7 +114,6 @@ class Engine:
         self.mode = mode
         self.seed = seed
         self.budget = budget
-        self.cost_profile = resolve_cost_profile(cost_profile)
         # The process-wide default engine keeps the historic façade
         # surface (module-level functions forwarding raw kwargs) warning
         # -free; explicit engines deprecate raw backend=/cache= kwargs
@@ -192,7 +180,6 @@ class Engine:
             mode=config.mode,
             seed=config.seed,
             budget=config.budget,
-            cost_profile=config.cost_profile,
         )
 
     # -- configuration resolution ---------------------------------------
@@ -396,16 +383,13 @@ class Engine:
     def task_cost_fn(self, registry: Optional[SolverRegistry] = None):
         """A ``cost_fn(task) -> float`` for the shared LPT planner.
 
-        Prediction chain, per task: fitted wall seconds from the
-        attached :class:`~repro.exec.calibrate.CostProfile` (falling
-        back to the profile's hand-model × unit-scale conversion for
-        uncalibrated solvers); without a profile, the registry's raw
-        hand-fit cost units (consistent *relative* costs still pack
-        well); ``1.0`` when nothing is known — which degenerates the
-        pack to the historic stripe.
+        Each task costs its solver's registry ``cost_model`` at the
+        task graph's ``(n, m)``, in the registry's cost units
+        (consistent *relative* costs are all packing needs); ``1.0``
+        when nothing is known, which degenerates the pack to the
+        historic stripe.
         """
         registry = registry if registry is not None else self.registry
-        profile = self.cost_profile
 
         def cost(task: SolveTask) -> float:
             try:
@@ -414,32 +398,11 @@ class Engine:
                 return 1.0
             n = task.graph.number_of_nodes
             m = task.graph.number_of_edges
-            if profile is not None:
-                predicted = profile.predict_seconds(spec, n, m)
-                if predicted is not None:
-                    return predicted
             if spec.cost_model is not None:
                 return float(spec.cost_model(n, m))
             return 1.0
 
         return cost
-
-    def _auto_cost_fn(self, graph: WeightedGraph):
-        """Per-spec seconds estimator for ``select_auto`` — profile only.
-
-        Without a profile ``select_auto`` keeps its historic cost-unit
-        semantics (``budget`` compares against ``expected_cost``), so
-        this returns ``None`` rather than an equivalent wrapper.
-        """
-        profile = self.cost_profile
-        if profile is None:
-            return None
-        n, m = graph.number_of_nodes, graph.number_of_edges
-
-        def estimate(spec: SolverSpec) -> Optional[float]:
-            return profile.predict_seconds(spec, n, m)
-
-        return estimate
 
     # -- the task plane --------------------------------------------------
 
@@ -486,7 +449,7 @@ class Engine:
                 graph.require_connected()
                 spec = _resolve_spec(
                     registry, graph, wanted, mode=mode, epsilon=epsilon,
-                    budget=budget, cost_fn=self._auto_cost_fn(graph),
+                    budget=budget,
                 )
             except ReproError as exc:
                 raise AlgorithmError(f"solve_batch: graph #{index}: {exc}") from exc
@@ -586,25 +549,9 @@ class Engine:
         MutationLog` with incremental index/hash maintenance, and
         ``session.solve()`` skips the solver when a cut certificate
         proves the cached result still stands.
-
-        With a :class:`~repro.exec.calibrate.CostProfile` attached
-        (and no explicit ``patch_budget=``), the session's patch
-        budget defaults to the calibrated patch-vs-rebuild break-even
-        for this graph's index size — patches stop where a rebuild
-        is measurably cheaper, instead of always patching.
         """
         from ..dynamic.session import DynamicSession
 
-        if (
-            "patch_budget" not in knobs
-            and self.cost_profile is not None
-            and self.cost_profile.dynamic is not None
-        ):
-            calibrated = self.cost_profile.patch_budget_for(
-                graph.index().directed_edge_count
-            )
-            if calibrated is not None:
-                knobs["patch_budget"] = calibrated
         return DynamicSession(self, graph, **knobs)
 
     # -- warm start ------------------------------------------------------
@@ -645,8 +592,7 @@ class Engine:
         options: dict[str, Any],
     ) -> CutResult:
         spec = _resolve_spec(
-            registry, graph, solver, mode=mode, epsilon=epsilon, budget=budget,
-            cost_fn=self._auto_cost_fn(graph),
+            registry, graph, solver, mode=mode, epsilon=epsilon, budget=budget
         )
         if solver == "auto":
             budget = None  # consumed by selection; the pick runs at default effort
@@ -728,18 +674,15 @@ def _resolve_spec(
     mode: str,
     epsilon: Optional[float],
     budget: Optional[float] = None,
-    cost_fn=None,
 ) -> SolverSpec:
     """Resolve ``solver`` (a name or ``"auto"``) to an applicable spec.
 
     ``budget`` only steers the auto policy (expected-cost ceiling); a
-    named solver receives it as its effort cap instead.  ``cost_fn``
-    (from an engine with a calibrated profile) re-denominates the
-    ceiling in predicted wall seconds.
+    named solver receives it as its effort cap instead.
     """
     if solver == "auto":
         return registry.select_auto(
-            graph, mode=mode, epsilon=epsilon, budget=budget, cost_fn=cost_fn
+            graph, mode=mode, epsilon=epsilon, budget=budget
         )
     spec = registry.get(solver)
     reason = spec.inapplicable_reason(graph, mode=mode, epsilon=epsilon)

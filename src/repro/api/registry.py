@@ -222,7 +222,6 @@ class SolverRegistry:
         mode: str = "reference",
         epsilon: Optional[float] = None,
         budget: Optional[float] = None,
-        cost_fn: Optional[Callable[[SolverSpec], Optional[float]]] = None,
     ) -> SolverSpec:
         """The ``solver="auto"`` policy: pick by capability and budget.
 
@@ -240,12 +239,6 @@ class SolverRegistry:
         skipped.  When every modelled candidate is over budget, the
         cheapest applicable one is chosen — the policy degrades quality,
         it never refuses.
-
-        ``cost_fn`` replaces the cost estimate per candidate —
-        ``cost_fn(spec) -> cost-or-None`` — letting an engine with a
-        calibrated :class:`~repro.exec.calibrate.CostProfile` attached
-        express ``budget`` in predicted *wall seconds* instead of
-        abstract cost units (same skip/degrade semantics).
         """
         preferred = ("approx",) if epsilon is not None else ("exact",)
         candidates = self.applicable(
@@ -262,10 +255,7 @@ class SolverRegistry:
                 f"mode={mode!r}, epsilon={epsilon!r}"
             )
         if budget is not None:
-            estimate = cost_fn if cost_fn is not None else (
-                lambda spec: spec.expected_cost(graph)
-            )
-            costs = {spec.name: estimate(spec) for spec in candidates}
+            costs = {spec.name: spec.expected_cost(graph) for spec in candidates}
             affordable = [
                 spec
                 for spec in candidates

@@ -29,10 +29,6 @@ Commands
                a cache's contents, and — for segment stores
                (:mod:`repro.store`) — ``compact`` under a retention
                policy, ``gc`` dead records, ``segments`` breakdown.
-``calibrate``  measure registered solvers over a generator grid, fit
-               their cost models against wall time, and write a
-               versioned ``CostProfile`` artifact for
-               ``--cost-profile`` / ``$REPRO_COST_PROFILE``.
 ``config``     show the effective configuration (defaults + config
                file + environment) as JSON — the debugging tool for
                the precedence chain.
@@ -95,16 +91,12 @@ from .core import one_respecting_min_cut_congest
 from .errors import ReproError
 from .exec import (
     BACKENDS,
-    CostProfile,
     Executor,
     ResultCache,
     load_cache_file,
     resolve_backend,
-    resolve_cost_profile,
-    run_calibration,
 )
 from .exec.cache import CACHE_SCHEMA_VERSION
-from .exec.calibrate import PROFILE_SCHEMA_VERSION, REPRO_COST_PROFILE_ENV
 from .graphs import (
     WeightedGraph,
     build_family,
@@ -166,22 +158,15 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="persistent result cache: a *.json file or a segment-store "
              "directory (implies --cache)",
     )
-    parser.add_argument(
-        "--cost-profile",
-        default=None,
-        metavar="PATH",
-        help="calibrated CostProfile (see `repro calibrate`) for "
-             f"cost-aware shard/chunk packing (default: ${REPRO_COST_PROFILE_ENV})",
-    )
 
 
 def _build_engine(args: argparse.Namespace) -> Engine:
     """One :class:`Engine` from the precedence chain.
 
     :func:`repro.config.load_config` supplies the file + environment
-    layers (``--config`` / ``$REPRO_CONFIG``, ``$REPRO_BACKEND``,
-    ``$REPRO_COST_PROFILE``); the execution flags are overlaid on top,
-    so a flag the user typed always beats the file and the env.  With
+    layers (``--config`` / ``$REPRO_CONFIG``, ``$REPRO_BACKEND``); the
+    execution flags are overlaid on top, so a flag the user typed
+    always beats the file and the env.  With
     ``backend = "remote"`` and a ``[remote]`` section naming workers or
     a manager, the engine comes back with a ready
     :class:`~repro.exec.remote.RemoteExecutor` attached.
@@ -191,7 +176,6 @@ def _build_engine(args: argparse.Namespace) -> Engine:
     config = load_config(getattr(args, "config", None)).merged(
         engine={
             "backend": args.backend,
-            "cost_profile": args.cost_profile,
             "cache": args.cache_file or (True if args.cache else None),
         }
     )
@@ -493,19 +477,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_solvers(args: argparse.Namespace) -> int:
     registry = default_registry()
-    profile = (
-        CostProfile.load(args.profile)
-        if getattr(args, "profile", None)
-        else resolve_cost_profile(None)
-    )
-
-    def _fitted_seconds(spec):
-        if profile is None:
-            return None
-        if spec.max_nodes is not None and spec.max_nodes < 100:
-            return None
-        return profile.predict_seconds(spec, 100, 300)
-
     if args.json:
         solvers = [
             {
@@ -526,16 +497,12 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
             }
             for spec in registry
         ]
-        if profile is not None:
-            for spec, entry in zip(registry, solvers):
-                entry["fitted_seconds_at_100_300"] = _fitted_seconds(spec)
-                entry["calibration"] = profile.status(spec)
         print(json.dumps({"solvers": solvers}, indent=2, sort_keys=True))
         return 0
     yn = {True: "yes", False: "-"}
     rows = []
     for spec in registry:
-        row = [
+        rows.append([
             spec.name,
             spec.kind,
             spec.guarantee,
@@ -550,24 +517,13 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
             if spec.cost_model and (spec.max_nodes is None or spec.max_nodes >= 100)
             else "-",
             spec.summary,
-        ]
-        if profile is not None:
-            fitted = _fitted_seconds(spec)
-            # Fitted wall seconds at the same reference instance, with
-            # the calibration status (a stale flag means the registered
-            # hand model changed since `repro calibrate` last ran).
-            row.insert(7, f"{fitted:.2e}" if fitted is not None else "-")
-            row.insert(8, profile.status(spec))
-        rows.append(row)
-    headers = [
-        "name", "kind", "guarantee", "congest", "random", "max n",
-        "cost@(100,300)", "summary",
-    ]
-    if profile is not None:
-        headers[7:7] = ["fitted s@(100,300)", "calibration"]
+        ])
     print(
         format_table(
-            headers,
+            [
+                "name", "kind", "guarantee", "congest", "random", "max n",
+                "cost@(100,300)", "summary",
+            ],
             rows,
             title=f"{len(registry)} registered solvers (use with --solver NAME)",
         )
@@ -590,7 +546,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "max_nodes": args.max_nodes,
             "max_batch": args.max_batch,
             "backend": args.backend,
-            "cost_profile": args.cost_profile,
             "cache_file": args.cache_file,
             "warm_start": args.warm_start,
             "access_log": args.access_log,
@@ -611,7 +566,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_body_bytes=sc.max_body_bytes,
         max_sessions=sc.max_sessions,
         backend=sc.backend,
-        cost_profile=sc.cost_profile,
         queue_depth=depth,
         retry_after=sc.retry_after,
         worker_ttl=sc.worker_ttl,
@@ -944,65 +898,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    families = [part.strip() for part in args.families.split(",") if part.strip()]
-    sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
-    started = time.perf_counter()
-    report = run_calibration(
-        solvers=args.solver or None,
-        families=families,
-        sizes=sizes,
-        seed=args.seed,
-        repeats=args.repeats,
-        max_hand_cost=args.max_cost,
-        include_dynamic=not args.no_dynamic,
-    )
-    elapsed = time.perf_counter() - started
-    profile = report.profile
-    registry = default_registry()
-    print(
-        format_table(
-            [
-                "solver", "samples", "R^2", "fitted rel err",
-                "hand rel err", "s/cost-unit", "status",
-            ],
-            profile.rows(registry),
-            title=(
-                f"calibration — families {','.join(families)}, "
-                f"sizes {','.join(str(s) for s in sizes)}, "
-                f"{len(report.samples)} measurement(s) in {elapsed:.1f}s"
-            ),
-        )
-    )
-    fitted = [
-        model for model in profile.models.values()
-        if model.hand_rel_error is not None
-    ]
-    improved = sum(
-        1 for model in fitted if model.rel_error <= model.hand_rel_error
-    )
-    print(
-        f"\nfit quality       : fitted beats scaled hand model on "
-        f"{improved}/{len(fitted)} solver(s)"
-    )
-    if profile.dynamic is not None:
-        dyn = profile.dynamic
-        print(
-            f"dynamic costs     : patch {dyn.patch_slot_seconds:.2e} s/slot, "
-            f"rebuild {dyn.rebuild_edge_seconds:.2e} s/edge "
-            f"(patch_budget at m=1000: {profile.patch_budget_for(1000)})"
-        )
-    if report.skipped:
-        print(f"skipped           : {len(report.skipped)} (solver, instance) pair(s)")
-    path = profile.save(args.out)
-    print(
-        f"wrote {path}: schema {PROFILE_SCHEMA_VERSION}, "
-        f"{len(profile.models)} fitted model(s) "
-        f"(use --cost-profile {path} or export {REPRO_COST_PROFILE_ENV}={path})"
-    )
-    return 0
-
-
 def _ies(count: int) -> str:
     return "y" if count == 1 else "ies"
 
@@ -1134,50 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the registry as JSON instead of a table",
     )
-    p_solvers.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="show fitted wall-time cost and calibration status from "
-             f"this CostProfile (default: ${REPRO_COST_PROFILE_ENV} if set)",
-    )
     p_solvers.set_defaults(handler=_cmd_solvers)
-
-    p_calibrate = sub.add_parser(
-        "calibrate",
-        help="fit solver cost models against measured wall time",
-    )
-    p_calibrate.add_argument(
-        "--out", default="cost_profile.json", metavar="PATH",
-        help="CostProfile artifact to write (default: cost_profile.json)",
-    )
-    p_calibrate.add_argument(
-        "--families", default="gnp,grid",
-        help="comma-separated generator families for the grid",
-    )
-    p_calibrate.add_argument(
-        "--sizes", default="12,16,24,32",
-        help="comma-separated instance sizes for the grid",
-    )
-    p_calibrate.add_argument(
-        "--solver", action="append",
-        choices=sorted(default_registry().names()),
-        help="calibrate only these solvers (repeatable; default: all "
-             "non-heavy registered solvers)",
-    )
-    p_calibrate.add_argument("--seed", type=int, default=0)
-    p_calibrate.add_argument(
-        "--repeats", type=int, default=2,
-        help="measurements per (solver, instance); best-of is fitted",
-    )
-    p_calibrate.add_argument(
-        "--max-cost", type=float, default=5e7,
-        help="skip (solver, instance) pairs whose hand model predicts "
-             "more than this many cost units",
-    )
-    p_calibrate.add_argument(
-        "--no-dynamic", action="store_true",
-        help="skip the dynamic-graph patch-vs-rebuild calibration",
-    )
-    p_calibrate.set_defaults(handler=_cmd_calibrate)
 
     p_serve = sub.add_parser(
         "serve", help="run the JSON-over-HTTP solve service"
@@ -1234,11 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge this cache file or store directory into the shared "
              "cache before serving "
              "(repeatable; see `repro cache merge`)",
-    )
-    p_serve.add_argument(
-        "--cost-profile", default=None, metavar="PATH",
-        help="calibrated CostProfile for the server engine's packing "
-             f"and budget decisions (default: ${REPRO_COST_PROFILE_ENV})",
     )
     p_serve.add_argument(
         "--register", default=None, metavar="URL",

@@ -16,10 +16,11 @@ Precedence — one rule, applied everywhere::
 * *CLI flag* — ``repro --config repro.toml serve --port 9000`` serves
   on 9000 regardless of what the file says.  Flags are overlaid via
   :meth:`ReproConfig.merged`.
-* *environment* — ``$REPRO_BACKEND``, ``$REPRO_COST_PROFILE``,
-  ``$REPRO_CONFIG`` and the ``$REPRO_CACHE_MAX_*`` bounds overlay the
-  file at :func:`load_config` time.  Remote workers have no variable:
-  they come from the ``[remote]`` section or an explicit argument.
+* *environment* — ``$REPRO_BACKEND``, ``$REPRO_CONFIG`` and the
+  ``$REPRO_CACHE_MAX_*`` bounds overlay the file at
+  :func:`load_config` time.  Remote workers and the cost model have no
+  variable: workers come from the ``[remote]`` section or an explicit
+  argument, and packing always uses the registry's cost models.
 * *config file* — TOML (``repro.toml``) or JSON, with ``[engine]``,
   ``[serve]``, ``[remote]`` and ``[cache]`` sections.  Unknown
   sections or keys are a :class:`~repro.errors.ConfigError`, not a
@@ -64,7 +65,6 @@ from .errors import ConfigError
 REPRO_CONFIG_ENV = "REPRO_CONFIG"
 
 _BACKEND_ENV = "REPRO_BACKEND"
-_COST_PROFILE_ENV = "REPRO_COST_PROFILE"
 _CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 _CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 _CACHE_MAX_AGE_ENV = "REPRO_CACHE_MAX_AGE"
@@ -85,7 +85,6 @@ class EngineConfig:
     seed: int = 0
     budget: Optional[int] = None
     cache: Union[bool, str, None] = None
-    cost_profile: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class ServeConfig:
     max_body_bytes: Optional[int] = 32 * 1024 * 1024
     max_sessions: Optional[int] = 32
     backend: Optional[str] = None
-    cost_profile: Optional[str] = None
     cache_file: Optional[str] = None
     warm_start: tuple = ()
     access_log: Optional[str] = None
@@ -141,7 +139,6 @@ class RemoteConfig:
     manager: Optional[str] = None
     timeout: float = 300.0
     max_shard: Optional[int] = None
-    plan: str = "cost"
     health_interval: float = 1.0
 
 
@@ -281,7 +278,6 @@ _ENGINE_FIELDS = {
     "seed": _int,
     "budget": _opt(_int),
     "cache": _cache,
-    "cost_profile": _opt(_str),
 }
 
 _SERVE_FIELDS = {
@@ -296,7 +292,6 @@ _SERVE_FIELDS = {
     "max_body_bytes": _opt(_int),
     "max_sessions": _opt(_int),
     "backend": _opt(_str),
-    "cost_profile": _opt(_str),
     "cache_file": _opt(_str),
     "warm_start": _paths,
     "access_log": _opt(_str),
@@ -311,7 +306,6 @@ _REMOTE_FIELDS = {
     "manager": _opt(_str),
     "timeout": _float,
     "max_shard": _opt(_int),
-    "plan": _choice("cost", "stripe"),
     "health_interval": _float,
 }
 
@@ -422,10 +416,7 @@ def load_config(
     )
     if env:
         config = config.merged(
-            engine={
-                "backend": os.environ.get(_BACKEND_ENV) or None,
-                "cost_profile": os.environ.get(_COST_PROFILE_ENV) or None,
-            },
+            engine={"backend": os.environ.get(_BACKEND_ENV) or None},
             cache={
                 "max_entries": _env_number(_CACHE_MAX_ENTRIES_ENV, int),
                 "max_bytes": _env_number(_CACHE_MAX_BYTES_ENV, int),

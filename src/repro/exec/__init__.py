@@ -18,12 +18,8 @@ every sweep workload; this package is the layer that scales it:
 * :mod:`~repro.exec.plan` — :func:`pack_tasks`, the deterministic LPT
   planner the ``process`` and ``remote`` backends share for cost-aware
   chunk/shard packing (uniform costs degenerate to the historic
-  round-robin stripe).
-* :mod:`~repro.exec.calibrate` — the measured-cost loop:
-  :func:`run_calibration` fits each solver's hand cost model against
-  measured ``wall_time`` and persists a versioned :class:`CostProfile`
-  (``repro calibrate``), loadable via ``Engine(cost_profile=...)`` or
-  ``$REPRO_COST_PROFILE`` so packing happens in predicted wall seconds.
+  round-robin stripe).  Costs come from the solver registry's
+  ``cost_model`` metadata, the one cost model in :mod:`repro`.
 * :mod:`~repro.exec.cache` — :class:`CacheKey` (graph content hash +
   solver knobs) and :class:`ResultCache`, an LRU with an optional
   persistence tier: a single versioned JSON file, or — when ``path``
@@ -60,15 +56,6 @@ from .cache import (
     ResultCache,
     load_cache_file,
 )
-from .calibrate import (
-    PROFILE_SCHEMA_VERSION,
-    REPRO_COST_PROFILE_ENV,
-    CostProfile,
-    DynamicCosts,
-    FittedModel,
-    resolve_cost_profile,
-    run_calibration,
-)
 from .plan import PackPlan, pack_tasks
 from .task import SolveTask, run_task, run_task_captured
 
@@ -76,16 +63,11 @@ __all__ = [
     "BACKENDS",
     "CACHE_SCHEMA_VERSION",
     "CacheKey",
-    "CostProfile",
-    "DynamicCosts",
     "Executor",
-    "FittedModel",
     "MergeCounts",
-    "PROFILE_SCHEMA_VERSION",
     "PackPlan",
     "ProcessExecutor",
     "REPRO_BACKEND_ENV",
-    "REPRO_COST_PROFILE_ENV",
     "ResultCache",
     "SerialExecutor",
     "SolveTask",
@@ -93,8 +75,6 @@ __all__ = [
     "pack_tasks",
     "register_backend",
     "resolve_backend",
-    "resolve_cost_profile",
-    "run_calibration",
     "run_task",
     "run_task_captured",
 ]

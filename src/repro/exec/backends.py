@@ -108,9 +108,8 @@ class Executor:
     #: consumed by backends that pack work (``process`` chunks, ``remote``
     #: shards) via :func:`repro.exec.plan.pack_tasks`.  ``None`` means
     #: uniform costs (the historic stripe).  The engine assigns one built
-    #: from the registry's cost models — or a calibrated
-    #: :class:`~repro.exec.calibrate.CostProfile` — before dispatch,
-    #: unless the caller already set their own.
+    #: from the registry's cost models before dispatch, unless the caller
+    #: already set their own.
     cost_fn = None
 
     #: Diagnostic snapshot of the most recent packing decision (a

@@ -26,9 +26,7 @@ Two properties make the planner safe to put under every backend:
   whether or not a cost model is attached.
 
 Costs come from an optional ``cost_fn(task) -> float``; the engine
-builds one from the solver registry's ``cost_model`` metadata — or,
-when a measured :class:`~repro.exec.calibrate.CostProfile` is attached,
-from fitted wall-second predictions (see :mod:`repro.exec.calibrate`).
+builds one from the solver registry's ``cost_model`` metadata.
 Non-finite or negative predictions are clamped to zero rather than
 allowed to corrupt the heap order.
 """
@@ -50,9 +48,8 @@ class PackPlan:
     ``assignments[b]`` holds bin ``b``'s task indices in ascending
     order (the order the bin's owner executes them); ``costs[i]`` is
     task ``i``'s predicted cost and ``loads[b]`` the bin's predicted
-    total.  Predicted units are whatever the cost function spoke —
-    wall seconds under a calibrated profile, relative cost units from
-    the hand-fit models otherwise.
+    total.  Predicted units are whatever the cost function spoke — the
+    registry's relative cost units for the engine's cost function.
     """
 
     assignments: tuple[tuple[int, ...], ...]

@@ -12,7 +12,8 @@ The shape is exactly the seam PR 4 recorded — "a shard router is a
   attached cost function, so predicted work — not task count — is what
   balances; without a cost function the pack degenerates *exactly* to
   the historic round-robin stripe (task ``i`` homes on worker
-  ``i % W``), selectable explicitly via ``plan="stripe"``.
+  ``i % W``); ``cost_fn=lambda task: 1.0`` asks for that stripe
+  explicitly.
 * **Streaming dispatch** — each bin is split into a queue of chunks
   and every worker gets its own dispatcher thread: post a chunk (one
   HTTP ``/solve_batch`` carrying the tasks' frozen per-task seeds and
@@ -114,16 +115,11 @@ class RemoteExecutor(Executor):
         sub-chunked to this size, keeping requests under the workers'
         ``--max-batch`` limit up front (over-limit requests still
         recover via the per-task fallback, just more slowly).
-    plan:
-        ``"cost"`` (default) packs shards by predicted cost via the
-        attached :attr:`~repro.exec.backends.Executor.cost_fn`;
-        ``"stripe"`` forces the historic uniform round-robin stripe
-        (also what ``"cost"`` degenerates to with no cost function).
     cost_fn:
-        Optional explicit ``cost_fn(task) -> float``.  Normally left
-        unset: the engine attaches one (registry cost models, or a
-        calibrated :class:`~repro.exec.calibrate.CostProfile`) before
-        dispatch.
+        Optional explicit ``cost_fn(task) -> float`` packing shards by
+        predicted cost.  Normally left unset: the engine attaches its
+        registry cost models before dispatch.  A uniform cost
+        (``lambda task: 1.0``) gives the historic round-robin stripe.
     pool:
         Optional :class:`~repro.service.pool.WorkerPool` for
         health-driven membership; mid-sweep joiners are picked up by
@@ -136,30 +132,21 @@ class RemoteExecutor(Executor):
 
     name = "remote"
 
-    _PLAN_MODES = ("cost", "stripe")
-
     def __init__(
         self,
         workers: Optional[Sequence[str]] = None,
         *,
         timeout: float = 300.0,
         max_shard: Optional[int] = None,
-        plan: str = "cost",
         cost_fn=None,
         pool=None,
         backoff_limit: float = 30.0,
     ) -> None:
         if max_shard is not None and max_shard < 1:
             raise AlgorithmError(f"max_shard must be >= 1, got {max_shard}")
-        if plan not in self._PLAN_MODES:
-            raise AlgorithmError(
-                f"unknown shard plan {plan!r}; choose one of "
-                f"{', '.join(self._PLAN_MODES)}"
-            )
         self.workers = [str(url).rstrip("/") for url in workers] if workers else None
         self.timeout = float(timeout)
         self.max_shard = max_shard
-        self.plan = plan
         self.cost_fn = cost_fn
         self.pool = pool
         self.backoff_limit = float(backoff_limit)
@@ -198,7 +185,6 @@ class RemoteExecutor(Executor):
             config.workers or None if pool is None else None,
             timeout=config.timeout,
             max_shard=config.max_shard,
-            plan=config.plan,
             pool=pool,
         )
 
@@ -250,9 +236,7 @@ class RemoteExecutor(Executor):
             )
         if not tasks:
             return []
-        urls = self._membership()
-        cost_fn = self.cost_fn if self.plan == "cost" else None
-        return self._run_stream(tasks, urls, cost_fn)
+        return self._run_stream(tasks, self._membership(), self.cost_fn)
 
     # -- streaming dispatch (max-of-shards latency) ----------------------
 

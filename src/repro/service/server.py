@@ -120,11 +120,8 @@ class ServiceConfig:
     (each pins a live graph + index in server memory); opening one more
     answers 429 until a session is closed.  ``backend`` is the default
     execution backend for ``/solve_batch`` when the request does not
-    name one (``None`` defers to ``$REPRO_BACKEND`` / serial).
-    ``cost_profile`` is a path to a calibrated
-    :class:`~repro.exec.calibrate.CostProfile` for the server engine
-    (cost-aware chunk packing, seconds-denominated budgets; ``None``
-    defers to ``$REPRO_COST_PROFILE``).
+    name one (``None`` defers to ``$REPRO_BACKEND`` / serial); its
+    chunks are packed by the registry's cost models.
 
     ``queue_depth`` bounds solver-path requests concurrently queued or
     running: one more gets a structured 429 telling the client to come
@@ -140,7 +137,6 @@ class ServiceConfig:
     max_body_bytes: Optional[int] = 32 * 1024 * 1024
     max_sessions: Optional[int] = 32
     backend: Optional[str] = None
-    cost_profile: Optional[str] = None
     queue_depth: Optional[int] = 32
     retry_after: float = 1.0
     worker_ttl: float = 15.0
@@ -168,7 +164,6 @@ class ReproService:
             registry=registry,
             cache=cache if cache is not None else ResultCache(),
             backend=self.config.backend,
-            cost_profile=self.config.cost_profile,
         )
         self.warm_start_adopted = (
             self.engine.warm_start(*warm_start) if warm_start else 0

@@ -20,6 +20,25 @@ class TestParser:
         assert args.family == "gnp"
         assert args.mode == "reference"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate"],
+            ["solvers", "--profile", "profile.json"],
+            ["sweep", "--cost-profile", "profile.json"],
+            ["compare", "--cost-profile", "profile.json"],
+            ["serve", "--cost-profile", "profile.json"],
+        ],
+        ids=["calibrate", "solvers-profile", "sweep-cost-profile",
+             "compare-cost-profile", "serve-cost-profile"],
+    )
+    def test_fitted_cost_model_surfaces_rejected(self, argv, capsys):
+        # No subcommand or flag loads a fitted cost profile any more.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
 
 class TestCommands:
     def test_exact_reference(self, capsys):
@@ -152,6 +171,27 @@ class TestJsonOutput:
         )
         assert all("guarantee" in spec for spec in payload["solvers"])
         assert set(payload) == {"solvers"}
+
+    def test_solvers_json_cost_is_the_registry_model(self, capsys):
+        # The cost column samples each registry model at (n, m) =
+        # (100, 300), the units `solve(..., budget=...)` trades on.
+        import json
+
+        from repro.api import default_registry
+
+        assert main(["solvers", "--json"]) == 0
+        listed = {
+            spec["name"]: spec["cost_at_100_300"]
+            for spec in json.loads(capsys.readouterr().out)["solvers"]
+        }
+        for spec in default_registry():
+            if spec.cost_model is None or (
+                spec.max_nodes is not None and spec.max_nodes < 100
+            ):
+                assert listed[spec.name] is None, spec.name
+            else:
+                assert listed[spec.name] == int(spec.cost_model(100, 300))
+        assert any(cost is not None for cost in listed.values())
 
     def test_cache_stats_json(self, tmp_path, capsys):
         import json

@@ -32,7 +32,6 @@ def _clean_env(monkeypatch):
     for var in (
         REPRO_CONFIG_ENV,
         "REPRO_BACKEND",
-        "REPRO_COST_PROFILE",
         "REPRO_CACHE_MAX_ENTRIES",
         "REPRO_CACHE_MAX_BYTES",
         "REPRO_CACHE_MAX_AGE",
@@ -170,11 +169,18 @@ class TestStrictness:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("serve", "server", "threading"), ("remote", "dispatch", "block")],
+        [
+            ("serve", "server", "threading"),
+            ("remote", "dispatch", "block"),
+            ("engine", "cost_profile", "profile.json"),
+            ("serve", "cost_profile", "profile.json"),
+            ("remote", "plan", "stripe"),
+        ],
     )
     def test_retired_keys_are_unknown(self, tmp_path, section, key, value):
-        # The threading transport and block dispatch are gone; files
-        # that still name them get the ordinary unknown-key error.
+        # The threading transport, block dispatch, the fitted cost
+        # profile and the shard-plan knob are gone; files that still
+        # name them get the ordinary unknown-key error.
         path = tmp_path / "c.toml"
         path.write_text(f'[{section}]\n{key} = "{value}"\n')
         with pytest.raises(ConfigError, match=rf"unknown config key {section}\.{key}"):
@@ -188,6 +194,14 @@ class TestStrictness:
 
 
 class TestPrecedence:
+    def test_cost_profile_variable_is_ignored(self, tmp_path, monkeypatch):
+        # The registry cost models are the only cost model: no variable
+        # loads a profile, so even a path to a missing file is inert.
+        monkeypatch.setenv("REPRO_COST_PROFILE", str(tmp_path / "absent.json"))
+        engine = Engine()
+        assert not hasattr(engine, "cost_profile")
+        assert not hasattr(load_config().engine, "cost_profile")
+
     def test_env_beats_file(self, tmp_path, monkeypatch):
         path = write_toml(tmp_path)
         monkeypatch.setenv("REPRO_BACKEND", "serial")
@@ -291,11 +305,10 @@ class TestEngineFromConfig:
 class TestRemoteExecutorFromConfig:
     def test_static_workers(self):
         executor = RemoteExecutor.from_config(
-            RemoteConfig(workers=("http://w1:8101",), timeout=9.0, plan="stripe")
+            RemoteConfig(workers=("http://w1:8101",), timeout=9.0)
         )
         assert executor.workers == ["http://w1:8101"]
         assert executor.timeout == 9.0
-        assert executor.plan == "stripe"
         assert executor.pool is None
 
     def test_manager_becomes_a_started_pool(self):

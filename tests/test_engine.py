@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 from repro.api import CutResult, Engine, default_engine, solve, solve_batch
+from repro.api.registry import SolverRegistry
 from repro.errors import AlgorithmError, DisconnectedGraphError
 from repro.exec import (
     BACKENDS,
@@ -20,10 +21,11 @@ from repro.exec import (
     ResultCache,
     SerialExecutor,
     load_cache_file,
+    pack_tasks,
     register_backend,
     resolve_backend,
 )
-from repro.exec.task import run_task_captured
+from repro.exec.task import SolveTask, run_task_captured
 from repro.graphs import WeightedGraph, build_family
 
 
@@ -188,6 +190,131 @@ class TestTaskPlane:
         assert _identity(engine.solve_tasks(tasks)) == _identity(
             engine.solve_batch(graphs, "stoer_wagner")
         )
+
+    def test_task_cost_fn_packs_in_registry_cost_units(self):
+        engine = Engine()
+        graph = build_family("gnp", 12, seed=1)
+        tasks = engine.build_batch_tasks([graph], solver="karger")
+        cost = engine.task_cost_fn()
+        spec = engine.registry.get("karger")
+        assert cost(tasks[0]) == pytest.approx(
+            spec.cost_model(graph.number_of_nodes, graph.number_of_edges)
+        )
+
+    def test_dynamic_session_leaves_patch_budget_default(self):
+        graph = build_family("gnp", 16, seed=3)
+        session = Engine().dynamic_session(graph)
+        assert session.indexer.patch_budget is None
+
+
+def _registry_with_costs(unmodelled=False):
+    registry = SolverRegistry()
+
+    @registry.register(
+        "cheap", kind="exact", guarantee="exact", cost_model=lambda n, m: 10.0 * m
+    )
+    def _cheap(graph, **kw):  # pragma: no cover - never run
+        raise AssertionError
+
+    @registry.register(
+        "pricy",
+        kind="exact",
+        guarantee="exact",
+        priority=1,
+        cost_model=lambda n, m: 1000.0 * m,
+    )
+    def _pricy(graph, **kw):  # pragma: no cover - never run
+        raise AssertionError
+
+    if unmodelled:
+        # Never skipped by a budget, so only the cost-function test has it.
+        @registry.register("unmodelled", kind="exact", guarantee="exact")
+        def _unmodelled(graph, **kw):  # pragma: no cover - never run
+            raise AssertionError
+
+    return registry
+
+
+class TestOneCostModel:
+    """The registry ``cost_model`` is the only cost model.
+
+    Budgets, shard packing and dynamic sessions all read it directly;
+    there is no fitted profile to load, so no variable or keyword can
+    swap in a second one.
+    """
+
+    def test_engine_rejects_cost_profile_keyword(self):
+        with pytest.raises(TypeError, match="cost_profile"):
+            Engine(cost_profile="profile.json")
+
+    @pytest.mark.parametrize("section", ["EngineConfig", "ServeConfig"])
+    def test_config_has_no_cost_profile_field(self, section):
+        import repro.config
+
+        with pytest.raises(TypeError, match="cost_profile"):
+            getattr(repro.config, section)(cost_profile="profile.json")
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", "[]", json.dumps({"schema": 2, "entries": {}})],
+        ids=["missing", "invalid-json", "list", "foreign-kind"],
+    )
+    def test_profile_variable_is_inert(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "profile.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        monkeypatch.setenv("REPRO_COST_PROFILE", str(path))
+        engine = Engine()
+        graph = build_family("gnp", 12, seed=1)
+        (task,) = engine.build_batch_tasks([graph], solver="stoer_wagner")
+        spec = engine.registry.get("stoer_wagner")
+        assert engine.task_cost_fn()(task) == pytest.approx(
+            spec.cost_model(graph.number_of_nodes, graph.number_of_edges)
+        )
+
+    def test_task_cost_fn_unmodelled_solver_costs_one(self):
+        registry = _registry_with_costs(unmodelled=True)
+        graph = build_family("gnp", 12, seed=0)
+        cost = Engine(registry=registry).task_cost_fn()
+        modelled = SolveTask(graph=graph, solver="cheap")
+        assert cost(modelled) == pytest.approx(10.0 * graph.number_of_edges)
+        assert cost(SolveTask(graph=graph, solver="unmodelled")) == 1.0
+        assert cost(SolveTask(graph=graph, solver="no_such_solver")) == 1.0
+
+    def test_task_cost_fn_plan_isolates_the_heaviest_task(self):
+        engine = Engine()
+        graphs = [build_family("gnp", 40, seed=0)] + _graphs(
+            5, family="gnp", n=10
+        )
+        tasks = engine.build_batch_tasks(graphs, solver="stoer_wagner")
+        plan = pack_tasks(tasks, 2, engine.task_cost_fn())
+        assert sorted(i for ix in plan.assignments for i in ix) == list(
+            range(len(tasks))
+        )
+        assert (0,) in plan.assignments
+
+    def test_explicit_patch_budget_is_honoured(self):
+        graph = build_family("gnp", 16, seed=3)
+        session = Engine().dynamic_session(graph, patch_budget=7)
+        assert session.indexer.patch_budget == 7
+
+    def test_select_auto_budget_in_cost_units(self):
+        registry = _registry_with_costs()
+        graph = build_family("gnp", 12, seed=0)
+        m = graph.number_of_edges
+        # Without a budget the priority tie-break prefers "pricy".
+        assert registry.select_auto(graph).name == "pricy"
+        # A budget between the two models' costs rules "pricy" out.
+        assert registry.select_auto(graph, budget=100.0 * m).name == "cheap"
+        # Everything over budget: degrade to the cheapest, not refuse.
+        assert registry.select_auto(graph, budget=1.0).name == "cheap"
+
+    def test_select_auto_rejects_cost_fn_keyword(self):
+        graph = build_family("gnp", 12, seed=0)
+        with pytest.raises(TypeError, match="cost_fn"):
+            _registry_with_costs().select_auto(
+                graph, budget=1.0, cost_fn=lambda spec: 0.0
+            )
 
 
 class TestBackendRegistry:

@@ -96,6 +96,30 @@ class TestTopLevelExports:
             assert hasattr(mod, name), f"{module}.{name} missing"
             assert name in mod.__all__
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "CostProfile",
+            "FittedModel",
+            "DynamicCosts",
+            "run_calibration",
+            "resolve_cost_profile",
+            "REPRO_COST_PROFILE_ENV",
+        ],
+    )
+    def test_exec_has_no_fitted_cost_model(self, name):
+        # The registry cost models are the only cost model.
+        import repro.exec
+
+        assert not hasattr(repro.exec, name)
+        assert name not in repro.exec.__all__
+
+    def test_calibrate_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.exec.calibrate")
+
     def test_every_module_has_docstring(self):
         import importlib
         import pkgutil

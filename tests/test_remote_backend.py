@@ -230,8 +230,9 @@ class TestCostPlanning:
         urls, _ = workers
         graphs = self._skewed_graphs()
         serial = solve_batch(graphs, "stoer_wagner")
-        cost_exec = RemoteExecutor(urls, plan="cost")
-        stripe_exec = RemoteExecutor(urls, plan="stripe")
+        cost_exec = RemoteExecutor(urls)
+        # A uniform cost function asks for the historic round-robin stripe.
+        stripe_exec = RemoteExecutor(urls, cost_fn=lambda task: 1.0)
         assert _identity(
             solve_batch(graphs, "stoer_wagner", backend=cost_exec)
         ) == _identity(serial)
@@ -239,10 +240,15 @@ class TestCostPlanning:
             solve_batch(graphs, "stoer_wagner", backend=stripe_exec)
         ) == _identity(serial)
         assert cost_exec.last_plan["plan"] == "cost"
-        assert stripe_exec.last_plan["plan"] == "stripe"
+        assert stripe_exec.last_plan["loads"] == [4.0, 3.0]  # 7 tasks, i % 2
         # The engine attached its registry cost function, so the cost
         # plan saw non-uniform predictions and isolated the heavy tasks.
         assert len(set(cost_exec.last_plan["loads"])) > 1
+
+    def test_plan_keyword_is_gone(self):
+        # A stripe is a uniform cost function, not a separate mode.
+        with pytest.raises(TypeError, match="plan"):
+            RemoteExecutor(["http://127.0.0.1:9"], plan="stripe")
 
     def test_last_plan_records_prediction_and_actuals(self, workers):
         urls, _ = workers
@@ -263,13 +269,9 @@ class TestCostPlanning:
         serial = solve_batch(graphs, "stoer_wagner")
         servers[0].shutdown()
         servers[0].server_close()
-        executor = RemoteExecutor(urls, plan="cost")
+        executor = RemoteExecutor(urls)
         remote = solve_batch(graphs, "stoer_wagner", backend=executor)
         assert _identity(remote) == _identity(serial)
-
-    def test_unknown_plan_mode_rejected(self):
-        with pytest.raises(AlgorithmError, match="unknown shard plan"):
-            RemoteExecutor(["http://127.0.0.1:9"], plan="greedy")
 
     def test_explicit_cost_fn_wins_over_engine(self, workers):
         urls, _ = workers
