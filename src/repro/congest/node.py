@@ -46,6 +46,7 @@ class NodeContext:
         "_active",
         "_ticks",
         "_max_words",
+        "_relays",
     )
 
     def __init__(self, network, i: int) -> None:
@@ -65,6 +66,8 @@ class NodeContext:
         self._active: list[int] = network._active
         self._ticks: set = network._ticks
         self._max_words: int = network.max_words_per_message
+        # Forwarders built by relay(), by (targets, word budget).
+        self._relays: dict[tuple, Callable[[Message], None]] = {}
 
     # -- knowledge ------------------------------------------------------
     def edge_weight(self, neighbor: NodeId) -> float:
@@ -137,12 +140,27 @@ class NodeContext:
         """A prevalidated forwarder of received messages over a fixed
         neighbour set.
 
-        Validates ``neighbors`` once and returns ``relay(message)``,
-        which enqueues ``message`` itself, unchanged, on every target
-        edge.  Streaming relays (downcast, flood) call it once per hop on
-        the hot path, so the edge lookups are done here and not per
-        call.  The forwarder is valid for the current phase.
+        Returns ``relay(message)``, which enqueues ``message`` itself,
+        unchanged, on every target edge.  Streaming relays (downcast,
+        flood) call it once per hop on the hot path, so the edge lookups
+        are done once, when the forwarder is built, and not per call.
+
+        Forwarders are cached on the context, keyed by the target tuple
+        and the word budget in force, so a program that asks for the
+        same targets in every phase (a tree primitive's children or
+        parent) gets the same forwarder back without rebuilding it.  A
+        forwarder is valid for the network's lifetime; one asked for
+        after ``strict`` changes checks the new budget.
         """
+        key = (tuple(neighbors), self._max_words)
+        forwarder = self._relays.get(key)
+        if forwarder is None:
+            forwarder = self._relays[key] = self._build_relay(*key)
+        return forwarder
+
+    def _build_relay(
+        self, neighbors: tuple, max_words: int
+    ) -> Callable[[Message], None]:
         own = self._edge_ids
         try:
             edge_ids = [own[v] for v in neighbors]
@@ -152,7 +170,20 @@ class NodeContext:
         queues = self._queues
         active = self._active
         node = self.node
-        max_words = self._max_words
+        if len(edge_ids) == 1:  # a parent, or a path's one child
+            (edge,) = edge_ids
+
+            def _relay_one(message: Message) -> None:
+                if message.words > max_words:
+                    check_message_size(message, max_words)  # raises
+                queue = queues[edge]
+                if not queue:
+                    if queue is None:
+                        queue = queues[edge] = deque()
+                    active.append(edge)
+                queue.append((node, message))
+
+            return _relay_one
 
         def _relay(message: Message) -> None:
             if message.words > max_words:
@@ -191,8 +222,13 @@ class NodeProgram:
     Subclasses override :meth:`on_start` (round 0 initialisation; may
     send) and :meth:`on_round` (invoked whenever messages arrive, with
     the inbox of ``(sender, message)`` pairs delivered this round).
-    Instance attributes are the node's phase-local state.
+    Instance attributes are the node's phase-local state.  The base
+    class has no instance dict of its own, so a subclass that declares
+    ``__slots__`` builds with none; one that does not keeps its
+    ``__dict__`` as usual.
     """
+
+    __slots__ = ()
 
     def on_start(self, ctx: NodeContext) -> None:
         """One-time initialisation before the first round."""

@@ -47,11 +47,12 @@ def fragment_tree_items(ctx: NodeContext, tree: TreeSpec = SPANNING_TREE):
     own id)`` — which simultaneously publishes the fragment-tree edge and
     the fragment root's identity.
     """
-    parent = tree.parent(ctx)
-    my_frag = ctx.memory["frag:id"]
+    memory = ctx.memory
+    parent = memory.get(tree.parent_key)
+    my_frag = memory["frag:id"]
     if parent is None:
         return [(my_frag, NONE_FRAG, ctx.node)]
-    parent_frag = ctx.memory["frag:nbr"][parent]
+    parent_frag = memory["frag:nbr"][parent]
     if parent_frag != my_frag:
         return [(my_frag, parent_frag, ctx.node)]
     return []
@@ -95,10 +96,12 @@ def hanging_fragment_items(ctx: NodeContext, tree: TreeSpec = SPANNING_TREE):
     """Initial items of the intra-fragment upcast: the child fragments
     hanging directly below this node (one item per inter-fragment child
     edge)."""
-    my_frag = ctx.memory["frag:id"]
+    memory = ctx.memory
+    my_frag = memory["frag:id"]
+    nbr_frag = memory["frag:nbr"]
     items = []
-    for child in tree.children(ctx):
-        child_frag = ctx.memory["frag:nbr"][child]
+    for child in memory.get(tree.children_key, ()):
+        child_frag = nbr_frag[child]
         if child_frag != my_frag:
             items.append((child_frag,))
     return items
@@ -121,6 +124,28 @@ def install_fragments_below(ctx_memory: dict, hang_key: str) -> None:
 # ----------------------------------------------------------------------
 # Step 2: scoped ancestor downcast  →  A(v)
 # ----------------------------------------------------------------------
+def _scope_children(ctx_memory: dict, tree: TreeSpec = SPANNING_TREE) -> dict:
+    """Local: ``{fragment: children}`` — the tree children to which
+    information about a node of that fragment is forwarded.
+
+    Child ``c`` is in scope for fragment ``F`` when ``F`` is ``c``'s own
+    fragment or its parent fragment (the scope rule in the module
+    docstring).  Each list keeps the children's order, so a forward to
+    it enqueues exactly as a scan of the children would; the downcasts
+    build the map once per phase instead of rescanning per item.
+    """
+    tf_parent = ctx_memory["or:tf"]
+    nbr_frag = ctx_memory["frag:nbr"]
+    scope: dict = {}
+    for child in ctx_memory.get(tree.children_key, ()):
+        child_frag = nbr_frag[child]
+        parent_frag = tf_parent.get(child_frag)
+        scope.setdefault(child_frag, []).append(child)
+        if parent_frag != child_frag:
+            scope.setdefault(parent_frag, []).append(child)
+    return scope
+
+
 class AncestorDowncast(NodeProgram):
     """Every node learns ``A(v)`` as ``(ancestor, fragment, hops)``.
 
@@ -132,31 +157,33 @@ class AncestorDowncast(NodeProgram):
     OUT_KEY = "or:A"
     KIND = "anc"
 
+    __slots__ = ("tree", "_record", "_scope")
+
     def __init__(self, tree: TreeSpec = SPANNING_TREE) -> None:
         self.tree = tree
 
     def on_start(self, ctx: NodeContext) -> None:
-        my_frag = ctx.memory["frag:id"]
-        ctx.memory[self.OUT_KEY] = [(ctx.node, my_frag, 0)]
-        self._forward(ctx, ctx.node, my_frag, 0)
+        memory = ctx.memory
+        my_frag = memory["frag:id"]
+        self._scope = scope = _scope_children(memory, self.tree)
+        self._record = memory[self.OUT_KEY] = [(ctx.node, my_frag, 0)]
+        targets = scope.get(my_frag)
+        if targets:
+            ctx.multicast(targets, self.KIND, ctx.node, my_frag, 1)
 
     def on_round(self, ctx: NodeContext, inbox: Inbox) -> None:
+        record = self._record
+        scope = self._scope
+        kind = self.KIND
         for _src, msg in inbox:
-            if msg.kind != self.KIND:
+            if msg.kind != kind:
                 continue
-            ancestor, frag_a, hops = msg.payload
-            ctx.memory[self.OUT_KEY].append((ancestor, frag_a, hops))
-            self._forward(ctx, ancestor, frag_a, hops)
-
-    def _forward(self, ctx: NodeContext, ancestor, frag_a, hops) -> None:
-        tf_parent = ctx.memory["or:tf"]
-        nbr_frag = ctx.memory["frag:nbr"]
-        in_scope = [
-            child
-            for child in self.tree.children(ctx)
-            if frag_a == nbr_frag[child] or frag_a == tf_parent.get(nbr_frag[child])
-        ]
-        ctx.multicast(in_scope, self.KIND, ancestor, frag_a, hops + 1)
+            entry = msg.payload
+            record.append(entry)
+            ancestor, frag_a, hops = entry
+            targets = scope.get(frag_a)
+            if targets:
+                ctx.multicast(targets, kind, ancestor, frag_a, hops + 1)
 
 
 # ----------------------------------------------------------------------
@@ -177,38 +204,42 @@ class LowestHolderDowncast(NodeProgram):
     OUT_KEY = "or:holder"
     KIND = "hold"
 
+    __slots__ = ("tree", "_holder", "_own_f", "_scope")
+
     def __init__(self, tree: TreeSpec = SPANNING_TREE) -> None:
         self.tree = tree
 
     def on_start(self, ctx: NodeContext) -> None:
-        my_frag = ctx.memory["frag:id"]
+        memory = ctx.memory
         holder: dict = {}
-        ctx.memory[self.OUT_KEY] = holder
-        for frag_below in ctx.memory["or:F"]:
-            holder[frag_below] = (ctx.node, my_frag, 0)
-            self._forward(ctx, ctx.node, my_frag, frag_below, 0)
+        self._holder = memory[self.OUT_KEY] = holder
+        self._own_f = own_f = memory["or:F"]
+        self._scope = scope = _scope_children(memory, self.tree)
+        if not own_f:
+            return
+        node = ctx.node
+        my_frag = memory["frag:id"]
+        targets = scope.get(my_frag)
+        for frag_below in own_f:
+            holder[frag_below] = (node, my_frag, 0)
+            if targets:
+                ctx.multicast(targets, self.KIND, node, my_frag, frag_below, 1)
 
     def on_round(self, ctx: NodeContext, inbox: Inbox) -> None:
-        holder = ctx.memory[self.OUT_KEY]
-        own_f = ctx.memory["or:F"]
+        holder = self._holder
+        own_f = self._own_f
+        scope = self._scope
+        kind = self.KIND
         for _src, msg in inbox:
-            if msg.kind != self.KIND:
+            if msg.kind != kind:
                 continue
             u_prime, frag_u, frag_below, hops = msg.payload
             if frag_below in own_f:
                 continue  # a strictly lower holder (this node) exists
             holder[frag_below] = (u_prime, frag_u, hops)
-            self._forward(ctx, u_prime, frag_u, frag_below, hops)
-
-    def _forward(self, ctx: NodeContext, u_prime, frag_u, frag_below, hops) -> None:
-        tf_parent = ctx.memory["or:tf"]
-        nbr_frag = ctx.memory["frag:nbr"]
-        in_scope = [
-            child
-            for child in self.tree.children(ctx)
-            if frag_u == nbr_frag[child] or frag_u == tf_parent.get(nbr_frag[child])
-        ]
-        ctx.multicast(in_scope, self.KIND, u_prime, frag_u, frag_below, hops + 1)
+            targets = scope.get(frag_u)
+            if targets:
+                ctx.multicast(targets, kind, u_prime, frag_u, frag_below, hops + 1)
 
 
 # ----------------------------------------------------------------------
@@ -221,14 +252,17 @@ class ContainsFragmentBit(NodeProgram):
 
     KIND = "cfb"
 
+    __slots__ = ("tree", "_loaded_children")
+
     def __init__(self, tree: TreeSpec = SPANNING_TREE) -> None:
         self.tree = tree
         self._loaded_children = 0
 
     def on_start(self, ctx: NodeContext) -> None:
-        ctx.memory["or:is_merging"] = False
-        parent = self.tree.parent(ctx)
-        if parent is not None and ctx.memory["or:contains_fragment"]:
+        memory = ctx.memory
+        memory["or:is_merging"] = False
+        parent = memory.get(self.tree.parent_key)
+        if parent is not None and memory["or:contains_fragment"]:
             ctx.send(parent, self.KIND)
 
     def on_round(self, ctx: NodeContext, inbox: Inbox) -> None:

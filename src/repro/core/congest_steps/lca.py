@@ -33,6 +33,7 @@ Each node ends with ``memory["or:lca"] = {neighbour: EdgeLCA}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ...errors import ProtocolError
 from ...congest.node import Inbox, NodeContext, NodeProgram
@@ -44,9 +45,15 @@ TYPE_FRAGMENT = 2
 """ρ-message type (ii): the holder shares the LCA's fragment."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EdgeLCA:
-    """Resolved LCA bookkeeping for one incident edge."""
+    """Resolved LCA bookkeeping for one incident edge.
+
+    A value by convention: nothing assigns to it after the exchange
+    commits it.  Slotted rather than frozen, because the exchange builds
+    one per incident edge and a frozen dataclass pays a guarded
+    ``object.__setattr__`` per field.
+    """
 
     lca: object
     lca_fragment: object
@@ -55,24 +62,30 @@ class EdgeLCA:
     weight: float
 
 
+#: ``_EdgeState.verdict`` before the peer's verdict arrives.
+_PENDING = object()
+
+
 class _EdgeState:
-    """Per-neighbour buffers while an edge's exchange is in flight."""
+    """Per-neighbour state while an edge's exchange is in flight.
 
-    __slots__ = (
-        "their_chain",
-        "chain_done",
-        "their_skeleton",
-        "skeleton_done",
-        "their_verdict",
-        "resolved",
-    )
+    A same-fragment neighbour streams its within-fragment ancestor chain
+    and a cross-fragment one its skeleton chain; ``stream`` buffers
+    whichever it is and ``done`` marks its end.  ``mine`` is this
+    endpoint's own case-3 verdict on a cross-fragment edge (None when
+    it has none), and ``verdict`` the peer's: the LCA it announced,
+    None for "no verdict", or ``_PENDING``.
+    """
 
-    def __init__(self) -> None:
-        self.their_chain: list = []
-        self.chain_done = False
-        self.their_skeleton: list = []
-        self.skeleton_done = False
-        self.their_verdict = None  # None = not received; ("z", id) / ("none",)
+    __slots__ = ("frag", "cross", "mine", "stream", "done", "verdict", "resolved")
+
+    def __init__(self, frag, cross: bool, mine) -> None:
+        self.frag = frag
+        self.cross = cross
+        self.mine = mine
+        self.stream: list = []
+        self.done = False
+        self.verdict = _PENDING
         self.resolved = False
 
 
@@ -81,50 +94,49 @@ class LCAExchange(NodeProgram):
 
     OUT_KEY = "or:lca"
 
-    def __init__(self) -> None:
-        self._edges: dict = {}
-        self._my_chain_map: dict = {}
-        self._my_frag = None
+    __slots__ = ("_edges", "_out", "_my_frag", "_my_chain_map", "_my_skeleton")
 
     # ------------------------------------------------------------------
     def on_start(self, ctx: NodeContext) -> None:
-        ctx.memory[self.OUT_KEY] = {}
-        self._my_frag = ctx.memory["frag:id"]
-        self._my_chain_map = {
+        memory = ctx.memory
+        self._out = memory[self.OUT_KEY] = {}
+        my_frag = self._my_frag = memory["frag:id"]
+        chain_map = self._my_chain_map = {
             ancestor: hops
-            for ancestor, frag_a, hops in ctx.memory["or:A"]
-            if frag_a == self._my_frag
+            for ancestor, frag_a, hops in memory["or:A"]
+            if frag_a == my_frag
         }
-        holder_map = ctx.memory["or:holder"]
-        skeleton_chain = ctx.memory["or:skeleton_chain"]
-        nbr_frag = ctx.memory["frag:nbr"]
+        self._my_skeleton = None  # built on the first case-2 edge
+        holder_map = memory["or:holder"]
+        nbr_frag = memory["frag:nbr"]
         # Group neighbours by the stream they receive: the chain and
         # skeleton streams are identical for every target, so each item
         # is one multicast message shared across those edges (each edge
         # still carries every item — the per-edge FIFO order, and hence
         # the exchange, is unchanged).
+        edges = self._edges = {}
         same_fragment: list = []
         needs_skeleton: list = []
         for v in ctx.neighbors:
-            self._edges[v] = _EdgeState()
             v_frag = nbr_frag[v]
-            if v_frag == self._my_frag:
+            if v_frag == my_frag:
+                edges[v] = _EdgeState(v_frag, False, None)
                 same_fragment.append(v)
+                continue
+            verdict = holder_map.get(v_frag)
+            if verdict is not None and verdict[1] == my_frag:
+                edges[v] = _EdgeState(v_frag, True, verdict[0])
+                ctx.send(v, "vd", verdict[0])
             else:
-                verdict = holder_map.get(v_frag)
-                if verdict is not None and verdict[1] == self._my_frag:
-                    ctx.send(v, "vd", verdict[0])
-                else:
-                    needs_skeleton.append(v)
+                edges[v] = _EdgeState(v_frag, True, None)
+                needs_skeleton.append(v)
         if same_fragment:
-            for ancestor, hops in sorted(
-                self._my_chain_map.items(), key=lambda kv: kv[1]
-            ):
+            for ancestor, hops in sorted(chain_map.items(), key=itemgetter(1)):
                 ctx.multicast(same_fragment, "ch", ancestor, hops)
             ctx.multicast(same_fragment, "che")
         if needs_skeleton:
             ctx.multicast(needs_skeleton, "vdn")
-            for skeleton_node in skeleton_chain:
+            for skeleton_node in memory["or:skeleton_chain"]:
                 ctx.multicast(needs_skeleton, "sk", skeleton_node)
             ctx.multicast(needs_skeleton, "ske")
 
@@ -139,40 +151,31 @@ class LCAExchange(NodeProgram):
             kind = msg.kind
             state = edges[src]
             if kind == "ch":
-                state.their_chain.append(msg.payload)
+                state.stream.append(msg.payload)
             elif kind == "sk":
-                state.their_skeleton.append(msg.payload[0])
-            elif kind == "che":
-                state.chain_done = True
-                self._maybe_resolve(ctx, src, state)
-            elif kind == "ske":
-                state.skeleton_done = True
-                self._maybe_resolve(ctx, src, state)
-            elif kind == "vd":
-                state.their_verdict = ("z", msg.payload[0])
-                self._maybe_resolve(ctx, src, state)
-            elif kind == "vdn":
-                state.their_verdict = ("none",)
-                self._maybe_resolve(ctx, src, state)
+                state.stream.append(msg.payload[0])
             else:
-                raise ProtocolError(f"unexpected message kind {kind!r}")
+                if kind == "che" or kind == "ske":
+                    state.done = True
+                elif kind == "vd":
+                    state.verdict = msg.payload[0]
+                elif kind == "vdn":
+                    state.verdict = None
+                else:
+                    raise ProtocolError(f"unexpected message kind {kind!r}")
+                if not state.resolved:
+                    if state.cross:
+                        self._resolve_cross_fragment(ctx, src, state)
+                    elif state.done:
+                        self._resolve_same_fragment(ctx, src, state)
 
     # ------------------------------------------------------------------
-    def _maybe_resolve(self, ctx: NodeContext, v, state: _EdgeState) -> None:
-        if state.resolved:
-            return
-        v_frag = ctx.memory["frag:nbr"][v]
-        if v_frag == self._my_frag:
-            if state.chain_done:
-                self._resolve_same_fragment(ctx, v, state)
-        else:
-            self._resolve_cross_fragment(ctx, v, v_frag, state)
-
     def _resolve_same_fragment(self, ctx: NodeContext, v, state: _EdgeState) -> None:
+        chain_map = self._my_chain_map
         common = [
             (hops_theirs, ancestor)
-            for ancestor, hops_theirs in state.their_chain
-            if ancestor in self._my_chain_map
+            for ancestor, hops_theirs in state.stream
+            if ancestor in chain_map
         ]
         if not common:
             raise ProtocolError(
@@ -180,42 +183,36 @@ class LCAExchange(NodeProgram):
                 f"({ctx.node!r}, {v!r}); fragments must be connected"
             )
         hops_theirs, lca = min(common)
-        hops_mine = self._my_chain_map[lca]
+        hops_mine = chain_map[lca]
         if hops_mine != hops_theirs:
             i_hold = hops_mine > hops_theirs
         else:
             i_hold = _node_order(ctx.node) < _node_order(v)
         self._commit(ctx, v, lca, self._my_frag, TYPE_FRAGMENT, i_hold, state)
 
-    def _resolve_cross_fragment(
-        self, ctx: NodeContext, v, v_frag, state: _EdgeState
-    ) -> None:
-        holder_map = ctx.memory["or:holder"]
-        my_verdict = holder_map.get(v_frag)
-        mine_decides = my_verdict is not None and my_verdict[1] == self._my_frag
-        if mine_decides:
-            if state.their_verdict is not None and state.their_verdict[0] == "z":
+    def _resolve_cross_fragment(self, ctx: NodeContext, v, state: _EdgeState) -> None:
+        verdict = state.verdict
+        if state.mine is not None:
+            if verdict is not _PENDING and verdict is not None:
                 raise ProtocolError(
                     f"both endpoints of ({ctx.node!r}, {v!r}) claim the LCA"
                 )
             self._commit(
-                ctx, v, my_verdict[0], self._my_frag, TYPE_FRAGMENT, True, state
+                ctx, v, state.mine, self._my_frag, TYPE_FRAGMENT, True, state
             )
             return
-        if state.their_verdict is None:
+        if verdict is _PENDING:
             return
-        if state.their_verdict[0] == "z":
-            self._commit(
-                ctx, v, state.their_verdict[1], v_frag, TYPE_FRAGMENT, False, state
-            )
+        if verdict is not None:
+            self._commit(ctx, v, verdict, state.frag, TYPE_FRAGMENT, False, state)
             return
         # Case 2: both verdicts empty — need the full skeleton chain.
-        if not state.skeleton_done:
+        if not state.done:
             return
-        my_skeleton = set(ctx.memory["or:skeleton_chain"])
-        lca = next(
-            (s for s in state.their_skeleton if s in my_skeleton), None
-        )
+        my_skeleton = self._my_skeleton
+        if my_skeleton is None:
+            my_skeleton = self._my_skeleton = set(ctx.memory["or:skeleton_chain"])
+        lca = next((s for s in state.stream if s in my_skeleton), None)
         if lca is None:
             raise ProtocolError(
                 f"no common skeleton ancestor on edge ({ctx.node!r}, {v!r})"
@@ -228,13 +225,7 @@ class LCAExchange(NodeProgram):
         self, ctx: NodeContext, v, lca, lca_frag, message_type, i_hold, state
     ) -> None:
         state.resolved = True
-        ctx.memory[self.OUT_KEY][v] = EdgeLCA(
-            lca=lca,
-            lca_fragment=lca_frag,
-            message_type=message_type,
-            i_am_holder=i_hold,
-            weight=ctx.edge_weight(v),
-        )
+        self._out[v] = EdgeLCA(lca, lca_frag, message_type, i_hold, ctx.edge_weight(v))
 
 
 def _node_order(node):

@@ -24,8 +24,10 @@ class BFSTreeBuild(NodeProgram):
 
     After quiescence every node's memory holds, under ``spec``'s keys,
     its parent (None at the root), its list of children, and its depth;
-    ``spec.prefix + ":root"`` records the root id.
+    ``spec.root_key`` records the root id.
     """
+
+    __slots__ = ("root", "spec", "_decided")
 
     def __init__(self, root: NodeId, spec: TreeSpec = BFS_TREE) -> None:
         self.root = root
@@ -33,34 +35,45 @@ class BFSTreeBuild(NodeProgram):
         self._decided = False
 
     def on_start(self, ctx: NodeContext) -> None:
-        ctx.memory[self.spec.children_key] = []
-        ctx.memory[f"{self.spec.prefix}:root"] = self.root
+        memory = ctx.memory
+        spec = self.spec
+        memory[spec.children_key] = []
+        memory[spec.root_key] = self.root
         if ctx.node == self.root:
             self._decided = True
-            ctx.memory[self.spec.parent_key] = None
-            ctx.memory[self.spec.depth_key] = 0
+            memory[spec.parent_key] = None
+            memory[spec.depth_key] = 0
             ctx.broadcast("bfs", 0)
 
     def on_round(self, ctx: NodeContext, inbox: Inbox) -> None:
-        offers = [(msg.payload[0], src) for src, msg in inbox if msg.kind == "bfs"]
+        # One pass: record adopting children in inbox order, and pick
+        # the first smallest (depth, sender) offer.
+        decided = self._decided
+        best = None
         for src, msg in inbox:
-            if msg.kind == "adopt":
+            kind = msg.kind
+            if kind == "bfs":
+                if not decided:
+                    offer = _offer_order(msg.payload[0], src)
+                    if best is None or offer < best[0]:
+                        best = (offer, msg.payload[0], src)
+            elif kind == "adopt":
                 ctx.memory[self.spec.children_key].append(src)
-        if self._decided or not offers:
+        if best is None:
             return
-        depth, parent = min(offers, key=_offer_order)
+        _order, depth, parent = best
         self._decided = True
-        ctx.memory[self.spec.parent_key] = parent
-        ctx.memory[self.spec.depth_key] = depth + 1
+        memory = ctx.memory
+        memory[self.spec.parent_key] = parent
+        memory[self.spec.depth_key] = depth + 1
         ctx.send(parent, "adopt")
         ctx.multicast(
             [v for v in ctx.neighbors if v != parent], "bfs", depth + 1
         )
 
 
-def _offer_order(offer: tuple[int, NodeId]):
-    depth, src = offer
-    return (depth, repr(src)) if not isinstance(src, int) else (depth, src)
+def _offer_order(depth: int, src: NodeId):
+    return (depth, src) if isinstance(src, int) else (depth, repr(src))
 
 
 def build_bfs_tree(network, root: Optional[NodeId] = None, spec: TreeSpec = BFS_TREE):

@@ -49,6 +49,8 @@ class Convergecast(NodeProgram):
 
     KIND = "cc"
 
+    __slots__ = ("spec", "initial", "combine", "out_key", "_pending", "_acc")
+
     def __init__(
         self,
         spec: TreeSpec,
@@ -60,41 +62,37 @@ class Convergecast(NodeProgram):
         self.initial = initial
         self.combine = combine
         self.out_key = out_key
-        self._pending: set = set()
-        self._acc: Any = None
 
     def on_start(self, ctx: NodeContext) -> None:
-        self._pending = set(self.spec.children(ctx))
+        self._pending = set(ctx.memory.get(self.spec.children_key, ()))
         self._acc = self.initial(ctx)
         if not self._pending:
             self._finish(ctx)
 
     def on_round(self, ctx: NodeContext, inbox: Inbox) -> None:
+        pending = self._pending
         for src, msg in inbox:
             if msg.kind != self.KIND:
                 continue
-            if src not in self._pending:
+            if src not in pending:
                 raise ValueError(
                     f"convergecast value from unexpected child {src!r} at "
                     f"{ctx.node!r}"
                 )
-            self._pending.discard(src)
-            self._acc = self.combine(self._acc, _decode(msg.payload[0]))
-        if not self._pending and self._acc is not None:
+            pending.discard(src)
+            self._acc = self.combine(self._acc, msg.payload[0])
+        if not pending and self._acc is not None:
             self._finish(ctx)
 
     def _finish(self, ctx: NodeContext) -> None:
-        ctx.memory[self.out_key] = self._acc
-        ctx.output(self.out_key, self._acc)
-        parent = self.spec.parent(ctx)
+        acc = self._acc
+        ctx.memory[self.out_key] = acc
+        ctx.output(self.out_key, acc)
+        parent = ctx.memory.get(self.spec.parent_key)
         if parent is not None:
-            ctx.send(parent, self.KIND, _encode(self._acc))
+            ctx.send(parent, self.KIND, _encode(acc))
         self._acc = None  # guard against double finish
 
 
 def _encode(value):
     return tuple(value) if isinstance(value, (list, tuple)) else value
-
-
-def _decode(value):
-    return value

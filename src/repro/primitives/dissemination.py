@@ -17,10 +17,22 @@ These are the pipelined O(depth + k) building blocks of the paper:
   the tree ``T'_F``).
 
 Items are tuples of scalars (O(1) words each).
+
+Cost notes.  Gossip phases are the library's most frequent: Theorem 2.1
+runs six gossips per tree, 12 of its 24 phases, and in the upcast half
+most nodes neither send nor receive.  So the per-node setup is what a
+gossip phase mostly costs, and it is kept to a few memory reads: both
+programs are slotted, read the tree keys from memory directly, and take
+their forwarder from the context's relay cache, which returns the same
+one in every phase with the same children or parent; an upcast node
+asks for it only when it first forwards.  On the hot path a
+received payload is recorded as is (it is already a tuple) and the
+message object itself is relayed, so a hop builds only its FIFO entry.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterable
 
 from ..congest.network import CongestNetwork
@@ -29,12 +41,6 @@ from .bfs import BFS_TREE, build_bfs_tree
 from .treespec import TreeSpec
 
 ItemsFn = Callable[[NodeContext], Iterable[tuple]]
-
-
-def _as_item(payload: tuple) -> tuple:
-    # Message payloads are already tuples; this is documentation-level
-    # typing, not a copy.
-    return payload
 
 
 class DowncastItems(NodeProgram):
@@ -48,21 +54,21 @@ class DowncastItems(NodeProgram):
 
     KIND = "dc"
 
+    __slots__ = ("spec", "items", "out_key", "_record_append", "_relay")
+
     def __init__(self, spec: TreeSpec, items: ItemsFn, out_key: str = "dc:items") -> None:
         self.spec = spec
         self.items = items
         self.out_key = out_key
-        self._children: list = []
-        self._record_append = None
-        self._relay = None
 
     def on_start(self, ctx: NodeContext) -> None:
-        record = ctx.memory.setdefault(self.out_key, [])
+        memory = ctx.memory
+        record = memory.setdefault(self.out_key, [])
         # The tree is static for the phase: read it once, and bind the
-        # per-hop operations (record, validated relay) once — on_round
-        # runs once per delivered item, the hottest program path in the
-        # library.
-        self._children = children = self.spec.children(ctx)
+        # per-hop operations (record, cached relay) once — on_round runs
+        # once per delivered item, the hottest program path in the
+        # library.  A payload is already a tuple, so it is recorded as is.
+        children = memory.get(self.spec.children_key, ())
         self._record_append = record.append
         self._relay = ctx.relay(children) if children else None
         for item in self.items(ctx):
@@ -76,11 +82,11 @@ class DowncastItems(NodeProgram):
         if relay is None:  # leaf: record only
             for _src, msg in inbox:
                 if msg.kind == kind:
-                    record_append(_as_item(msg.payload))
+                    record_append(msg.payload)
             return
         for _src, msg in inbox:
             if msg.kind == kind:
-                record_append(_as_item(msg.payload))
+                record_append(msg.payload)
                 relay(msg)
 
 
@@ -93,20 +99,21 @@ class UpcastUnion(NodeProgram):
 
     KIND = "uu"
 
+    __slots__ = ("spec", "items", "out_key", "_seen", "_parent", "_relay")
+
     def __init__(self, spec: TreeSpec, items: ItemsFn, out_key: str = "uu:items") -> None:
         self.spec = spec
         self.items = items
         self.out_key = out_key
-        self._parent = None
-        self._seen = None
-        self._relay = None
 
     def on_start(self, ctx: NodeContext) -> None:
         seen: set[tuple] = set()
         self._seen = seen
         ctx.memory[self.out_key] = seen
-        parent = self._parent = self.spec.parent(ctx)
-        self._relay = ctx.relay((parent,)) if parent is not None else None
+        parent = self._parent = ctx.memory.get(self.spec.parent_key)
+        # Most nodes of an upcast never forward anything: the relay to
+        # the parent is fetched on the first forward.
+        self._relay = None
         for item in self.items(ctx):
             item = tuple(item)
             if item not in seen:
@@ -116,18 +123,21 @@ class UpcastUnion(NodeProgram):
 
     def on_round(self, ctx: NodeContext, inbox: Inbox) -> None:
         seen = self._seen
-        relay = self._relay
         kind = self.KIND
-        if relay is None:  # root: dedup only
+        parent = self._parent
+        if parent is None:  # root: dedup only
             for _src, msg in inbox:
                 if msg.kind == kind:
-                    seen.add(_as_item(msg.payload))
+                    seen.add(msg.payload)
             return
+        relay = self._relay
         for _src, msg in inbox:
             if msg.kind == kind:
-                item = _as_item(msg.payload)
+                item = msg.payload
                 if item not in seen:
                     seen.add(item)
+                    if relay is None:
+                        relay = self._relay = ctx.relay((parent,))
                     relay(msg)
 
 
@@ -147,26 +157,29 @@ def gossip_items(
     O(D + k) measured rounds where k is the number of distinct items.
     """
     sample = network.memory[network.nodes[0]]
-    if build_tree_if_missing and f"{bfs_spec.prefix}:root" not in sample:
+    if build_tree_if_missing and bfs_spec.root_key not in sample:
         build_bfs_tree(network, spec=bfs_spec)
 
+    # A result keeps every phase's name in its metrics: interned, the
+    # names of repeated gossips share one string instead of one per call.
     up_key = f"{out_key}:up"
     network.run_phase(
-        f"{phase_name}:up",
+        sys.intern(f"{phase_name}:up"),
         lambda u: UpcastUnion(bfs_spec, items, out_key=up_key),
     )
 
+    parent_key = bfs_spec.parent_key
+
     def root_items(ctx: NodeContext) -> Iterable[tuple]:
-        if bfs_spec.parent(ctx) is None:
+        if ctx.memory.get(parent_key) is None:
             return sorted(ctx.memory[up_key])
         return ()
 
     down_key = f"{out_key}:down"
     network.run_phase(
-        f"{phase_name}:down",
+        sys.intern(f"{phase_name}:down"),
         lambda u: DowncastItems(bfs_spec, root_items, out_key=down_key),
     )
-    for u in network.nodes:
-        mem = network.memory[u]
+    for mem in network.memory.values():
         mem[out_key] = set(mem.pop(down_key, ()))
         mem.pop(up_key, None)

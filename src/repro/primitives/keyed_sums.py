@@ -59,6 +59,18 @@ class PipelinedKeyedSum(NodeProgram):
     VALUE_KIND = "ks"
     DONE_KIND = "ks!"
 
+    __slots__ = (
+        "spec",
+        "contributions",
+        "out_key",
+        "capture_own_key",
+        "_buffer",
+        "_heap",
+        "_watermark",
+        "_done_sent",
+        "_parent",
+    )
+
     def __init__(
         self,
         spec: TreeSpec,
@@ -70,64 +82,58 @@ class PipelinedKeyedSum(NodeProgram):
         self.contributions = contributions
         self.out_key = out_key
         self.capture_own_key = capture_own_key
-        self._buffer: dict = {}
-        self._heap: list = []
-        self._watermark: dict = {}
-        self._done_sent = False
-        self._children: list = []
-        self._parent = None
 
     def on_start(self, ctx: NodeContext) -> None:
-        self._children = list(self.spec.children(ctx))
-        self._parent = self.spec.parent(ctx)
-        self._watermark = {c: _NOTHING for c in self._children}
+        memory = ctx.memory
+        spec = self.spec
+        self._parent = memory.get(spec.parent_key)
+        self._watermark = dict.fromkeys(memory.get(spec.children_key, ()), _NOTHING)
+        self._done_sent = False
         if self.capture_own_key:
-            ctx.memory[self.out_key] = 0
+            memory[self.out_key] = 0
+        buffer = self._buffer = {}
+        heap = self._heap = []
         for key, value in self.contributions(ctx):
-            self._accumulate(key, value)
+            if key in buffer:
+                buffer[key] += value
+            else:
+                buffer[key] = value
+                heapq.heappush(heap, key)
         self._try_emit(ctx)
 
     def on_round(self, ctx: NodeContext, inbox: Inbox) -> None:
+        buffer = self._buffer
+        watermark = self._watermark
+        value_kind = self.VALUE_KIND
         for src, msg in inbox:
-            if msg.kind == self.VALUE_KIND:
+            kind = msg.kind
+            if kind == value_kind:
                 key, value = msg.payload
-                self._accumulate(key, value)
-                self._watermark[src] = key
-            elif msg.kind == self.DONE_KIND:
-                self._watermark[src] = _DONE
+                if key in buffer:
+                    buffer[key] += value
+                else:
+                    buffer[key] = value
+                    heapq.heappush(self._heap, key)
+                watermark[src] = key
+            elif kind == self.DONE_KIND:
+                watermark[src] = _DONE
         self._try_emit(ctx)
 
     # ------------------------------------------------------------------
-    def _accumulate(self, key, value) -> None:
-        if key in self._buffer:
-            self._buffer[key] += value
-        else:
-            self._buffer[key] = value
-            heapq.heappush(self._heap, key)
-
-    def _children_past(self, key) -> bool:
-        """True when every child's stream has advanced to ``key`` or
-        beyond (so no further contribution to ``key`` can arrive)."""
-        for mark in self._watermark.values():
-            if mark is _NOTHING:
-                return False
-            if mark is _DONE:
-                continue
-            if mark < key:
-                return False
-        return True
-
-    def _all_children_done(self) -> bool:
-        return all(mark is _DONE for mark in self._watermark.values())
-
     def _try_emit(self, ctx: NodeContext) -> None:
         parent = self._parent
-        while self._heap:
-            key = self._heap[0]
-            if not self._children_past(key):
-                return
-            heapq.heappop(self._heap)
-            value = self._buffer.pop(key)
+        heap = self._heap
+        buffer = self._buffer
+        marks = self._watermark.values()
+        while heap:
+            key = heap[0]
+            # Key is final once every child's stream has advanced to it
+            # or beyond, so no further contribution to it can arrive.
+            for mark in marks:
+                if mark is _NOTHING or (mark is not _DONE and mark < key):
+                    return
+            heapq.heappop(heap)
+            value = buffer.pop(key)
             if self.capture_own_key and key == ctx.node:
                 ctx.memory[self.out_key] = value
                 ctx.output(self.out_key, value)
@@ -136,7 +142,9 @@ class PipelinedKeyedSum(NodeProgram):
                 root_map[key] = value
             else:
                 ctx.send(parent, self.VALUE_KIND, key, value)
-        if not self._done_sent and self._all_children_done() and not self._buffer:
+        if not self._done_sent and not buffer and all(
+            mark is _DONE for mark in self._watermark.values()
+        ):
             self._done_sent = True
             if parent is not None:
                 ctx.send(parent, self.DONE_KIND)

@@ -27,11 +27,13 @@ class TreeSpec:
     parent_key: str = field(init=False, repr=False, compare=False)
     children_key: str = field(init=False, repr=False, compare=False)
     depth_key: str = field(init=False, repr=False, compare=False)
+    root_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parent_key", f"{self.prefix}:parent")
         object.__setattr__(self, "children_key", f"{self.prefix}:children")
         object.__setattr__(self, "depth_key", f"{self.prefix}:depth")
+        object.__setattr__(self, "root_key", f"{self.prefix}:root")
 
     def parent(self, ctx: NodeContext) -> Optional[NodeId]:
         """This node's parent in the tree (None at the root)."""

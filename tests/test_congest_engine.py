@@ -10,12 +10,14 @@ from repro.errors import (
 from repro.congest import (
     CongestNetwork,
     Message,
+    MessageTracer,
     NodeProgram,
     check_message_size,
     payload_words,
     single_message,
 )
-from repro.graphs import WeightedGraph, path_graph, star_graph
+from repro.graphs import RootedTree, WeightedGraph, cycle_graph, path_graph, star_graph
+from repro.primitives import SPANNING_TREE, DowncastItems, load_tree_into_memory
 
 
 class _Silent(NodeProgram):
@@ -392,6 +394,85 @@ class TestAbortedPhases:
         result = net.run_phase("stop", lambda u: Finish())
         assert result.output_map("stopped") == {0: 0, 1: 1, 2: 2}
         assert net.run_phase("idle", lambda u: _Silent()).metrics.rounds == 0
+
+
+class _RelayBig(NodeProgram):
+    """Node 0 relays one 50-word message to node 1; node 1 records it."""
+
+    def on_start(self, ctx):
+        if ctx.node == 0:
+            ctx.memory["forwarder"] = ctx.relay([1])
+            ctx.memory["forwarder"](Message("big", tuple(range(50))))
+
+    def on_round(self, ctx, inbox):
+        for _src, msg in inbox:
+            ctx.output("got", msg.payload)
+
+
+class TestCachedRelay:
+    """Forwarders from ``ctx.relay`` are cached for the network's lifetime."""
+
+    def test_same_targets_give_the_same_forwarder_across_phases(self):
+        net = CongestNetwork(path_graph(3))
+        seen = []
+
+        class Ask(NodeProgram):
+            def on_start(self, ctx):
+                if ctx.node == 1:
+                    seen.append((ctx.relay([0, 2]), ctx.relay((0, 2)), ctx.relay([2, 0])))
+
+        net.run_phase("a", lambda u: Ask())
+        net.reset_memory()
+        net.run_phase("b", lambda u: Ask())
+        (a1, a2, a3), (b1, _b2, b3) = seen
+        assert a1 is a2 is b1
+        assert a3 is b3 and a3 is not a1  # the target order is part of the key
+
+    def test_cached_relay_follows_strict(self):
+        net = CongestNetwork(path_graph(2), strict=False)
+        result = net.run_phase("loose", lambda u: _RelayBig())
+        assert result.output_map("got") == {1: tuple(range(50))}
+        assert result.metrics.words == 50
+        loose_forwarder = net.memory[0]["forwarder"]
+
+        net.strict = True
+        raised_in = []
+
+        class Guarded(_RelayBig):
+            def on_start(self, ctx):
+                try:
+                    super().on_start(ctx)
+                except BandwidthExceededError:
+                    raised_in.append("send")
+                    raise
+
+        with pytest.raises(BandwidthExceededError, match="50 words"):
+            net.run_phase("strict", lambda u: Guarded())
+        assert raised_in == ["send"]
+
+        net.strict = False
+        again = net.run_phase("loose-again", lambda u: _RelayBig())
+        assert again.output_map("got") == {1: tuple(range(50))}
+        assert net.memory[0]["forwarder"] is loose_forwarder
+
+    def test_relays_target_the_new_children_after_reset_memory(self):
+        graph = cycle_graph(6)
+        first = RootedTree(0, {1: 0, 2: 1, 3: 2, 4: 3, 5: 4})
+        second = RootedTree(0, {5: 0, 4: 5, 3: 4, 1: 0, 2: 1})
+        tracer = MessageTracer()
+        net = CongestNetwork(graph, tracer=tracer)
+        for name, tree in (("first", first), ("second", second)):
+            net.reset_memory()
+            load_tree_into_memory(net, tree, SPANNING_TREE)
+            net.run_phase(
+                name,
+                lambda u: DowncastItems(
+                    SPANNING_TREE, lambda ctx: [("x", 1)] if ctx.node == 0 else []
+                ),
+            )
+            hops = {(e.src, e.dst) for e in tracer.events if e.phase == name}
+            assert hops == {(p, c) for c, p in tree.edges()}
+            assert all(net.memory[u]["dc:items"] == [("x", 1)] for u in net.nodes)
 
 
 class TestMessageValue:

@@ -9,6 +9,10 @@ BFS, convergecast, pipelined keyed sums, gossip and Borůvka MST on four
 graphs, the 1-respecting min-cut sweep on two seeds, its simulated
 partition variant, and a randomized fuzzer on a fixed seed list, plus
 the same protocols on graphs with tuple and large negative node ids.
+The multi-tree cases run the sweep over several greedy packing trees
+on one reused network, as the exact solver does, so state that a
+network or a node context keeps across ``reset_memory`` shows up in
+them.
 
 The digests are as strict as comparing values directly, and stricter
 where equality is loose: floats are encoded by ``repr`` (so ``0.0`` and
@@ -43,10 +47,12 @@ from repro.graphs import (
     WeightedGraph,
     build_family,
     grid_graph,
+    random_regular_graph,
     random_spanning_tree,
     weighted_ring_of_cliques,
 )
 from repro.mst import boruvka_mst
+from repro.packing import GreedyTreePacking
 from repro.primitives import (
     BFS_TREE,
     Convergecast,
@@ -198,6 +204,35 @@ def _sweep(graph, tree, **kwargs):
     return driver
 
 
+#: Packing trees per multi-tree case (an exact/congest solve packs about 5).
+MULTI_TREES = 6
+
+
+def _multi_tree(graph):
+    """The sweep over the first greedy packing trees on one network.
+
+    Each tree's outputs carry a digest of the whole node memory right
+    after that tree, so a difference shows at the first tree it
+    touches.
+    """
+
+    def driver(net):
+        per_tree = []
+        packing = GreedyTreePacking(graph)
+        for _ in range(MULTI_TREES):
+            tree = packing.next_tree()
+            result = one_respecting_min_cut_congest(graph, tree, network=net)
+            per_tree.append((
+                result.best_value,
+                result.best_node,
+                result.cut_values,
+                digest([(u, net.memory[u]) for u in net.nodes]),
+            ))
+        return per_tree
+
+    return driver
+
+
 class RandomWalkProgram(NodeProgram):
     """A randomized, self-terminating protocol for schedule fuzzing.
 
@@ -257,6 +292,8 @@ def cases() -> dict:
         graph = build_family("gnp", 64, seed=seed)
         tree = random_spanning_tree(graph, seed=seed)
         matrix[f"one-respect/gnp-64-seed{seed}"] = (graph, _sweep(graph, tree))
+    regular = random_regular_graph(64, 4, seed=5)
+    matrix["multi-tree/regular-64"] = (regular, _multi_tree(regular))
     grid = grid_graph(7, 7)
     matrix["one-respect-partition/grid-49"] = (
         grid,
@@ -273,6 +310,7 @@ def cases() -> dict:
             protos += ("keyed-sums",)
             tree = random_spanning_tree(graph, seed=3)
             matrix[f"one-respect/{gname}"] = (graph, _sweep(graph, tree))
+            matrix[f"multi-tree/{gname}"] = (graph, _multi_tree(graph))
         for proto in protos:
             matrix[f"{proto}/{gname}"] = (graph, PROTOCOLS[proto])
         if gname != "gnp-rc-49":

@@ -38,6 +38,15 @@ class TestRunMetrics:
         assert m.total_rounds == 0
         assert m.max_message_words == 0
 
+    def test_phase_metrics_are_slotted_picklable_and_timing_free(self):
+        import pickle
+
+        p = PhaseMetrics("x", rounds=3, messages=5, words=7, wall_time=0.25)
+        assert not hasattr(p, "__dict__")
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and copy.wall_time == 0.25
+        assert p == PhaseMetrics("x", rounds=3, messages=5, words=7, wall_time=9.0)
+
     def test_phase_merge_message(self):
         p = PhaseMetrics(name="x")
         p.merge_message(3)
