@@ -607,7 +607,7 @@ class Engine:
                 return _stamp_cache(hit, cache, hit=True)
         # Only a miss checks connectivity: an entry exists only for a
         # graph some solve already required to be connected, and the key
-        # pins the graph's content, so a hit skips the GraphIndex build.
+        # pins the graph's content, so a hit skips the traversal.
         graph.require_connected()
         result = _run(
             spec, graph, epsilon=epsilon, mode=mode, seed=seed, budget=budget,

@@ -96,6 +96,11 @@ from .task import SolveTask
 #: negligible next to solver work.
 _STREAM_SPLIT = 4
 
+#: With a :class:`~repro.service.pool.WorkerPool` attached, the sweep's
+#: monitor re-reads membership at least this often (seconds) to admit
+#: mid-sweep joiners; completion itself is signalled, never polled.
+_POOL_TICK = 0.02
+
 
 class RemoteExecutor(Executor):
     """Fan ``SolveTask`` batches out across a pool of service workers.
@@ -253,6 +258,13 @@ class RemoteExecutor(Executor):
         steals its way in.  Results land by original task position, so
         the outcome list is bit-identical to a serial run no matter who
         solved what.
+
+        Completion is signalled, not polled: every chunk finished,
+        every worker death and every dispatcher exit notifies the one
+        dispatch condition, and the calling thread, blocked on it,
+        returns as soon as nothing is in flight and every queue is
+        drained.  Only a pool attachment adds a timed wake-up (every
+        ``_POOL_TICK`` seconds) to look for joiners.
         """
         chunk_cost = cost_fn if cost_fn is not None else (lambda _task: 1.0)
         # Dispatch state is keyed by URL, so a duplicated worker URL
@@ -279,6 +291,7 @@ class RemoteExecutor(Executor):
         # Shared mutable dispatch state, all guarded by ``cond``:
         state = {
             "inflight": 0,
+            "running": 0,  # dispatcher threads not yet exited
             "stolen": 0,
             "stranded": deque(),  # chunks whose worker died mid-flight
             "dead": {},  # url -> failure message
@@ -326,8 +339,8 @@ class RemoteExecutor(Executor):
                     if state["inflight"] == 0:
                         return None  # every chunk placed and finished
                     # In-flight work may still fail back onto the steal
-                    # queue; wake on completion/failure or just poll.
-                    cond.wait(0.05)
+                    # queue; its completion or failure notifies.
+                    cond.wait()
 
         def _dispatcher(url: str) -> None:
             client = self._client(url)
@@ -339,7 +352,10 @@ class RemoteExecutor(Executor):
                     started = time.perf_counter()
                     try:
                         self._shard_on_worker(client, chunk, outcomes)
-                    except ServiceError as exc:
+                    except Exception as exc:  # noqa: BLE001
+                        # A ServiceError is the worker failing; anything
+                        # else is a fault that must fail the chunk over
+                        # rather than strand it and hang the sweep.
                         with cond:
                             state["dead"][url] = f"{client.base_url}: {exc}"
                             state["inflight"] -= 1
@@ -356,8 +372,12 @@ class RemoteExecutor(Executor):
                 # ends with the sweep: close its connection rather than
                 # leave the socket to the garbage collector.
                 client.close()
+                with cond:
+                    state["running"] -= 1
+                    cond.notify_all()
 
         def _spawn(url: str) -> None:
+            """Start ``url``'s dispatcher; the caller holds ``cond``."""
             busy.setdefault(url, 0.0)
             queues.setdefault(url, deque())
             thread = threading.Thread(
@@ -365,43 +385,38 @@ class RemoteExecutor(Executor):
                 name=f"repro-stream-{len(threads)}", daemon=True,
             )
             threads[url] = thread
+            state["running"] += 1
             thread.start()
 
-        for url in queues:
-            _spawn(url)
-
-        # The monitor: watch for completion, admit mid-sweep joiners
-        # from the pool, and bound the all-workers-dead case.
+        # The monitor: wait for completion, admit mid-sweep joiners from
+        # the pool, and bound the all-workers-dead case.  Everything it
+        # waits for notifies ``cond``; only joiners need a timed wake-up.
         stranded_since: Optional[float] = None
         grace = max(3.0, 3 * getattr(self.pool, "interval", 1.0))
-        while True:
-            with cond:
-                finished = state["inflight"] == 0 and _all_drained()
-            alive = [t for t in threads.values() if t.is_alive()]
-            if finished and not alive:
-                break
-            if not finished and self.pool is not None:
-                for url in self.pool.current():
-                    if url not in threads and url not in state["dead"]:
-                        joined.append(url)
-                        _spawn(url)
-                        alive.append(threads[url])
-            if not alive:
-                if finished:
-                    break
-                # Work remains but every dispatcher is gone: without a
-                # pool nobody can join, so the leftovers are failures;
-                # with one, give a joiner a grace window to appear.
-                if self.pool is None:
-                    break
-                now = time.monotonic()
-                if stranded_since is None:
-                    stranded_since = now
-                elif now - stranded_since > grace:
-                    break
-            else:
-                stranded_since = None
-            time.sleep(0.01)
+        tick = None if self.pool is None else _POOL_TICK
+        with cond:
+            for url in list(queues):
+                _spawn(url)
+            while state["inflight"] or not _all_drained():
+                if self.pool is not None:
+                    for url in self.pool.current():
+                        if url not in threads and url not in state["dead"]:
+                            joined.append(url)
+                            _spawn(url)
+                if state["running"] == 0:
+                    # Work remains but every dispatcher is gone: without
+                    # a pool nobody can join, so the leftovers are
+                    # failures; with one, give a joiner a grace window.
+                    if self.pool is None:
+                        break
+                    now = time.monotonic()
+                    if stranded_since is None:
+                        stranded_since = now
+                    elif now - stranded_since > grace:
+                        break
+                else:
+                    stranded_since = None
+                cond.wait(tick)
         for thread in threads.values():
             thread.join()
 

@@ -57,6 +57,7 @@ class WeightedGraph:
         self._version = 0
         self._index_cache: Optional[tuple[int, "GraphIndex"]] = None
         self._hash_cache: Optional[tuple[int, str]] = None
+        self._connected_cache: Optional[tuple[int, bool]] = None
         if edges is not None:
             for edge in edges:
                 if len(edge) == 2:
@@ -70,7 +71,7 @@ class WeightedGraph:
     # Construction
     # ------------------------------------------------------------------
     def _mutated(self) -> None:
-        """Invalidate content-derived caches (index, hash)."""
+        """Invalidate content-derived caches (index, hash, connectivity)."""
         self._version += 1
 
     def add_node(self, u: Node) -> None:
@@ -275,8 +276,8 @@ class WeightedGraph:
         Built on first access and reused until the graph mutates (any
         ``add_*``/``remove_*``/``set_edge_weight`` call invalidates it),
         so every layer of a solve — the CONGEST engine, centralized
-        distance helpers, connectivity checks — shares one flat view
-        instead of rebuilding adjacency dicts per call.
+        distance helpers, the baselines — shares one flat view instead
+        of rebuilding adjacency dicts per call.
         """
         cached = self._index_cache
         if cached is not None and cached[0] == self._version:
@@ -415,11 +416,29 @@ class WeightedGraph:
     def is_connected(self) -> bool:
         """True when the graph has exactly one connected component.
 
-        Runs on the cached :meth:`index` (one CSR BFS), so repeated
-        connectivity checks along a solve pipeline cost one traversal of
-        flat arrays instead of rebuilding neighbour lists.
+        One traversal of the adjacency map per graph version: the
+        verdict is cached next to :meth:`index` and :meth:`content_hash`
+        until the graph mutates, so the checks a solve repeats (engine,
+        packing, solver) cost one traversal, and a graph that is only
+        checked never builds a :class:`GraphIndex`.
         """
-        return len(self._adj) > 0 and self.index().is_connected()
+        cached = self._connected_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        adj = self._adj
+        connected = False
+        if adj:
+            start = next(iter(adj))
+            seen = {start}
+            stack = [start]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            connected = len(seen) == len(adj)
+        self._connected_cache = (self._version, connected)
+        return connected
 
     def require_connected(self) -> None:
         """Raise :class:`DisconnectedGraphError` unless connected."""
@@ -440,6 +459,7 @@ class WeightedGraph:
         self._version = state.get("_version", 0)
         self._index_cache = None
         self._hash_cache = None
+        self._connected_cache = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -143,8 +143,8 @@ class GraphIndex:
 
         The flat-array analogue of
         :func:`repro.graphs.properties.bfs_distances`, used by the
-        centralized diameter/eccentricity helpers and the connectivity
-        check so one shared index serves every layer of a solve.
+        centralized diameter/eccentricity helpers so one shared index
+        serves every layer of a solve.
         """
         adj_start, adj_target = self.adj_start, self.adj_target
         dist = [-1] * len(self.nodes)
@@ -173,12 +173,6 @@ class GraphIndex:
             if d > out:
                 out = d
         return out
-
-    def is_connected(self) -> bool:
-        """Connectivity via one CSR BFS (no per-node dict rebuilds)."""
-        if not self.nodes:
-            return False
-        return -1 not in self.bfs_distances_from(0)
 
 
 __all__ = ["GraphIndex"]

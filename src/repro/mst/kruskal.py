@@ -74,17 +74,31 @@ def minimum_spanning_tree(
     ranked = sorted(
         ((edge_total_order(u, v, key_fn(u, v, w)), u, v) for u, v, w in graph.edges()),
     )
-    ds = DisjointSets(graph.nodes)
+    chosen_root = root if root is not None else min(graph.nodes, key=_ord)
+    return kruskal_tree(
+        graph.nodes, ((u, v) for _rank, u, v in ranked), chosen_root
+    )
+
+
+def kruskal_tree(nodes, ranked_edges, root: Node) -> RootedTree:
+    """Kruskal's union pass over edges already sorted cheapest first.
+
+    Keeps each ``(u, v)`` of ``ranked_edges`` that joins two components
+    and roots the spanning tree at ``root``.  Shared by
+    :func:`minimum_spanning_tree` and callers that rank edges under a
+    precomputed order (greedy tree packing).
+    """
+    ds = DisjointSets(nodes)
+    needed = len(nodes) - 1
     chosen: list[tuple[Node, Node]] = []
-    for _rank, u, v in ranked:
+    for u, v in ranked_edges:
         if ds.union(u, v):
             chosen.append((u, v))
-            if len(chosen) == graph.number_of_nodes - 1:
+            if len(chosen) == needed:
                 break
-    if len(chosen) != graph.number_of_nodes - 1:
+    if len(chosen) != needed:
         raise AlgorithmError("graph is not connected; MST does not exist")
-    chosen_root = root if root is not None else min(graph.nodes, key=_ord)
-    return RootedTree.from_edges(chosen_root, chosen)
+    return RootedTree.from_edges(root, chosen)
 
 
 def tree_weight(graph: WeightedGraph, tree: RootedTree) -> float:

@@ -10,7 +10,11 @@ contains **exactly one edge** of some minimum cut — i.e. 1-respects it —
 which reduces minimum cut to the 1-respecting problem of Theorem 2.1.
 
 Ties in the MST computation are broken by the library's deterministic
-edge order, making packings reproducible.
+edge order, making packings reproducible.  That order's endpoint part
+never changes between trees, so the packing computes it once per edge
+and each tree is one sort of ``(load, lo, hi, u, v)`` rows — the exact
+order :func:`~repro.mst.kruskal.minimum_spanning_tree` would rank them
+in under the relative-load key.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections.abc import Iterator
 from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph, edge_key
 from ..graphs.trees import RootedTree
-from ..mst.kruskal import minimum_spanning_tree
+from ..mst.kruskal import _ord, kruskal_tree
 
 
 class GreedyTreePacking:
@@ -29,7 +33,9 @@ class GreedyTreePacking:
 
     Use :meth:`next_tree` (or iterate) to extend the packing lazily —
     the exact-min-cut driver consumes trees one at a time and usually
-    stops long before any theoretical bound.
+    stops long before any theoretical bound.  The edge set and weights
+    are read once, at construction: the graph must not change while
+    the packing grows.
     """
 
     def __init__(self, graph: WeightedGraph) -> None:
@@ -37,7 +43,17 @@ class GreedyTreePacking:
         if graph.number_of_nodes < 2:
             raise AlgorithmError("tree packing needs at least two nodes")
         self.graph = graph
-        self.usage: dict = {edge_key(u, v): 0 for u, v, _w in graph.edges()}
+        self.usage: dict = {}
+        # Per edge, once: its endpoint tie-break, endpoints as
+        # ``graph.edges()`` yields them, weight and usage key.
+        self._edges = []
+        for u, v, w in graph.edges():
+            key = edge_key(u, v)
+            self.usage[key] = 0
+            ou, ov = _ord(u), _ord(v)
+            lo, hi = (ou, ov) if ou <= ov else (ov, ou)
+            self._edges.append((lo, hi, u, v, w, key))
+        self._root = min(graph.nodes, key=_ord)
         self.trees: list[RootedTree] = []
 
     def relative_load(self, u, v) -> float:
@@ -45,12 +61,21 @@ class GreedyTreePacking:
         return self.usage[edge_key(u, v)] / self.graph.weight(u, v)
 
     def next_tree(self) -> RootedTree:
-        """Compute the next greedy tree and update loads."""
-        tree = minimum_spanning_tree(
-            self.graph, key=lambda u, v, w: self.relative_load(u, v)
+        """Compute the next greedy tree and update loads.
+
+        The minimum spanning tree under :meth:`relative_load`, with the
+        library's tie order, rooted at the minimum node.
+        """
+        usage = self.usage
+        ranked = sorted(
+            (usage[key] / w, lo, hi, u, v)
+            for lo, hi, u, v, w, key in self._edges
+        )
+        tree = kruskal_tree(
+            self.graph.nodes, ((row[3], row[4]) for row in ranked), self._root
         )
         for child, parent in tree.edges():
-            self.usage[edge_key(child, parent)] += 1
+            usage[edge_key(child, parent)] += 1
         self.trees.append(tree)
         return tree
 

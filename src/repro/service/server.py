@@ -39,7 +39,8 @@ Error contract: every non-2xx response is a structured JSON body
 ``{"error": {"type", "message", "status"}}`` where ``type`` is the
 :mod:`repro.errors` class name — envelope problems are 400
 (:class:`~repro.errors.ServiceError`), instances over the configured
-limits are 413, unknown paths 404, wrong verbs 405, and anything a
+limits are 413, a request head of more than ``_MAX_HEADERS`` header
+lines is 431, unknown paths 404, wrong verbs 405, and anything a
 solver raises on a validated instance is a 400 naming the library
 exception (``AlgorithmError``, ``DisconnectedGraphError``, ...).
 Backpressure is part of the contract too: past ``queue_depth``
@@ -94,6 +95,12 @@ from .protocol import (
 #: Backend names a *request* may select for the server-side fan-out.
 #: Local executors only — see the 400 in ``_handle_batch`` for why.
 _REQUEST_BACKENDS = frozenset({"serial", "process"})
+
+#: Header lines one request head may carry before it is refused (431).
+_MAX_HEADERS = 100
+
+#: Seconds a request's header lines may take, all together, to arrive.
+_HEAD_TIMEOUT = 10.0
 
 
 def _retry_after_header(payload: object) -> Optional[str]:
@@ -551,6 +558,11 @@ class AsyncHTTPServer:
     sized just above the service's ``queue_depth`` — so memory stays
     flat no matter how many clients connect, and the queue gate (429 +
     ``Retry-After``) is what says no, not thread exhaustion.
+
+    Every read is bounded in time: ``idle_timeout`` seconds for the
+    next request line of a keep-alive connection, then
+    ``_HEAD_TIMEOUT`` seconds for all of that request's header lines
+    together (a slow-header trickle is dropped, however it is paced).
     """
 
     def __init__(
@@ -658,9 +670,11 @@ class AsyncHTTPServer:
             OSError,
             asyncio.TimeoutError,
             asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
+            ValueError,  # readline's error for a line over 64 KiB
         ):
-            pass  # peer gone or idle-timed-out: just drop the connection
+            # Peer gone, idle or head timed out, or an over-long line:
+            # just drop the connection.
+            pass
         finally:
             try:
                 writer.close()
@@ -686,13 +700,21 @@ class AsyncHTTPServer:
                 writer, 400, error_body(exc, 400), False, "<malformed>"
             )
             return False
-        headers = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        request_repr = f"{method} {target} {version}"
+        # One deadline for the whole head: a timeout drops the connection.
+        headers = await asyncio.wait_for(
+            _read_headers(reader), timeout=_HEAD_TIMEOUT
+        )
+        if headers is None:
+            # The unread rest of the head makes the connection unusable.
+            exc = ServiceError(
+                f"request head has more than {_MAX_HEADERS} header lines",
+                status=431,
+            )
+            await self._write_response(
+                writer, 431, error_body(exc, 431), False, request_repr
+            )
+            return False
         try:
             length = int(headers.get("content-length") or 0)
         except ValueError:
@@ -701,7 +723,6 @@ class AsyncHTTPServer:
             version == "HTTP/1.1"
             and headers.get("connection", "").lower() != "close"
         )
-        request_repr = f"{method} {target} {version}"
         limit = self.service.config.max_body_bytes
         if limit is not None and length > limit:
             # Refuse before buffering a byte; the unread body makes the
@@ -752,6 +773,22 @@ class AsyncHTTPServer:
             stream.flush()
         except ValueError:
             pass  # the log was closed mid-shutdown
+
+
+async def _read_headers(reader) -> Optional[dict]:
+    """Header lines up to the blank line (CRLF or bare LF) or EOF.
+
+    Names are lower-cased; ``None`` once there are more than
+    ``_MAX_HEADERS`` lines.
+    """
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return None
 
 
 def create_server(

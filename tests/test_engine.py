@@ -183,6 +183,12 @@ class TestTaskPlane:
                 _graphs(2), solvers=["stoer_wagner"] * 3
             )
 
+    def test_disconnected_graph_is_named_by_index(self):
+        graphs = _graphs(3)
+        graphs.insert(2, WeightedGraph([(0, 1), (2, 3)]))
+        with pytest.raises(AlgorithmError, match="graph #2: .*connected"):
+            Engine().build_batch_tasks(graphs, solver="stoer_wagner")
+
     def test_solve_tasks_equals_solve_batch(self):
         engine = Engine()
         graphs = _graphs(4, family="gnp", n=12)

@@ -223,6 +223,73 @@ class TestConnectivity:
         assert g.is_connected()
 
 
+class TestConnectivityCache:
+    """One traversal per graph version; every content change re-checks."""
+
+    @pytest.fixture
+    def path(self):
+        return WeightedGraph([(0, 1), (1, 2), (2, 3)])
+
+    def test_verdict_is_cached_without_building_an_index(self, path):
+        assert path.is_connected()
+        assert path._connected_cache == (path._version, True)
+        assert path._index_cache is None
+
+    def test_remove_edge_disconnects(self, path):
+        assert path.is_connected()
+        path.remove_edge(1, 2)
+        assert not path.is_connected()
+        path.add_edge(1, 2)
+        assert path.is_connected()
+
+    def test_add_node_disconnects(self, path):
+        assert path.is_connected()
+        path.add_node(9)
+        assert not path.is_connected()
+        path.add_edge(9, 0)
+        assert path.is_connected()
+
+    def test_add_edge_reconnects(self):
+        g = WeightedGraph([(0, 1), (2, 3)])
+        assert not g.is_connected()
+        g.add_edge(1, 2)
+        assert g.is_connected()
+
+    def test_remove_node_re_checks(self, path):
+        assert path.is_connected()
+        path.remove_node(1)
+        assert not path.is_connected()
+
+    def test_no_op_reweight_keeps_the_verdict(self, path):
+        assert path.is_connected()
+        cached = path._connected_cache
+        path.set_edge_weight(0, 1, path.weight(0, 1))
+        assert path._connected_cache is cached
+        assert path.is_connected()
+        path.set_edge_weight(0, 1, 5.0)  # a real reweight: still connected
+        assert path.is_connected()
+
+    def test_pickle_resets_the_cache(self, path):
+        import pickle
+
+        assert path.is_connected()
+        clone = pickle.loads(pickle.dumps(path))
+        assert clone._connected_cache is None
+        assert clone.is_connected()
+        clone.remove_edge(0, 1)
+        assert not clone.is_connected()
+        assert path.is_connected()
+
+    def test_unpickled_disconnected_graph(self):
+        import pickle
+
+        g = WeightedGraph([(0, 1), (2, 3)])
+        assert not g.is_connected()
+        clone = pickle.loads(pickle.dumps(g))
+        with pytest.raises(DisconnectedGraphError):
+            clone.require_connected()
+
+
 class TestEdgeKey:
     def test_canonical_for_ints(self):
         assert edge_key(3, 1) == (1, 3)

@@ -77,7 +77,6 @@ class TestTraversal:
         g.add_node(2)
         idx = g.index()
         assert idx.bfs_distances_from(0) == [0, 1, -1]
-        assert not idx.is_connected()
         with pytest.raises(GraphError):
             idx.eccentricity_of(0)
 

@@ -25,7 +25,51 @@ from repro.packing import (
 )
 
 
+def _kruskal_packing(graph, count):
+    """The packing spelled out: Kruskal under the relative-load key."""
+    from repro.mst import minimum_spanning_tree
+
+    usage = {edge_key(u, v): 0 for u, v, _w in graph.edges()}
+    trees = []
+    for _ in range(count):
+        tree = minimum_spanning_tree(
+            graph, key=lambda u, v, w: usage[edge_key(u, v)] / w
+        )
+        for child, parent in tree.edges():
+            usage[edge_key(child, parent)] += 1
+        trees.append(tree)
+    return trees
+
+
 class TestGreedyPacking:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            complete_graph(7),  # all ties: the endpoint order decides
+            connected_gnp_graph(18, 0.35, seed=2),
+            planted_cut_graph((6, 6), cut_value=2, seed=3),
+        ],
+        ids=["complete-7", "gnp-18", "planted-12"],
+    )
+    def test_trees_equal_kruskal_under_relative_load(self, graph):
+        expected = _kruskal_packing(graph, 6)
+        packed = greedy_tree_packing(graph, 6)
+        assert [(t.root, list(t.edges())) for t in packed] == [
+            (t.root, list(t.edges())) for t in expected
+        ]
+
+    def test_string_nodes_keep_the_repr_tie_order(self):
+        from repro.graphs import WeightedGraph
+
+        g = WeightedGraph(
+            [("b", "a"), ("a", "c"), ("c", "b"), ("c", "d", 2.0), ("d", "a")]
+        )
+        expected = _kruskal_packing(g, 4)
+        packed = greedy_tree_packing(g, 4)
+        assert [(t.root, list(t.edges())) for t in packed] == [
+            (t.root, list(t.edges())) for t in expected
+        ]
+
     def test_trees_are_spanning(self):
         g = connected_gnp_graph(18, 0.35, seed=2)
         for tree in greedy_tree_packing(g, 4):

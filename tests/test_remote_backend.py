@@ -371,3 +371,74 @@ class TestRemoteFallbacks:
                 backend=RemoteExecutor(urls),
                 bogus=1,
             )
+
+
+class _StubClient:
+    """A worker stub that answers every chunk in process.
+
+    Each answer takes a few milliseconds (an ``Event`` wait, not
+    ``time.sleep``), so the sweep is still in flight when its caller
+    starts waiting for it.
+    """
+
+    def __init__(self, url, fault=None):
+        self.base_url = url
+        self.fault = fault
+
+    def solve_tasks(self, tasks):
+        threading.Event().wait(0.005)
+        if self.fault is not None:
+            raise self.fault
+        return [("solved", task.seed) for task in tasks]
+
+    def close(self):
+        pass
+
+
+class TestSignalledCompletion:
+    URLS = ["http://stub-a", "http://stub-b"]
+
+    def _executor(self, monkeypatch, fault=None):
+        executor = RemoteExecutor(self.URLS)
+        clients = {url: _StubClient(url, fault) for url in self.URLS}
+        monkeypatch.setattr(executor, "_client", clients.__getitem__)
+        return executor
+
+    def _tasks(self, count=8):
+        from repro.api import Engine
+
+        return Engine().build_batch_tasks(_graphs(count), solver="stoer_wagner")
+
+    def test_completion_is_not_polled(self, monkeypatch):
+        # The sweep learns it is done from the dispatchers' notifies:
+        # no fixed-interval sleep runs between the last result and the
+        # return.
+        executor = self._executor(monkeypatch)
+        tasks = self._tasks()
+
+        def no_sleep(_seconds):
+            raise AssertionError("sweep completion was polled with sleep")
+
+        monkeypatch.setattr("repro.exec.remote.time.sleep", no_sleep)
+        outcomes = executor._run_stream(tasks, self.URLS, None)
+        assert outcomes == [("solved", task.seed) for task in tasks]
+        plan = executor.last_plan
+        assert plan["workers"] == 2
+        assert plan["dead"] == []
+
+    def test_unexpected_fault_fails_over_instead_of_hanging(self, monkeypatch):
+        # A fault that is not a ServiceError still releases the chunk:
+        # every worker ends up dead and each task a captured failure.
+        executor = self._executor(monkeypatch, fault=RuntimeError("stub fault"))
+        tasks = self._tasks(4)
+        box = []
+        runner = threading.Thread(
+            target=lambda: box.append(executor.run_tasks(tasks)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "the sweep hung on a dispatcher fault"
+        (outcomes,) = box
+        assert all(isinstance(o, AlgorithmError) for o in outcomes)
+        assert all("stub fault" in str(o) for o in outcomes)
+        assert executor.last_plan["dead"] == sorted(self.URLS)

@@ -5,12 +5,16 @@ Three tiers mirroring the architecture:
 * protocol round trips (graph payload forms, CutResult JSON fidelity);
 * ``ReproService.dispatch`` — the full request surface without sockets
   (validation 4xx bodies, limits, cache counters);
-* one real ``ThreadingHTTPServer`` + ``ServiceClient`` exercising the
-  acceptance round-trip property against direct ``repro.solve``.
+* one real asyncio server + ``ServiceClient`` exercising the
+  acceptance round-trip property against direct ``repro.solve``, and
+  raw sockets for the request-head framing and its bounds.
 """
 
 import json
+import select
+import socket
 import threading
+import time
 
 import pytest
 
@@ -480,6 +484,118 @@ class TestHTTP:
             with pytest.raises(ServiceError) as excinfo:
                 client.health()
             assert excinfo.value.status == 503
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw request bytes; read until the server closes."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return b"".join(chunks)
+            chunks.append(data)
+
+
+def _status_and_body(response: bytes):
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestRequestHead:
+    """Header framing: line endings, the header cap, one head deadline."""
+
+    def test_lf_only_request_is_served(self, live):
+        server, _ = live
+        response = _raw_exchange(
+            server, b"GET /healthz HTTP/1.1\nHost: x\nConnection: close\n\n"
+        )
+        status, body = _status_and_body(response)
+        assert status == 200
+        assert body["status"] == "ok"
+
+    def test_header_less_request_is_served(self, live):
+        server, _ = live
+        status, _ = _status_and_body(
+            _raw_exchange(server, b"GET /healthz HTTP/1.0\r\n\r\n")
+        )
+        assert status == 200
+
+    def test_header_cap_is_inclusive(self, live):
+        server, _ = live
+        lines = b"".join(b"X-Pad-%d: v\r\n" % i for i in range(99))
+        request = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + lines
+        status, _ = _status_and_body(_raw_exchange(server, request + b"\r\n"))
+        assert status == 200
+
+    def test_too_many_headers_is_structured_431(self, live):
+        server, _ = live
+        lines = b"".join(b"X-Pad-%d: v\r\n" % i for i in range(101))
+        request = b"GET /healthz HTTP/1.1\r\n" + lines + b"\r\n"
+        status, body = _status_and_body(_raw_exchange(server, request))
+        assert status == 431
+        assert body["error"]["status"] == 431
+        assert body["error"]["type"] == "ServiceError"
+        assert "header lines" in body["error"]["message"]
+
+    @pytest.mark.parametrize("line", ["request", "header"])
+    def test_over_long_line_drops_the_connection_quietly(
+        self, live, line, caplog
+    ):
+        server, _ = live
+        big = b"a" * 70_000
+        request = (
+            b"GET /" + big + b" HTTP/1.1\r\n\r\n"
+            if line == "request"
+            else b"GET /healthz HTTP/1.1\r\nX-Big: " + big + b"\r\n\r\n"
+        )
+        with caplog.at_level("ERROR", logger="asyncio"):
+            try:
+                reply = _raw_exchange(server, request)
+            except ConnectionResetError:
+                reply = b""  # the hang-up raced the tail of our send
+            time.sleep(0.1)  # let the server's handler finish
+        assert reply == b""
+        assert not caplog.records
+
+    def test_trickled_headers_past_the_deadline_drop_the_connection(
+        self, monkeypatch
+    ):
+        # Each line arrives well inside any per-line timeout; the head
+        # as a whole does not, so the server hangs up without answering.
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "_HEAD_TIMEOUT", 0.3)
+        server = create_server(port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                started = time.monotonic()
+                reply = None
+                for i in range(40):
+                    try:
+                        sock.sendall(b"X-Slow-%d: v\r\n" % i)
+                    except OSError:
+                        reply = b""
+                        break
+                    if select.select([sock], [], [], 0.1)[0]:
+                        try:
+                            reply = sock.recv(65536)
+                        except OSError:
+                            reply = b""
+                        break
+                elapsed = time.monotonic() - started
+            assert reply == b"", "the trickled head got an answer"
+            assert 0.25 <= elapsed < 3.0
         finally:
             server.shutdown()
             server.server_close()
