@@ -2,13 +2,13 @@
 
 Usage::
 
-    python -m repro serve --port 8101 --cache-file w1_cache.json &
-    python -m repro serve --port 8102 --cache-file w2_cache.json &
+    python -m repro serve --port 8101 --cache-file w1_store &
+    python -m repro serve --port 8102 --cache-file w2_store &
     python examples/sharded_sweep.py http://127.0.0.1:8101 http://127.0.0.1:8102
 
-    # later, after `python -m repro cache merge --out warm.json \\
-    #     w1_cache.json w2_cache.json`:
-    python examples/sharded_sweep.py --warm warm.json
+    # later, after `python -m repro cache merge --out merged_store \\
+    #     w1_store w2_store`:
+    python examples/sharded_sweep.py --warm merged_store
 
 Exercises the ROADMAP's sharded-execution + cache-warm-start loop
 end to end and exits non-zero on the first broken property:
@@ -21,11 +21,10 @@ end to end and exits non-zero on the first broken property:
 3. with ``--warm MERGED`` instead of worker URLs, the same sweep
    replayed through ``Engine(cache=...)`` is answered entirely from
    the merged cache — 100% hits, zero solver runs.  ``MERGED`` is a
-   merged cache file or a segment-store directory: the CI cache-smoke
-   job runs workers on store directories (``--cache-file w1_store``),
-   merges and compacts them (``repro cache merge`` + ``repro cache
-   compact --export warm_cache.json``), and replays this sweep from
-   the compacted artifact.
+   segment-store directory: the CI shard-smoke job runs workers on
+   store directories (``--cache-file w1_store``), merges and compacts
+   them (``repro cache merge`` + ``repro cache compact``), and replays
+   this sweep from both the merged and the compacted store.
 """
 
 import sys

@@ -11,7 +11,7 @@ per-request call:
     from repro.api import Engine
     from repro.exec import ResultCache
 
-    engine = Engine(cache=ResultCache(path="results.json"),
+    engine = Engine(cache=ResultCache(path="results_store"),
                     backend="process", budget=50_000)
     result = engine.solve(graph)            # engine defaults apply
     results = engine.solve_batch(graphs)    # cached + process fan-out
@@ -33,9 +33,10 @@ backend and cache.  ``repro serve`` constructs an Engine per process;
 a shard router is literally ``Engine(backend=RemoteExecutor([...]))``.
 
 Cache warm-start rides on the same object: ``Engine(cache=path)``
-opens a persistent cache in place, and :meth:`Engine.warm_start`
-merges previously recorded cache files (e.g. the output of
-``python -m repro cache merge``) so the first sweep already hits.
+opens a persistent store-backed cache in place, and
+:meth:`Engine.warm_start` merges previously recorded stores (e.g. the
+output of ``python -m repro cache merge``) or legacy schema ≤ 2 cache
+files so the first sweep already hits.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ class Engine:
     cache:
         Default :class:`~repro.exec.cache.ResultCache` consulted by
         every call.  A ``str``/``Path`` opens a persistent cache on
-        that path (the warm-start workflow) — a ``*.json`` file for
-        the single-file tier, a directory for the append-only
-        :class:`repro.store.SegmentStore` tier; ``None`` disables
-        caching.
+        that path (the warm-start workflow): the directory of an
+        append-only :class:`repro.store.SegmentStore`, created if
+        missing (an existing file raises with the migration hint);
+        ``None`` disables caching.
     solver / epsilon / mode / seed / budget:
         Default solver knobs, overridable per call.  Semantics are the
         façade's: ``solver="auto"`` picks by capability (and treats
@@ -559,7 +560,7 @@ class Engine:
     def warm_start(
         self, *sources: Union[ResultCache, str, Path], flush: bool = True
     ) -> int:
-        """Merge recorded caches (files, store dirs, live caches) in.
+        """Merge recorded caches (store dirs, legacy files, live caches) in.
 
         The cache warm-start workflow: record caches during benchmark or
         sharded-sweep runs, merge them (``python -m repro cache merge``

@@ -21,14 +21,15 @@ Commands
 ``bounds``     certified λ interval from edge-disjoint tree packings.
 ``serve``      run the JSON-over-HTTP service (:mod:`repro.service`)
                sharing one result cache across connections (optionally
-               warm-started from merged cache files).
+               warm-started from merged cache stores).
 ``client``     talk to a running service (health, solvers, solve,
                batch round trips) — the CI smoke job's tool.
-``cache``      result-cache tooling: ``merge`` worker cache files or
-               store directories into one warm-start target, ``stats``
-               a cache's contents, and — for segment stores
-               (:mod:`repro.store`) — ``compact`` under a retention
-               policy, ``gc`` dead records, ``segments`` breakdown.
+``cache``      result-cache tooling for segment stores
+               (:mod:`repro.store`): ``merge`` worker stores (or
+               legacy schema <= 2 files) into one warm-start store,
+               ``stats`` a cache's contents, ``compact`` under a
+               retention policy, ``gc`` dead records, ``segments``
+               breakdown.
 ``config``     show the effective configuration (defaults + config
                file + environment) as JSON — the debugging tool for
                the precedence chain.
@@ -61,13 +62,12 @@ Examples
     python -m repro sweep --family grid --n 49 --count 8 --cache --repeat 2
     python -m repro sweep --stream ops.txt --family grid --n 49 --cache
     python -m repro solvers --json
-    python -m repro serve --port 8137 --cache-file service_cache.json
+    python -m repro serve --port 8137 --cache-file service_store
     python -m repro client solve --url http://127.0.0.1:8137 --family gnp --n 48
-    python -m repro cache merge --out warm.json w1_cache.json w2_cache.json
     python -m repro cache merge --out merged_store w1_store w2_store
-    python -m repro cache compact merged_store --max-entries 5000 \\
-        --export warm_cache.json
-    python -m repro serve --port 8137 --warm-start warm.json
+    python -m repro cache merge --out migrated_store old_cache.json
+    python -m repro cache compact merged_store --max-entries 5000
+    python -m repro serve --port 8137 --warm-start merged_store
     python -m repro serve --port 8101 --register http://127.0.0.1:8100
     python -m repro --config repro.toml sweep --family gnp --n 64 \\
         --count 16 --backend remote
@@ -155,8 +155,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-file",
         default=None,
         metavar="PATH",
-        help="persistent result cache: a *.json file or a segment-store "
-             "directory (implies --cache)",
+        help="persistent result cache: a segment-store directory, "
+             "created if missing (implies --cache)",
     )
 
 
@@ -583,7 +583,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if sc.warm_start:
         print(
             f"warm start: adopted {server.service.warm_start_adopted} "
-            f"cached result(s) from {len(sc.warm_start)} file(s)",
+            f"cached result(s) from {len(sc.warm_start)} source(s)",
             flush=True,
         )
     # The resolved URL is printed before blocking (and flushed) so
@@ -717,17 +717,6 @@ def _retention_policy(args: argparse.Namespace) -> "RetentionPolicy":
     )
 
 
-def _export_entries(path: str, entries: dict) -> None:
-    """Write a schema-2 warm-start artifact from a store's entry map."""
-    Path(path).write_text(
-        json.dumps(
-            {"schema": CACHE_SCHEMA_VERSION, "entries": entries},
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
-
-
 def _print_compaction(report, *, header: str) -> None:
     print(
         f"{header}: kept {report.kept_entries} "
@@ -746,7 +735,7 @@ def _print_compaction(report, *, header: str) -> None:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .store import SegmentStore
+    from .store import STORE_SCHEMA_VERSION, SegmentStore
 
     if args.action == "merge":
         out = ResultCache(path=args.out)
@@ -771,13 +760,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             kept += counts.kept_ours
         out.flush()
         total = out.stats()["disk_entries"]
-        kind = (
-            "store schema 3"
-            if out.store is not None
-            else f"schema {CACHE_SCHEMA_VERSION}"
-        )
         print(
-            f"wrote {args.out}: {total} entr{_ies(total)} ({kind}; "
+            f"wrote {args.out}: {total} entr{_ies(total)} (store schema "
+            f"{STORE_SCHEMA_VERSION}; "
             f"{already} already present, {added} added, {kept} kept ours, "
             f"{skipped_files} input(s) skipped)"
         )
@@ -789,22 +774,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             report = store.compact(_retention_policy(args))
         else:
             report = store.gc()
-        if getattr(args, "export", None):
-            _export_entries(args.export, store.entries())
         if args.json:
             payload = dataclasses.asdict(report)
             payload["path"] = args.path
-            if getattr(args, "export", None):
-                payload["export"] = args.export
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             _print_compaction(report, header=f"{args.action} {args.path}")
-            if getattr(args, "export", None):
-                count = report.kept_entries
-                print(
-                    f"exported {count} entr{_ies(count)} to {args.export} "
-                    f"(schema {CACHE_SCHEMA_VERSION} warm-start file)"
-                )
         return 0
 
     if args.action == "segments":
@@ -839,45 +814,41 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
 
     # args.action == "stats"
-    entries = load_cache_file(args.path)
-    by_solver: dict[str, int] = {}
-    for payload in entries.values():
-        solver = payload.get("solver")
-        name = solver if isinstance(solver, str) else "<unknown>"
-        by_solver[name] = by_solver.get(name, 0) + 1
-    store_stats = None
     if Path(args.path).is_dir():
         store = SegmentStore(args.path, create=False)
-        store_stats = store.stats()
+        entries = store.entries()
+        payload = {"schema": STORE_SCHEMA_VERSION, "store": store.stats()}
         now = time.time()
-        newest, oldest = store.newest_ts(), store.oldest_ts()
-        store_stats["newest_entry_age"] = (
-            None if newest is None else max(0.0, now - newest)
-        )
-        store_stats["oldest_entry_age"] = (
-            None if oldest is None else max(0.0, now - oldest)
-        )
+        for name, ts in (
+            ("newest", store.newest_ts()), ("oldest", store.oldest_ts())
+        ):
+            age = None if ts is None else max(0.0, now - ts)
+            payload["store"][f"{name}_entry_age"] = age
+    else:  # a legacy single-file cache: read-only
+        entries = load_cache_file(args.path)
+        payload = {"schema": CACHE_SCHEMA_VERSION}
+    by_solver: dict[str, int] = {}
+    for entry in entries.values():
+        solver = entry.get("solver")
+        name = solver if isinstance(solver, str) else "<unknown>"
+        by_solver[name] = by_solver.get(name, 0) + 1
+    payload.update(path=args.path, entries=len(entries), by_solver=by_solver)
     if args.json:
-        payload = {
-            "path": args.path,
-            "entries": len(entries),
-            "schema": 3 if store_stats is not None else CACHE_SCHEMA_VERSION,
-            "by_solver": by_solver,
-        }
-        if store_stats is not None:
-            payload["store"] = store_stats
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    if store_stats is not None:
+    store_stats = payload.get("store")
+    if store_stats is None:
+        print(
+            f"{args.path}: {len(entries)} entr{_ies(len(entries))} "
+            f"(legacy schema <= {CACHE_SCHEMA_VERSION} file, read-only; "
+            f"migrate with `repro cache merge --out DIR {args.path}`)"
+        )
+    else:
         print(
             f"{args.path}: {len(entries)} live entr{_ies(len(entries))} "
-            f"(store schema 3)"
-        )
-        print(
+            f"(store schema {STORE_SCHEMA_VERSION})\n"
             f"  segments          : {store_stats['segments']} "
-            f"({store_stats['store_bytes']} bytes on disk)"
-        )
-        print(
+            f"({store_stats['store_bytes']} bytes on disk)\n"
             f"  records           : {store_stats['live_entries']} live, "
             f"{store_stats['dead_records']} dead "
             f"({store_stats['compactions']} compaction(s) so far)"
@@ -888,11 +859,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"{store_stats['newest_entry_age']:.1f}s, oldest "
                 f"{store_stats['oldest_entry_age']:.1f}s"
             )
-    else:
-        print(
-            f"{args.path}: {len(entries)} entr{_ies(len(entries))} "
-            f"(schema <= {CACHE_SCHEMA_VERSION})"
-        )
     for name in sorted(by_solver):
         print(f"  {name:20s} {by_solver[name]}")
     return 0
@@ -1062,8 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-file", default=None, metavar="PATH",
-        help="persist the shared result cache to this JSON file or "
-             "segment-store directory",
+        help="persist the shared result cache to this segment-store "
+             "directory (created if missing)",
     )
     p_serve.add_argument(
         "--backend", choices=sorted(BACKENDS), default=None,
@@ -1083,8 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--warm-start", action="append", default=None, metavar="PATH",
-        help="merge this cache file or store directory into the shared "
-             "cache before serving "
+        help="merge this store directory (or legacy schema <= 2 cache "
+             "file) into the shared cache before serving "
              "(repeatable; see `repro cache merge`)",
     )
     p_serve.add_argument(
@@ -1164,17 +1130,17 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p_cache.add_subparsers(dest="action", required=True)
     p_merge = cache_sub.add_parser(
         "merge",
-        help="merge cache files/stores into one warm-start target "
-             "(existing entries in --out win on conflict; a directory "
-             "--out writes a segment store)",
+        help="merge cache stores (or legacy schema <= 2 files) into "
+             "one warm-start store (existing entries in --out win on "
+             "conflict)",
     )
     p_merge.add_argument(
         "--out", required=True, metavar="PATH",
-        help="merged cache file (*.json) or store directory to write",
+        help="store directory to write (created if missing)",
     )
     p_merge.add_argument(
         "inputs", nargs="+", metavar="CACHE",
-        help="cache files or store directories to merge in",
+        help="store directories or legacy cache files to merge in",
     )
     p_merge.set_defaults(handler=_cmd_cache)
     p_stats = cache_sub.add_parser(
@@ -1183,7 +1149,8 @@ def build_parser() -> argparse.ArgumentParser:
              "directory) segment/byte/age counters",
     )
     p_stats.add_argument(
-        "path", metavar="CACHE", help="cache file or store directory"
+        "path", metavar="CACHE",
+        help="store directory or legacy cache file"
     )
     p_stats.add_argument(
         "--json", action="store_true",
@@ -1209,11 +1176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compact.add_argument(
         "--max-age", type=float, default=None, metavar="SECONDS",
         help="drop entries idle longer than this (vs the newest record)",
-    )
-    p_compact.add_argument(
-        "--export", default=None, metavar="FILE",
-        help="also write the surviving entries as a schema-2 JSON "
-             "warm-start artifact",
     )
     p_compact.add_argument(
         "--json", action="store_true",

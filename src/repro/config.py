@@ -31,7 +31,7 @@ Example ``repro.toml``::
 
     [engine]
     backend = "remote"
-    cache = "sweep_cache.json"     # or `cache = true` for in-memory
+    cache = "sweep_store"          # or `cache = true` for in-memory
 
     [remote]
     manager = "http://127.0.0.1:8100"   # health-driven discovery

@@ -27,7 +27,7 @@ depths (O(√n)) and per-edge traffic at O(√n) messages.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from ...congest.node import Inbox, NodeContext, NodeProgram
 from ...primitives.treespec import SPANNING_TREE, TreeSpec
@@ -73,20 +73,25 @@ def install_fragment_tree(ctx_memory: dict, gossip_key: str) -> None:
     ctx_memory["or:frag_roots"] = frag_roots
 
 
-def tf_descendants(tf_parent: dict, fragment: object) -> set:
-    """All T_F descendants of ``fragment`` (including itself), from the
-    parent map every node holds locally."""
+def tf_descendants(tf_parent: dict, roots: Iterable) -> set:
+    """All T_F descendants of the ``roots`` fragments (roots included),
+    from the parent map every node holds locally.  The children map is
+    built once; each root's subtree is merged in turn, which fixes the
+    set's iteration order (the send order of LowestHolderDowncast)."""
     children: dict = {}
     for fid, parent in tf_parent.items():
         if parent is not None:
             children.setdefault(parent, []).append(fid)
-    out = set()
-    stack = [fragment]
-    while stack:
-        f = stack.pop()
-        out.add(f)
-        stack.extend(children.get(f, ()))
-    return out
+    below: set = set()
+    for root in roots:
+        out = set()
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            out.add(f)
+            stack.extend(children.get(f, ()))
+        below |= out
+    return below
 
 
 # ----------------------------------------------------------------------
@@ -110,11 +115,8 @@ def hanging_fragment_items(ctx: NodeContext, tree: TreeSpec = SPANNING_TREE):
 def install_fragments_below(ctx_memory: dict, hang_key: str) -> None:
     """Local: ``F(v)`` = union of T_F subtrees of the recorded hanging
     child fragments; also the predicate "v↓ contains a whole fragment"."""
-    tf_parent = ctx_memory["or:tf"]
     hanging = {item[0] for item in ctx_memory.get(hang_key, ())}
-    below: set = set()
-    for frag in hanging:
-        below |= tf_descendants(tf_parent, frag)
+    below = tf_descendants(ctx_memory["or:tf"], hanging) if hanging else set()
     ctx_memory["or:F"] = frozenset(below)
     ctx_memory["or:contains_fragment"] = bool(below) or bool(
         ctx_memory.get("frag:is_root")

@@ -22,9 +22,9 @@ every sweep workload; this package is the layer that scales it:
   ``cost_model`` metadata, the one cost model in :mod:`repro`.
 * :mod:`~repro.exec.cache` — :class:`CacheKey` (graph content hash +
   solver knobs) and :class:`ResultCache`, an LRU with an optional
-  persistence tier: a single versioned JSON file, or — when ``path``
-  is a directory — a :class:`repro.store.SegmentStore` of append-only
-  JSONL segments with deterministic compaction.  Mergeable via
+  persistence tier: a :class:`repro.store.SegmentStore` directory of
+  append-only JSONL segments with deterministic compaction (schema ≤ 2
+  single-file caches are read-only migration inputs).  Mergeable via
   :meth:`ResultCache.merge_from` / ``python -m repro cache merge``
   (which reports :class:`MergeCounts`), consulted by
   ``solve``/``solve_all``/``solve_batch`` via their ``cache=``
@@ -35,7 +35,7 @@ Usage::
     from repro.api import solve_batch
     from repro.exec import ResultCache
 
-    cache = ResultCache(path="results.json")
+    cache = ResultCache(path="results_store")
     results = solve_batch(graphs, backend="process", cache=cache)
     again = solve_batch(graphs, backend="process", cache=cache)  # all hits
 """

@@ -10,40 +10,25 @@ produce the same key, so benchmark sweeps and service traffic
 that replay instances skip recomputation entirely.
 
 :class:`ResultCache` is a bounded LRU with hit/miss counters and an
-optional persistence tier: pass ``path=`` and every storable entry is
-flushed to disk and reloaded by later processes.  Tuples in ``extras``
-(the paper solvers report e.g. ``per_tree_values``) are persisted via
-a tagged encoding and restored as tuples; results that still do not
-round-trip JSON faithfully (CONGEST metrics attached, non-scalar
-nodes, non-string dict keys) stay memory-only — the cache never
-persists an entry it could not reproduce exactly.
+optional persistence tier: pass ``path=`` (a directory) and every
+storable entry is appended to a :class:`repro.store.SegmentStore` —
+the one on-disk format — and reloaded by later processes.  Disk-tier
+hits are appended as usage metadata so compaction can keep the
+most-used entries.  Tuples in ``extras`` (the paper solvers report
+e.g. ``per_tree_values``) are persisted via a tagged encoding and
+restored as tuples; results that still do not round-trip JSON
+faithfully (CONGEST metrics attached, non-scalar nodes, non-string
+dict keys) stay memory-only — the cache never persists an entry it
+could not reproduce exactly.
 
-The persistence tier has two shapes, picked by the ``path``:
-
-* a ``*.json`` **file** — the historic schema-2 envelope, rewritten
-  wholesale on flush (fine for short sweeps, shippable as a single
-  warm-start artifact);
-* a **directory** — a :class:`repro.store.SegmentStore` of append-only
-  JSONL segments (manifest schema 3): flushes append only the new
-  ``put``/``hit`` records, crash-truncated tails are repaired on open,
-  and ``python -m repro cache compact|gc|segments`` maintain it under
-  a deterministic :class:`~repro.store.RetentionPolicy`.  Disk-tier
-  hits are recorded as usage metadata so compaction can keep the
-  most-frequently/most-recently used entries.
-
-The on-disk file is **versioned**: schema
-:data:`CACHE_SCHEMA_VERSION` wraps the entry dict in
-``{"schema": N, "entries": {digest: payload}}`` so caches can be
-shared, shipped and merged across deployments without guessing at
-their shape.  Unversioned files from earlier releases (a bare digest →
-payload dict) are still read; files claiming a *newer* schema are left
-untouched and the cache starts cold rather than misreading them.
-:meth:`ResultCache.merge_from` adopts another cache's persisted
-entries (existing entries win), which is the warm-start workflow:
-merge the worker caches from a sharded sweep — ``python -m repro cache
-merge`` is the CLI face — and hand the merged file to
-``Engine(cache=...)`` or ``repro serve --warm-start`` so cold-start
-sweeps begin warm.
+Single-file caches of earlier releases (the ``{"schema": 2}``
+envelope and the unversioned bare dict) are **read-only** inputs of
+:func:`load_cache_file`, so ``merge_from``, ``Engine.warm_start``,
+``repro serve --warm-start`` and ``repro cache merge|stats`` still
+accept them; ``python -m repro cache merge --out DIR old.json``
+migrates one into a store.  Merging worker stores and handing the
+merged (or compacted) store to ``Engine.warm_start`` or ``repro serve
+--warm-start`` is the warm-start workflow.
 
 ``CutResult.verify(graph)`` makes every hit auditable: the cached
 witness side can be re-checked against the graph without trusting the
@@ -55,31 +40,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
-try:
-    import fcntl
-except ImportError:  # non-POSIX: merge-on-flush stays best-effort
-    fcntl = None
-
 from ..api.result import CutResult
 from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph
-from ..store import SegmentStore, is_store_path
+from ..store import SegmentStore
 
 #: Pending disk-tier hit counts are appended to a store-backed cache
 #: once this many accumulate, so a pure-hit workload (a warm worker
 #: replaying a sweep) still persists its usage metadata without a flush.
 _HIT_FLUSH_THRESHOLD = 256
 
-#: Version of the on-disk cache file format.  Bumped whenever the JSON
-#: shape changes incompatibly; the loader still accepts the unversioned
-#: (pre-versioning) bare-dict form but never a *newer* schema.
+#: Newest single-file cache schema :func:`load_cache_file` reads.  The
+#: loader also accepts the unversioned (pre-versioning) bare-dict form
+#: but never a *newer* schema; nothing writes this format any more.
 CACHE_SCHEMA_VERSION = 2
 
 
@@ -176,13 +154,11 @@ class ResultCache:
     maxsize:
         In-memory entry cap; least-recently-used entries are evicted.
     path:
-        Optional persistence tier.  A ``*.json`` file path opens the
-        historic single-file tier (loaded lazily, tolerant of a
-        missing/corrupt file — the cache just starts cold, rewritten
-        wholesale on flush).  A *directory* path opens a
-        :class:`repro.store.SegmentStore` whose flushes append only
-        the new records (see :func:`repro.store.is_store_path` for how
-        the two are told apart).
+        Optional persistence tier: the directory of a
+        :class:`repro.store.SegmentStore` (created if missing), whose
+        flushes append only the new records.  An existing regular file
+        — a schema ≤ 2 single-file cache — raises
+        :class:`AlgorithmError` naming the migration command.
     """
 
     def __init__(
@@ -193,26 +169,17 @@ class ResultCache:
         self.maxsize = int(maxsize)
         self.path = Path(path) if path is not None else None
         self._memory: OrderedDict[CacheKey, CutResult] = OrderedDict()
-        #: The single-file tier's digest → payload map.  A store-backed
-        #: cache leaves it empty: the store indexes its entries on disk.
-        self._disk: dict[str, dict] = {}
         self.store: Optional[SegmentStore] = None
-        #: Records not yet appended to the store: fresh entries (digest →
-        #: payload) and coalesced per-digest hit counts.
+        #: Digest → payload entries not in a store: a store-backed
+        #: cache's entries awaiting the next flush, or a path-less
+        #: cache's adopted (warm-start) entries, which stay here.
         self._pending_puts: dict[str, dict] = {}
+        #: Coalesced per-digest hit counts awaiting the next flush.
         self._pending_hits: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
-        if self.path is not None and is_store_path(self.path):
+        if self.path is not None:
             self.store = SegmentStore(self.path)
-        elif self.path is not None and self.path.exists():
-            try:
-                loaded = json.loads(self.path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                loaded = None
-            entries = _entries_of(loaded)
-            if entries is not None:
-                self._disk = entries
 
     # -- lookup / store ------------------------------------------------
 
@@ -225,7 +192,7 @@ class ResultCache:
             self._note_hit(key)
             return entry
         payload = None
-        if self.store is not None or self._disk:  # skip the digest if no tier
+        if self.store is not None or self._pending_puts:  # skip the digest if no tier
             payload = self._disk_payload(key.digest())
         if payload is not None:
             result = _result_from_payload(payload)
@@ -255,44 +222,38 @@ class ResultCache:
     def put(self, key: CacheKey, result: CutResult, *, flush: bool = True) -> None:
         """Store ``result`` under ``key`` (memory always, disk if faithful).
 
-        With a file-backed tier the file is rewritten on the store —
-        even when this entry itself is memory-only — so a corrupt or
-        foreign file is healed as soon as the cache is written to.
-        Batch writers pass ``flush=False`` per entry and call
-        :meth:`flush` once at the end, avoiding an O(N²) rewrite of the
-        growing file across a sweep.  A segment-store tier appends
-        instead of rewriting, so even per-entry flushes stay O(1).
+        With a store tier the entry's ``put`` record is appended on
+        flush — O(1) per entry.  Batch writers pass ``flush=False`` per
+        entry and call :meth:`flush` once at the end, so a sweep
+        appends in one locked write.
         """
         self._remember(key, result)
-        if self.path is not None:
+        if self.store is not None:
             payload = _result_to_payload(result)
             if payload is not None:
                 digest = key.digest()
-                if self.store is None:
-                    self._disk[digest] = payload
-                elif not self._on_disk(digest):
+                if not self._on_disk(digest):
                     self._pending_puts[digest] = payload
             if flush:
                 self.flush()
 
     def _on_disk(self, digest: str) -> bool:
-        if self.store is None:
-            return digest in self._disk
-        return digest in self._pending_puts or digest in self.store
+        return digest in self._pending_puts or (
+            self.store is not None and digest in self.store
+        )
 
     def _disk_payload(self, digest: str) -> Optional[dict]:
-        """The persisted payload for ``digest``: a dict lookup for the
-        file tier, one segment-line read for the store."""
-        if self.store is None:
-            return self._disk.get(digest)
+        """The persisted payload for ``digest``: a pending entry, else
+        one segment-line read."""
         pending = self._pending_puts.get(digest)
-        return pending if pending is not None else self.store.payload(digest)
+        if pending is None and self.store is not None:
+            return self.store.payload(digest)
+        return pending
 
     def _disk_entries(self) -> dict[str, dict]:
-        """Every persisted digest → payload (for merges)."""
-        if self.store is None:
-            return dict(self._disk)
-        return {**self.store.entries(), **self._pending_puts}
+        """Every persisted (or adopted) digest → payload (for merges)."""
+        stored = self.store.entries() if self.store is not None else {}
+        return {**stored, **self._pending_puts}
 
     def _remember(self, key: CacheKey, result: CutResult) -> None:
         self._memory[key] = result
@@ -303,103 +264,34 @@ class ResultCache:
     # -- maintenance ---------------------------------------------------
 
     def flush(self) -> None:
-        """Write the persistence tier (no-op for memory-only caches).
-
-        Store-backed caches append the pending ``put``/``hit`` records
-        to the active segment — O(new entries), which is the whole
-        point of the segment tier — under the store's own lock.
-
-        File-backed caches re-read and adopt entries another process
-        persisted since this cache loaded the file (ours win on
-        conflict), so concurrent writers sharing one ``path`` append
-        to — rather than erase — each other's work.  The
-        read-merge-write runs under an advisory ``flock`` on a sibling
-        ``.lock`` file (POSIX; a no-op best-effort elsewhere), and the
-        file itself is written to a temp path and atomically renamed
-        into place, so a reader (or a crash) mid-write never observes
-        truncated JSON.
-        """
-        if self.path is None:
+        """Append the pending ``put``/``hit`` records to the store's
+        active segment — O(new entries) — under the store's own lock
+        (no-op for memory-only caches)."""
+        if self.store is None:
             return
-        if self.store is not None:
-            puts, self._pending_puts = self._pending_puts, {}
-            hits, self._pending_hits = self._pending_hits, {}
-            self.store.append(puts.items(), hits.items())
-            return
-        with self._file_lock():
-            if self.path.exists():
-                try:
-                    on_disk = json.loads(self.path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    on_disk = None  # corrupt/foreign file: overwrite (heal)
-                entries = _entries_of(on_disk)
-                if entries is not None:
-                    for digest, payload in entries.items():
-                        self._disk.setdefault(digest, payload)
-            self._write()
-
-    @contextmanager
-    def _file_lock(self):
-        """Exclusive advisory lock serialising flush/clear across processes.
-
-        The ``.lock`` file is deliberately never deleted — unlinking a
-        lock file is the classic race (a waiter can hold the lock of an
-        unlinked inode while a newcomer locks a fresh file).
-        """
-        if self.path.parent != Path("."):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        if fcntl is None:
-            yield
-            return
-        lock_path = self.path.with_name(self.path.name + ".lock")
-        with open(lock_path, "w", encoding="utf-8") as lock_file:
-            fcntl.flock(lock_file, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lock_file, fcntl.LOCK_UN)
-
-    def _write(self) -> None:
-        """Atomically replace the file with this cache's disk tier."""
-        tmp = self.path.with_name(self.path.name + f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(
-                {"schema": CACHE_SCHEMA_VERSION, "entries": self._disk},
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-        os.replace(tmp, self.path)
+        puts, self._pending_puts = self._pending_puts, {}
+        hits, self._pending_hits = self._pending_hits, {}
+        self.store.append(puts.items(), hits.items())
 
     def clear(self) -> None:
-        """Drop every entry (both tiers) and reset the counters.
-
-        Unlike :meth:`flush`, this truncates the file outright — no
-        merge with other writers' entries — because "clear" must mean
-        the persisted tier is empty afterwards.
-        """
+        """Drop every entry (both tiers) and reset the counters."""
         self._memory.clear()
-        self._disk.clear()
         self._pending_puts.clear()
         self._pending_hits.clear()
         self.hits = 0
         self.misses = 0
         if self.store is not None:
             self.store.clear()
-        elif self.path is not None and self.path.exists():
-            with self._file_lock():
-                self._write()
 
     def merge_from(
         self, source: Union["ResultCache", str, Path], *, flush: bool = True
     ) -> "MergeCounts":
         """Adopt another cache's persistable entries (ours win on conflict).
 
-        ``source`` is a cache file path, a store directory, or a live
-        :class:`ResultCache`.  From a file, the digest → payload
-        entries are read directly (versioned envelope or the legacy
-        bare dict); from a store directory, its live entry map; a
-        missing, unreadable, corrupt or newer-schema source raises
+        ``source`` is a store directory, a schema ≤ 2 cache file (both
+        read by :func:`load_cache_file`), or a live
+        :class:`ResultCache`.  A missing, unreadable, corrupt or
+        newer-schema source raises
         :class:`AlgorithmError` — a merge *tool* must not silently
         treat a bad input as empty.  From a live cache, both its disk
         tier and the persistable part of its memory tier contribute,
@@ -409,9 +301,9 @@ class ResultCache:
         number of entries adopted (so arithmetic keeps working), with
         ``added`` / ``kept_ours`` / ``skipped`` fields reporting the
         full outcome instead of merging silently.  With ``flush``
-        (default) the merged tier is written out when this cache has a
-        ``path``; merging a schema ≤ 2 file into a store-backed cache
-        is exactly the schema-3 migration path.
+        (default) the adopted entries are appended when this cache has
+        a store; merging a schema ≤ 2 file into a store-backed cache is
+        exactly the schema-3 migration path.
         """
         if isinstance(source, ResultCache):
             entries = source._disk_entries()
@@ -430,12 +322,9 @@ class ResultCache:
             elif self._on_disk(digest):
                 kept_ours += 1
             else:
-                if self.store is None:
-                    self._disk[digest] = payload
-                else:
-                    self._pending_puts[digest] = payload
+                self._pending_puts[digest] = payload
                 added += 1
-        if added and flush and self.path is not None:
+        if added and flush:
             self.flush()
         return MergeCounts.build(
             added=added, kept_ours=kept_ours, skipped=skipped
@@ -454,10 +343,10 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "memory_entries": len(self._memory),
-            "disk_entries": len(self._disk) if self.store is None
-            else len(self.store) + len(self._pending_puts),
+            "disk_entries": len(self._pending_puts),
         }
         if self.store is not None:
+            stats["disk_entries"] += len(self.store)
             stats.update(self.store.stats())
         return stats
 
@@ -493,17 +382,13 @@ class MergeCounts(int):
 
 
 def load_cache_file(path: Union[str, Path]) -> dict[str, dict]:
-    """Read a cache file's digest → payload entries, strictly.
+    """A store's or a legacy cache file's digest → payload entries.
 
-    Unlike the cache constructor (which tolerates a missing or corrupt
-    file and just starts cold), this loader is for *tooling* —
-    ``merge_from``, ``python -m repro cache merge|stats`` — where
-    silently treating a bad input as empty would corrupt the workflow:
-    it raises :class:`AlgorithmError` for unreadable files, invalid
-    JSON, unrecognised shapes and newer schemas.  A *directory* is
-    read as a :class:`repro.store.SegmentStore` (manifest schema 3)
-    and contributes its live entry map — so every cache tool accepts
-    files and stores interchangeably.
+    Strict — a bad input raises :class:`AlgorithmError` instead of
+    reading as empty — because ``merge_from``, ``Engine.warm_start``
+    and ``repro cache merge|stats`` build on it.  A directory is read
+    as a :class:`repro.store.SegmentStore`; a file as a read-only
+    schema ≤ 2 single-file cache.
     """
     path = Path(path)
     if path.is_dir():

@@ -8,7 +8,7 @@ Architecture — three layers, separable on purpose:
   :class:`~repro.api.engine.Engine` — the session object owning the
   solver registry, the shared :class:`~repro.exec.cache.ResultCache`
   consulted by every request (optionally disk-backed, optionally
-  warm-started from merged cache files) and the default batch backend
+  warm-started from merged cache stores) and the default batch backend
   — plus request counters and the start timestamp.  All algorithm work
   funnels through the engine (:meth:`Engine.solve` /
   :meth:`Engine.build_batch_tasks` + :meth:`Engine.solve_tasks`), so
@@ -101,6 +101,9 @@ _MAX_HEADERS = 100
 
 #: Seconds a request's header lines may take, all together, to arrive.
 _HEAD_TIMEOUT = 10.0
+
+#: Seconds a request's body may take to arrive once its head is read.
+_BODY_TIMEOUT = 30.0
 
 
 def _retry_after_header(payload: object) -> Optional[str]:
@@ -562,7 +565,9 @@ class AsyncHTTPServer:
     Every read is bounded in time: ``idle_timeout`` seconds for the
     next request line of a keep-alive connection, then
     ``_HEAD_TIMEOUT`` seconds for all of that request's header lines
-    together (a slow-header trickle is dropped, however it is paced).
+    together (a slow-header trickle is dropped, however it is paced),
+    then ``_BODY_TIMEOUT`` seconds for its ``Content-Length`` body (a
+    short or trickled body is dropped the same way).
     """
 
     def __init__(
@@ -672,7 +677,7 @@ class AsyncHTTPServer:
             asyncio.IncompleteReadError,
             ValueError,  # readline's error for a line over 64 KiB
         ):
-            # Peer gone, idle or head timed out, or an over-long line:
+            # Peer gone, idle, head or body timed out, or an over-long line:
             # just drop the connection.
             pass
         finally:
@@ -737,7 +742,11 @@ class AsyncHTTPServer:
                 writer, 413, error_body(exc, 413), False, request_repr
             )
             return False
-        body = await reader.readexactly(length) if length > 0 else b""
+        body = b""
+        if length > 0:
+            body = await asyncio.wait_for(
+                reader.readexactly(length), timeout=_BODY_TIMEOUT
+            )
         status, payload = await asyncio.get_running_loop().run_in_executor(
             self._pool, self.service.dispatch, method, target, body
         )

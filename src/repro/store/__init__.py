@@ -1,11 +1,11 @@
 """Segmented cache store: append-only JSONL segments + compaction.
 
-The disk tier behind :class:`repro.exec.cache.ResultCache` when its
-``path`` is a *directory*: workers append ``put``/``hit`` records to an
-active segment in O(new entries) instead of rewriting a monolithic
-JSON file, and a deterministic :meth:`SegmentStore.compact` folds the
-log back down under a :class:`RetentionPolicy` (size / bytes / age,
-keeping the most-frequently- and most-recently-hit entries).  See
+The disk tier behind :class:`repro.exec.cache.ResultCache`: workers
+append ``put``/``hit`` records to an active segment in O(new entries)
+instead of rewriting the whole cache, and a deterministic
+:meth:`SegmentStore.compact` folds the log back down under a
+:class:`RetentionPolicy` (size / bytes / age, keeping the most-
+frequently- and most-recently-hit entries).  See
 :mod:`repro.store.store` for the on-disk layout and the determinism
 contract, and :mod:`repro.store.segment` for the record format and
 crash-safety story.
@@ -14,7 +14,7 @@ Usage::
 
     from repro.api import Engine
 
-    engine = Engine(cache="cache_store")      # directory -> segment store
+    engine = Engine(cache="cache_store")      # opens (or creates) the store
     engine.solve_batch(graphs)                # appends, never rewrites
 
     # maintenance (also: python -m repro cache compact|gc|segments)
@@ -31,7 +31,6 @@ from .store import (
     CompactionReport,
     RetentionPolicy,
     SegmentStore,
-    is_store_path,
 )
 
 __all__ = [
@@ -43,6 +42,5 @@ __all__ = [
     "STORE_KIND",
     "STORE_SCHEMA_VERSION",
     "SegmentStore",
-    "is_store_path",
     "read_segment",
 ]

@@ -9,17 +9,18 @@ Layout of a store directory::
         active.jsonl         the append tail (implicit, folded in last)
 
 The manifest is **schema 3** — the successor of the single-file result
-cache's ``{"schema": 2, "entries": ...}`` envelope.  Schema ≤ 2 files
-are still read by :func:`repro.exec.cache.load_cache_file`, and the
-migration path is a merge: adopting a schema-2 file into a store-backed
-cache appends its entries as ``put`` records (``python -m repro cache
-merge --out STORE_DIR old_cache.json``).
+cache's ``{"schema": 2, "entries": ...}`` envelope, which is no longer
+written.  Schema ≤ 2 files are still read by
+:func:`repro.exec.cache.load_cache_file`, and the migration path is a
+merge: adopting a schema-2 file into a store-backed cache appends its
+entries as ``put`` records (``python -m repro cache merge --out
+STORE_DIR old_cache.json``).
 
-Why segments: the schema-2 tier rewrites the whole JSON file on every
-flush, so a long-lived ``repro serve`` worker pays O(cache size) per
-persisted batch.  Here a flush *appends* the new records — O(new
-entries) — and the rewrite cost is paid only at :meth:`SegmentStore.
-compact` time, under an explicit size/age retention policy.
+Why segments: a flush *appends* the new records — O(new entries) —
+instead of rewriting the whole cache, so a long-lived ``repro serve``
+worker never pays O(cache size) per persisted batch; the rewrite cost
+is paid only at :meth:`SegmentStore.compact` time, under an explicit
+size/age retention policy.
 
 Determinism: ``compact()`` never reads the clock (the age reference
 defaults to the newest record timestamp in the store) and orders
@@ -170,7 +171,9 @@ class SegmentStore:
         self.root = Path(root)
         if self.root.exists() and not self.root.is_dir():
             raise AlgorithmError(
-                f"cache store path {self.root} exists and is not a directory"
+                f"cache path {self.root} is a file, not a store directory; "
+                "migrate a schema <= 2 cache file with `python -m repro "
+                f"cache merge --out DIR {self.root}` and pass DIR instead"
             )
         if not self.root.exists():
             if not create:
@@ -286,7 +289,8 @@ class SegmentStore:
         """Advisory exclusive lock shared by every writer of this store.
 
         The lock file is never deleted — unlinking a lock file is the
-        classic race (see :meth:`repro.exec.cache.ResultCache._file_lock`).
+        classic race (a waiter can hold the lock of an unlinked inode
+        while a newcomer locks a fresh file).
         """
         if fcntl is None:
             yield
@@ -639,20 +643,6 @@ def _entry_of(record: Optional[dict], digest: str) -> Optional[dict]:
     return None
 
 
-def is_store_path(path: Union[str, Path]) -> bool:
-    """Should this cache path open as a segment store (vs a JSON file)?
-
-    A directory (existing) is always a store; a path that does not
-    exist yet is a store when it has no file suffix (``cache_store``)
-    and a single JSON file when it has one (``cache.json``) — the
-    convention every repro cache file has followed.
-    """
-    path = Path(path)
-    if path.exists():
-        return path.is_dir()
-    return path.suffix == ""
-
-
 __all__ = [
     "CompactionReport",
     "MANIFEST_NAME",
@@ -660,5 +650,4 @@ __all__ = [
     "STORE_KIND",
     "STORE_SCHEMA_VERSION",
     "SegmentStore",
-    "is_store_path",
 ]

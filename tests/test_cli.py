@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec import load_cache_file
 from repro.graphs import WeightedGraph, write_edge_list
 
 
@@ -196,7 +197,7 @@ class TestJsonOutput:
     def test_cache_stats_json(self, tmp_path, capsys):
         import json
 
-        cache_file = str(tmp_path / "cache.json")
+        cache_file = str(tmp_path / "cache_store")
         assert main(
             ["sweep", "--family", "cycle", "--n", "8", "--count", "2",
              "--cache-file", cache_file]
@@ -247,7 +248,7 @@ class TestCacheStoreCli:
         newer = tmp_path / "future.json"
         newer.write_text(json.dumps({"schema": 99, "entries": {}}))
         assert main(
-            ["cache", "merge", "--out", str(tmp_path / "out.json"),
+            ["cache", "merge", "--out", str(tmp_path / "out_store"),
              str(newer)]
         ) == 2
 
@@ -272,19 +273,16 @@ class TestCacheStoreCli:
 
         self.sweep_into(tmp_path / "st", count=4)
         capsys.readouterr()
-        export = tmp_path / "warm.json"
         assert main(
             ["cache", "compact", str(tmp_path / "st"), "--max-entries", "2",
-             "--export", str(export), "--json"]
+             "--json"]
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kept_entries"] == 2
         assert report["dropped_entries"] == 2
         assert report["segments_after"] == 1
-        # The export is a schema-2 warm-start file with the survivors.
-        warm = json.loads(export.read_text(encoding="utf-8"))
-        assert warm["schema"] == 2
-        assert len(warm["entries"]) == 2
+        # The compacted store itself is the warm-start artifact.
+        assert len(load_cache_file(tmp_path / "st")) == 2
 
         assert main(["cache", "segments", str(tmp_path / "st"), "--json"]) == 0
         segments = json.loads(capsys.readouterr().out)["segments"]
@@ -294,6 +292,95 @@ class TestCacheStoreCli:
 
         assert main(["cache", "gc", str(tmp_path / "st")]) == 0
         assert "kept 2 entries" in capsys.readouterr().out
+
+    def test_compact_export_is_an_argparse_error(self, tmp_path, capsys):
+        # The compacted store directory is the warm-start artifact; no
+        # single-file export is written any more.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["cache", "compact", str(tmp_path / "st"),
+                 "--export", str(tmp_path / "warm.json")]
+            )
+        assert excinfo.value.code == 2
+        assert "--export" in capsys.readouterr().err
+
+    def test_legacy_file_is_read_and_migrated_never_written(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        self.sweep_into(tmp_path / "st", count=3)
+        entries = load_cache_file(tmp_path / "st")
+        legacy = tmp_path / "legacy.json"
+        body = json.dumps({"schema": 2, "entries": entries})
+        legacy.write_text(body, encoding="utf-8")
+        capsys.readouterr()
+        # stats still reads a schema-2 file ...
+        assert main(["cache", "stats", str(legacy), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["entries"], payload["schema"]) == (3, 2)
+        # ... a cache path that is such a file fails loudly, naming
+        # the migration command, instead of starting cold ...
+        assert main(
+            ["sweep", "--family", "cycle", "--n", "8", "--count", "3",
+             "--solver", "stoer_wagner", "--cache-file", str(legacy)]
+        ) == 2
+        assert f"repro cache merge --out DIR {legacy}" in (
+            capsys.readouterr().err
+        )
+        assert legacy.read_text(encoding="utf-8") == body
+        # ... and that command migrates it into a store.
+        assert main(
+            ["cache", "merge", "--out", str(tmp_path / "DIR"), str(legacy)]
+        ) == 0
+        assert "3 entries (store schema 3" in capsys.readouterr().out
+        assert load_cache_file(tmp_path / "DIR") == entries
+
+    def test_serve_warm_start_from_compacted_store_hits_every_replay(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import threading
+
+        from repro import service
+        from repro.api import Engine
+        from repro.graphs import build_family
+
+        graphs = [build_family("cycle", 8, seed=s) for s in range(3)]
+        graphs += [build_family("grid", 9, seed=s) for s in range(3)]
+        Engine(cache=tmp_path / "st").solve_batch(graphs, "stoer_wagner")
+        assert main(
+            ["cache", "compact", str(tmp_path / "st"), "--max-entries", "5000"]
+        ) == 0
+        real_create_server = service.create_server
+        replay = {}
+
+        def drive(server):
+            try:
+                with service.ServiceClient(server.url, timeout=30.0) as client:
+                    client.wait_until_ready()
+                    replay["results"] = client.solve_batch(
+                        graphs, "stoer_wagner"
+                    )
+                    replay["cache"] = client.health()["cache"]
+            finally:
+                server.shutdown()
+
+        def create_and_drive(*args, **kwargs):
+            server = real_create_server(*args, **kwargs)
+            replay["thread"] = threading.Thread(target=drive, args=(server,))
+            replay["thread"].start()
+            return server
+
+        monkeypatch.setattr(service, "create_server", create_and_drive)
+        assert main(
+            ["serve", "--port", "0", "--warm-start", str(tmp_path / "st")]
+        ) == 0
+        replay["thread"].join(timeout=30)
+        assert "adopted 6 cached result(s)" in capsys.readouterr().out
+        assert replay["cache"]["hits"] == len(graphs)
+        assert replay["cache"]["misses"] == 0
+        for graph, result in zip(graphs, replay["results"]):
+            assert result.matches(graph)
 
     def test_compact_policy_comes_from_config_flags_win(self, tmp_path,
                                                         capsys, monkeypatch):

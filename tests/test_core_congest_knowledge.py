@@ -131,3 +131,25 @@ class TestRandomInstanceKnowledge:
         net, dec, ref = _run(g, tree, threshold=threshold)
         for u, v, _w in g.edges():
             assert net.memory[u]["or:lca"][v].lca == tree.lca(u, v)
+
+
+class TestFragmentTreeDescendants:
+    # T_F:  a ─┬─ b ─── d
+    #          └─ c ─┬─ e
+    #                └─ f
+    TF = {"a": None, "b": "a", "c": "a", "d": "b", "e": "c", "f": "c"}
+
+    def test_union_of_subtrees_over_many_roots(self):
+        from repro.core.congest_steps import tf_descendants
+
+        assert tf_descendants(self.TF, ["b", "c"]) == {
+            "b", "c", "d", "e", "f",
+        }
+        assert tf_descendants(self.TF, ["a"]) == set(self.TF)
+        assert tf_descendants(self.TF, ["f"]) == {"f"}
+        assert tf_descendants(self.TF, []) == set()
+
+    def test_nested_and_repeated_roots_union(self):
+        from repro.core.congest_steps import tf_descendants
+
+        assert tf_descendants(self.TF, ("c", "e", "c")) == {"c", "e", "f"}

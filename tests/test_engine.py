@@ -86,10 +86,10 @@ class TestEngineDefaults:
         assert _identity(first) == _identity(again)
 
     def test_engine_cache_accepts_a_path(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache_store"
         engine = Engine(cache=path)
         engine.solve(build_family("cycle", 8), "stoer_wagner")
-        assert path.exists()
+        assert path.is_dir()
         warm = Engine(cache=str(path))
         result = warm.solve(build_family("cycle", 8), "stoer_wagner")
         assert result.extras["cache"]["hit"]
@@ -365,46 +365,59 @@ class TestBackendRegistry:
 
 
 class TestCacheSchemaAndMerge:
-    def test_on_disk_file_is_versioned(self, tmp_path):
-        path = tmp_path / "cache.json"
+    def test_on_disk_store_is_versioned(self, tmp_path):
+        from repro.store import MANIFEST_NAME, STORE_SCHEMA_VERSION
+
+        path = tmp_path / "cache_store"
         cache = ResultCache(path=path)
         cache.put(
             _key(build_family("cycle", 8)),
             CutResult(value=1.0, side=frozenset({0})),
         )
-        on_disk = json.loads(path.read_text())
-        assert on_disk["schema"] == CACHE_SCHEMA_VERSION
-        assert len(on_disk["entries"]) == 1
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        assert manifest["schema"] == STORE_SCHEMA_VERSION
+        assert len(load_cache_file(path)) == 1
 
     def test_legacy_unversioned_file_still_loads(self, tmp_path):
-        path = tmp_path / "cache.json"
+        # Schema-2 envelopes and unversioned bare dicts are read-only
+        # warm-start and migration inputs.
         key = _key(build_family("cycle", 8))
-        cache = ResultCache(path=path)
-        cache.put(key, CutResult(value=1.0, side=frozenset({0})))
-        entries = json.loads(path.read_text())["entries"]
-        path.write_text(json.dumps(entries))  # rewrite as the old format
-        reloaded = ResultCache(path=path)
-        assert reloaded.get(key) is not None
+        recorder = ResultCache(path=tmp_path / "st")
+        recorder.put(key, CutResult(value=1.0, side=frozenset({0})))
+        entries = load_cache_file(tmp_path / "st")
+        versioned = tmp_path / "v2.json"
+        versioned.write_text(
+            json.dumps({"schema": CACHE_SCHEMA_VERSION, "entries": entries})
+        )
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(entries))
+        for legacy in (versioned, bare):
+            assert load_cache_file(legacy) == entries
+            engine = Engine()
+            assert engine.warm_start(legacy) == 1
+            assert engine.cache.get(key) is not None
 
     def test_newer_schema_left_untouched(self, tmp_path):
         path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"schema": 99, "entries": {"x": {}}}))
-        cache = ResultCache(path=path)
-        assert cache.stats()["disk_entries"] == 0
+        body = json.dumps({"schema": 99, "entries": {"x": {}}})
+        path.write_text(body)
+        with pytest.raises(AlgorithmError, match="repro cache merge --out"):
+            ResultCache(path=path)
         with pytest.raises(AlgorithmError, match="schema"):
             load_cache_file(path)
+        assert path.read_text() == body
 
     def test_merge_from_files_ours_win(self, tmp_path):
         # gnp graphs differ per seed, so the two recorders share exactly
         # the (graph #2, seed 0) entry: b replays graphs[2] at index 0.
         graphs = _graphs(4, family="gnp", n=10)
-        a = ResultCache(path=tmp_path / "a.json")
-        b = ResultCache(path=tmp_path / "b.json")
+        a = ResultCache(path=tmp_path / "a_store")
+        b = ResultCache(path=tmp_path / "b_store")
         solve_batch(graphs[:3], "stoer_wagner", seed=0, cache=a)
         solve_batch(graphs[2:], "stoer_wagner", seed=2, cache=b)
-        merged = ResultCache(path=tmp_path / "merged.json")
-        assert merged.merge_from(tmp_path / "a.json") == 3
-        assert merged.merge_from(tmp_path / "b.json") == 1  # overlap skipped
+        merged = ResultCache(path=tmp_path / "merged_store")
+        assert merged.merge_from(tmp_path / "a_store") == 3
+        assert merged.merge_from(tmp_path / "b_store") == 1  # overlap skipped
         assert merged.stats()["disk_entries"] == 4
 
     def test_merge_from_live_memory_cache(self):
@@ -431,10 +444,10 @@ class TestCacheSchemaAndMerge:
 
     def test_warm_started_engine_replays_all_hits(self, tmp_path):
         graphs = _graphs(3, family="grid", n=9)
-        recorder = Engine(cache=tmp_path / "record.json")
+        recorder = Engine(cache=tmp_path / "record_store")
         recorded = recorder.solve_batch(graphs, "stoer_wagner")
         warm = Engine()
-        assert warm.warm_start(tmp_path / "record.json") == 3
+        assert warm.warm_start(tmp_path / "record_store") == 3
         replayed = warm.solve_batch(graphs, "stoer_wagner")
         assert all(r.extras["cache"]["hit"] for r in replayed)
         assert _identity(replayed) == _identity(recorded)

@@ -1,13 +1,12 @@
 """Result cache: keys, LRU behaviour, persistence, façade integration."""
 
-import json
-
 import pytest
 
 from repro.api import CutResult, SolverRegistry, solve, solve_batch
 from repro.errors import AlgorithmError
-from repro.exec import CACHE_SCHEMA_VERSION, CacheKey, ResultCache
+from repro.exec import CacheKey, ResultCache
 from repro.graphs import WeightedGraph, build_family
+from repro.store import ACTIVE_SEGMENT, SegmentStore
 
 
 def _grid(seed=0):
@@ -175,12 +174,14 @@ class TestFacadeIntegration:
 
 
 class TestPersistence:
+    """The persistence tier is a segment-store directory (schema 3)."""
+
     def test_disk_round_trip_across_cache_instances(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache_store"
         graph = _grid()
         warm = ResultCache(path=path)
         first = solve(graph, solver="stoer_wagner", cache=warm)
-        assert path.exists()
+        assert (path / ACTIVE_SEGMENT).exists()
 
         cold = ResultCache(path=path)
         second = solve(graph, solver="stoer_wagner", cache=cold)
@@ -190,7 +191,7 @@ class TestPersistence:
         assert second.matches(graph)
 
     def test_congest_metrics_never_persisted(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache_store"
         graph = build_family("cycle", 8)
         warm = ResultCache(path=path)
         solve(graph, solver="exact", mode="congest", cache=warm)
@@ -199,34 +200,28 @@ class TestPersistence:
         assert result.extras["cache"]["hit"] is False  # memory tier only
 
     def test_put_flush_false_defers_disk_write(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache_store"
         cache = ResultCache(path=path)
         key = CacheKey.for_solve(_grid(), "fake")
         cache.put(key, CutResult(value=1.0, side=frozenset({0})), flush=False)
-        assert not path.exists()
+        assert not (path / ACTIVE_SEGMENT).exists()
+        assert ResultCache(path=path).get(key) is None
         cache.flush()
-        assert json.loads(path.read_text(encoding="utf-8"))
+        assert ResultCache(path=path).get(key) is not None
 
-    def test_batch_persists_every_entry_with_one_file(self, tmp_path):
-        path = tmp_path / "cache.json"
+    def test_batch_persists_every_entry(self, tmp_path):
+        path = tmp_path / "cache_store"
         cache = ResultCache(path=path)
         graphs = [build_family("cycle", 8, seed=s) for s in range(4)]
         solve_batch(graphs, "stoer_wagner", cache=cache)
         assert cache.stats()["disk_entries"] == 4
-        on_disk = json.loads(path.read_text(encoding="utf-8"))
-        assert on_disk["schema"] == CACHE_SCHEMA_VERSION
-        assert len(on_disk["entries"]) == 4
-        # Atomic rename leaves no temp residue next to the cache file
-        # (the persistent .lock sibling is expected).
-        assert {p.name for p in tmp_path.iterdir()} <= {
-            "cache.json",
-            "cache.json.lock",
-        }
+        assert cache.store.appended_records == 4
+        assert len(SegmentStore(path, create=False).entries()) == 4
 
     def test_concurrent_writers_merge_instead_of_erasing(self, tmp_path):
-        # Two caches open the same (empty) file, then flush in turn; the
-        # later writer must adopt — not erase — the earlier one's entry.
-        path = tmp_path / "cache.json"
+        # Two caches open the same (empty) store, then flush in turn; the
+        # later writer must append to — not erase — the earlier one's entry.
+        path = tmp_path / "cache_store"
         first = ResultCache(path=path)
         second = ResultCache(path=path)
         key_a = CacheKey.for_solve(_grid(), "fake", seed=1)
@@ -243,7 +238,7 @@ class TestPersistence:
         # that protects separate processes.
         from concurrent.futures import ThreadPoolExecutor
 
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache_store"
         writers = [ResultCache(path=path) for _ in range(4)]
         grid = _grid()
 
@@ -257,19 +252,8 @@ class TestPersistence:
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             list(pool.map(spam, range(4)))
-        merged = json.loads(path.read_text(encoding="utf-8"))
-        assert len(merged["entries"]) == 40  # every writer's entries survived
-
-    def test_clear_truncates_the_file(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultCache(path=path)
-        cache.put(
-            CacheKey.for_solve(_grid(), "fake"),
-            CutResult(value=1.0, side=frozenset({0})),
-        )
-        cache.clear()
-        on_disk = json.loads(path.read_text(encoding="utf-8"))
-        assert on_disk == {"schema": CACHE_SCHEMA_VERSION, "entries": {}}
+        merged = SegmentStore(path, create=False)
+        assert len(merged.entries()) == 40  # every writer's entries survived
 
     def test_failed_batch_still_caches_completed_results(self, tmp_path):
         registry = SolverRegistry()
@@ -288,7 +272,7 @@ class TestPersistence:
             build_family("complete", 4),  # the failing instance
             build_family("cycle", 8),
         ]
-        cache = ResultCache(path=tmp_path / "cache.json")
+        cache = ResultCache(path=tmp_path / "cache_store")
         # Custom registries cannot ship to the process backend; pin the
         # serial one so $REPRO_BACKEND never redirects this test.
         with pytest.raises(AlgorithmError, match=r"graph #1.*boom"):
@@ -307,20 +291,10 @@ class TestPersistence:
             )
         assert cache.hits == 2
 
-    def test_corrupt_cache_file_starts_cold(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json", encoding="utf-8")
-        cache = ResultCache(path=path)
-        graph = _grid()
-        result = solve(graph, solver="stoer_wagner", cache=cache)
-        assert result.extras["cache"]["hit"] is False
-        # And the file is healed (valid JSON with the entry) on the store.
-        assert json.loads(path.read_text(encoding="utf-8"))
-
     def test_tuple_extras_round_trip_exactly(self, tmp_path):
         # The paper solvers report tuple extras (e.g. per_tree_values);
         # the tagged encoding must restore them as tuples, not lists.
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache_store"
         cache = ResultCache(path=path)
         key = CacheKey.for_solve(_grid(), "fake")
         tupled = CutResult(
@@ -339,7 +313,7 @@ class TestPersistence:
     def test_exact_solver_result_survives_disk_tier(self, tmp_path):
         # Regression: 'exact' carries per_tree_values (a tuple) in
         # extras; the disk tier must still serve it across instances.
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache_store"
         graph = _grid()
         warm = ResultCache(path=path)
         first = solve(graph, solver="exact", cache=warm)
@@ -355,7 +329,7 @@ class TestPersistence:
         assert second.matches(graph)
 
     def test_unfaithful_extras_stay_memory_only(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache_store"
         cache = ResultCache(path=path)
         for extras in (
             {"mapping": {1: "non-string key"}},

@@ -600,3 +600,34 @@ class TestRequestHead:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    def test_short_body_past_the_deadline_drops_the_connection(
+        self, monkeypatch
+    ):
+        # The head promises 100 body bytes and only one arrives: the
+        # server hangs up once the body deadline passes, unanswered.
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "_BODY_TIMEOUT", 0.3)
+        server = create_server(port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(
+                    b"POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"
+                )
+                started = time.monotonic()
+                readable = select.select([sock], [], [], 5.0)[0]
+                try:
+                    reply = sock.recv(65536) if readable else None
+                except OSError:
+                    reply = b""
+                elapsed = time.monotonic() - started
+            assert reply == b"", "the short body got an answer or was held"
+            assert 0.25 <= elapsed < 3.0
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)

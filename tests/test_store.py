@@ -17,6 +17,7 @@ The subsystem's three contracts, exercised directly against
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +33,6 @@ from repro.store import (
     STORE_KIND,
     STORE_SCHEMA_VERSION,
     SegmentStore,
-    is_store_path,
     read_segment,
 )
 
@@ -142,14 +142,6 @@ class TestManifest:
         (tmp_path / "not_a_store").mkdir()
         with pytest.raises(AlgorithmError, match="not a cache store"):
             SegmentStore(tmp_path / "not_a_store", create=False)
-
-    def test_is_store_path_conventions(self, tmp_path):
-        assert is_store_path(tmp_path)                      # existing dir
-        assert is_store_path(tmp_path / "cache_store")      # no suffix
-        assert not is_store_path(tmp_path / "cache.json")   # file suffix
-        file_path = tmp_path / "weird"
-        file_path.write_text("x", encoding="utf-8")
-        assert not is_store_path(file_path)                 # existing file
 
 
 class TestCompaction:
@@ -395,12 +387,42 @@ class TestResultCacheStoreTier:
         cold = ResultCache(path=tmp_path / "cache_store")
         assert cold.get(self._key(0)) is not None
 
+    def test_suffixed_missing_path_opens_a_store(self, tmp_path):
+        # No path-suffix convention: a name ending in ``.json`` that does
+        # not exist yet is a store directory like any other.
+        cache = ResultCache(path=tmp_path / "cache.json")
+        assert cache.store is not None
+        cache.put(self._key(0), self._result())
+        assert (tmp_path / "cache.json").is_dir()
+        assert (tmp_path / "cache.json" / ACTIVE_SEGMENT).exists()
+        assert ResultCache(path=tmp_path / "cache.json").get(self._key(0))
+
+    def test_schema2_file_as_cache_path_names_the_migration(self, tmp_path):
+        from repro.api import Engine
+
+        legacy = tmp_path / "legacy.json"
+        body = json.dumps(
+            {"schema": CACHE_SCHEMA_VERSION, "entries": {"d1": entry(1)}}
+        )
+        legacy.write_text(body, encoding="utf-8")
+        hint = re.escape(f"repro cache merge --out DIR {legacy}")
+        with pytest.raises(AlgorithmError, match=hint):
+            ResultCache(path=legacy)
+        with pytest.raises(AlgorithmError, match=hint):
+            Engine(cache=legacy)
+        # Refused, not started cold: the file is untouched, and the
+        # command the message names migrates it.
+        assert legacy.read_text(encoding="utf-8") == body
+        migrated = ResultCache(path=tmp_path / "DIR")
+        assert migrated.merge_from(legacy) == 1
+        assert migrated.store.entries() == {"d1": entry(1)}
+
     def test_memory_holds_line_offsets_not_payloads(self, tmp_path):
         cache = ResultCache(path=tmp_path / "st")
         for seed in range(3):
             cache.put(self._key(seed), self._result(float(seed)))
         cold = ResultCache(path=tmp_path / "st")
-        assert cold._disk == {} and cold.stats()["disk_entries"] == 3
+        assert cold._pending_puts == {} and cold.stats()["disk_entries"] == 3
         live = cold.store._live[self._key(2).digest()]
         assert not hasattr(live, "__dict__")  # slotted index record
         assert live.segment == ACTIVE_SEGMENT and live.offset > 0
@@ -474,13 +496,13 @@ class TestResultCacheStoreTier:
         assert len(SegmentStore(tmp_path / "st")) == 0
 
     def test_merge_counts_report_every_outcome(self, tmp_path):
-        ours = ResultCache(path=tmp_path / "ours.json")
+        ours = ResultCache(path=tmp_path / "ours_store")
         ours.put(self._key(0), self._result(1.0))
-        theirs = ResultCache(path=tmp_path / "theirs.json")
+        theirs = ResultCache(path=tmp_path / "theirs_store")
         theirs.put(self._key(0), self._result(99.0))  # conflict: ours wins
         theirs.put(self._key(1), self._result(2.0))
 
-        counts = ours.merge_from(tmp_path / "theirs.json")
+        counts = ours.merge_from(tmp_path / "theirs_store")
         assert counts.added == 1
         assert counts.kept_ours == 1
         assert counts.skipped == 0
