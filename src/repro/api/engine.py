@@ -516,13 +516,13 @@ class Engine:
                     pending.append((position, task))
         else:
             pending = list(enumerate(tasks))
+        failure: Optional[Exception] = None
         if pending:
             computed = executor.run_tasks(
                 [task for _, task in pending],
                 registry=registry,
                 keep_going=cache is not None,  # completed work is only worth
             )                                  # finishing if it can be cached
-            failure: Optional[Exception] = None
             for (position, _task), outcome in zip(pending, computed):
                 if isinstance(outcome, Exception):
                     if failure is None:
@@ -532,10 +532,12 @@ class Engine:
                     cache.put(keys[position], outcome, flush=False)
                     outcome = _stamp_cache(outcome, cache, hit=False)
                 results[position] = outcome
-            if cache is not None:
-                cache.flush()  # one disk write per batch, not per store
-            if failure is not None:
-                raise failure
+        if cache is not None:
+            # One disk write per batch for its puts and hit records, so
+            # an all-hit replay still leaves its hits in the store.
+            cache.flush()
+        if failure is not None:
+            raise failure
         return results  # type: ignore[return-value]  (every slot is filled)
 
     # -- dynamic sessions ------------------------------------------------
@@ -545,9 +547,9 @@ class Engine:
 
         The session inherits this engine's registry, cache and solver
         knobs; ``knobs`` (``solver=``/``epsilon=``/``mode=``/``seed=``/
-        ``patch_budget=``/``copy=``/``validate=``) override per session.
-        Mutations stream through a :class:`~repro.dynamic.ops.
-        MutationLog` with incremental index/hash maintenance, and
+        ``copy=``/``validate=``) override per session.  Mutations stream
+        through a :class:`~repro.dynamic.ops.MutationLog` with a live
+        content hash and O(1) reweight index patches, and
         ``session.solve()`` skips the solver when a cut certificate
         proves the cached result still stands.
         """

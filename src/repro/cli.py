@@ -328,7 +328,6 @@ def _cmd_sweep_stream(args: argparse.Namespace) -> int:
         solver=args.solver,
         epsilon=args.epsilon,
         seed=args.seed,
-        patch_budget=args.patch_budget,
         copy=False,
         validate=args.validate,
     )
@@ -976,11 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--solve-every", type=int, default=None, metavar="N",
         help="with --stream: also solve after every N applied ops "
              "(besides explicit 'solve' lines)",
-    )
-    p_sweep.add_argument(
-        "--patch-budget", type=int, default=None, metavar="COST",
-        help="with --stream: force an index rebuild when a patch would "
-             "splice more than COST CSR entries (default: always patch)",
     )
     p_sweep.add_argument(
         "--validate", action="store_true",

@@ -6,10 +6,10 @@ scratch.  This package turns the engine into a dynamic-graph solver:
 
 * :mod:`repro.dynamic.ops` — typed mutation ops with apply/undo and a
   canonical serialized form (:class:`MutationLog`);
-* :mod:`repro.dynamic.incremental` — in-place :class:`GraphIndex`
-  patching and an incrementally maintained ``content_hash``
-  (:class:`IncrementalIndexer`), with rebuild fallback under a patch
-  budget;
+* :mod:`repro.dynamic.incremental` — an incrementally maintained
+  ``content_hash`` plus an O(1) :class:`GraphIndex` patch for weight
+  overwrites (:class:`IncrementalIndexer`); structural ops leave the
+  index to be rebuilt on next use;
 * :mod:`repro.dynamic.session` — :class:`DynamicSession`, which gates
   ``solve()`` behind cut certificates and the engine's result cache.
 

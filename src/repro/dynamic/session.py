@@ -98,7 +98,6 @@ class DynamicSession:
         epsilon: Optional[float] = None,
         mode: Optional[str] = None,
         seed: Optional[int] = None,
-        patch_budget: Optional[int] = None,
         copy: bool = True,
         validate: bool = False,
     ) -> None:
@@ -110,9 +109,7 @@ class DynamicSession:
         self.seed = engine.seed if seed is None else seed
         self.validate = validate
         self.log = MutationLog(self.graph)
-        self.indexer = IncrementalIndexer(
-            self.graph, patch_budget=patch_budget, validate=validate
-        )
+        self.indexer = IncrementalIndexer(self.graph, validate=validate)
         self._last: Optional[CutResult] = None
         self._pending: list[Effect] = []
         self.counters = {

@@ -51,8 +51,9 @@ from ..graphs.graph import WeightedGraph
 from ..store import SegmentStore
 
 #: Pending disk-tier hit counts are appended to a store-backed cache
-#: once this many accumulate, so a pure-hit workload (a warm worker
-#: replaying a sweep) still persists its usage metadata without a flush.
+#: once this many accumulate, so a stream of single solves that all hit
+#: (a warm ``/solve`` worker) still persists its usage metadata; a batch
+#: flushes its hits when it ends (``Engine.solve_tasks``).
 _HIT_FLUSH_THRESHOLD = 256
 
 #: Newest single-file cache schema :func:`load_cache_file` reads.  The

@@ -144,16 +144,21 @@ class WeightedGraph:
         """Install externally maintained caches for the *current* version.
 
         The incremental maintainer in :mod:`repro.dynamic.incremental`
-        patches a :class:`GraphIndex` and a content digest in place after
-        each mutation; this seam re-registers them so :meth:`index` and
-        :meth:`content_hash` serve the patched values instead of
-        rebuilding.  Callers are responsible for equivalence with a
+        keeps a content digest live across mutations and patches a
+        :class:`GraphIndex` in place after a weight overwrite; this seam
+        re-registers them so :meth:`index` and :meth:`content_hash` serve
+        the maintained values instead of rebuilding.  Callers are responsible for equivalence with a
         from-scratch rebuild.
         """
         if index is not None:
             self._index_cache = (self._version, index)
         if content_hash is not None:
             self._hash_cache = (self._version, content_hash)
+
+    def _index_at(self, version: int) -> Optional["GraphIndex"]:
+        """The cached index if it describes ``version``, else ``None``."""
+        cached = self._index_cache
+        return cached[1] if cached is not None and cached[0] == version else None
 
     def _insert_edge_at(
         self, u: Node, v: Node, weight: float, pos_u: int, pos_v: int

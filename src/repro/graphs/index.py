@@ -45,8 +45,8 @@ class GraphIndex:
     describes an old graph — the cache's version check prevents that.
 
     Consumers treat an index as immutable.  The only sanctioned writer
-    is :mod:`repro.dynamic.incremental`, which patches the arrays in
-    place after a single-edge mutation and re-registers the index via
+    is :mod:`repro.dynamic.incremental`, which patches the weights in
+    place after a single-edge reweight and re-registers the index via
     ``WeightedGraph._adopt_caches`` (asserting equivalence with a
     from-scratch rebuild in its validation mode).
     """

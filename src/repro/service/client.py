@@ -390,7 +390,6 @@ class ServiceClient:
         epsilon: Optional[float] = None,
         mode: str = "reference",
         seed: int = 0,
-        patch_budget: Optional[int] = None,
     ) -> "RemoteDynamicSession":
         """Open a server-side dynamic session; returns the typed handle."""
         response = self.mutate(
@@ -400,7 +399,6 @@ class ServiceClient:
                 "epsilon": epsilon,
                 "mode": mode,
                 "seed": seed,
-                "patch_budget": patch_budget,
             }
         )
         return RemoteDynamicSession(self, response["session"], response)

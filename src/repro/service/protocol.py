@@ -40,8 +40,9 @@ from ..graphs.io import edge_list_from_text, graph_from_json
 #: (requests valid under an older version stay valid under a newer).
 #: Version 4 added worker-pool membership (``POST /register``
 #: heartbeats + ``GET /workers``) and the ``retry_after`` field on
-#: backpressure (429) error bodies.
-PROTOCOL_VERSION = 4
+#: backpressure (429) error bodies.  Version 5 dropped the
+#: ``patch_budget`` field of a ``/mutate`` open (now an unknown field).
+PROTOCOL_VERSION = 5
 
 _SOLVE_FIELDS = ("graph", "solver", "epsilon", "mode", "seed", "budget", "options")
 _BATCH_FIELDS = (
@@ -50,7 +51,7 @@ _BATCH_FIELDS = (
 )
 _MUTATE_FIELDS = ("session", "open", "ops", "undo", "solve", "close")
 _REGISTER_FIELDS = ("url", "leaving")
-_OPEN_FIELDS = ("graph", "solver", "epsilon", "mode", "seed", "patch_budget")
+_OPEN_FIELDS = ("graph", "solver", "epsilon", "mode", "seed")
 _MODES = ("reference", "congest")
 
 
@@ -211,8 +212,8 @@ def parse_mutate_request(body: Any) -> dict:
     and replay in a single round trip.  Fields:
 
     * ``open`` — open a new session: ``{"graph": payload}`` plus the
-      optional knobs ``solver``/``epsilon``/``mode``/``seed``/
-      ``patch_budget``.  Mutually exclusive with ``session``;
+      optional knobs ``solver``/``epsilon``/``mode``/``seed``.
+      Mutually exclusive with ``session``;
     * ``session`` — the id of an existing session to drive;
     * ``undo`` — number of most-recent ops to revert (default 0);
     * ``ops`` — list of mutation ops in their canonical JSON form
@@ -243,23 +244,12 @@ def parse_mutate_request(body: Any) -> dict:
             {k: v for k, v in open_body.items()
              if k in ("solver", "epsilon", "mode", "seed")}
         )
-        patch_budget = open_body.get("patch_budget")
-        if patch_budget is not None and (
-            isinstance(patch_budget, bool)
-            or not isinstance(patch_budget, int)
-            or patch_budget < 0
-        ):
-            raise ServiceError(
-                "'patch_budget' must be a non-negative integer or null, "
-                f"got {patch_budget!r}"
-            )
         open_body = {
             "graph": parse_graph(open_body["graph"]),
             "solver": knobs["solver"],
             "epsilon": knobs["epsilon"],
             "mode": knobs["mode"],
             "seed": knobs["seed"],
-            "patch_budget": patch_budget,
         }
     elif session is None:
         raise ServiceError(

@@ -401,7 +401,6 @@ class ReproService:
                     epsilon=opened["epsilon"],
                     mode=opened["mode"],
                     seed=opened["seed"],
-                    patch_budget=opened["patch_budget"],
                     copy=False,  # the graph was parsed for this session
                 )
                 self.sessions[session_id] = session

@@ -40,6 +40,12 @@ class TestParser:
         assert excinfo.value.code == 2
         assert argv[-1] in capsys.readouterr().err
 
+    def test_patch_budget_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["sweep", "--patch-budget", "5"])
+        assert excinfo.value.code == 2
+        assert "--patch-budget" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_exact_reference(self, capsys):

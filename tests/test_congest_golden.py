@@ -47,6 +47,7 @@ from repro.graphs import (
     WeightedGraph,
     build_family,
     grid_graph,
+    planted_cut_graph,
     random_regular_graph,
     random_spanning_tree,
     weighted_ring_of_cliques,
@@ -294,6 +295,10 @@ def cases() -> dict:
         matrix[f"one-respect/gnp-64-seed{seed}"] = (graph, _sweep(graph, tree))
     regular = random_regular_graph(64, 4, seed=5)
     matrix["multi-tree/regular-64"] = (regular, _multi_tree(regular))
+    # E2's family at lambda = 2: its fragments hold several fragments
+    # below them, so this case pins LowestHolderDowncast's send order.
+    planted = planted_cut_graph((24, 24), 2, seed=10)
+    matrix["multi-tree/planted-48"] = (planted, _multi_tree(planted))
     grid = grid_graph(7, 7)
     matrix["one-respect-partition/grid-49"] = (
         grid,

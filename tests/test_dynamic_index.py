@@ -6,14 +6,19 @@ The contract under test: after every op absorbed by
 rebuild of the mutated graph — and after undoing a whole op sequence
 they are bit-identical to the *original* graph's (same CSR layout,
 same digest), because undo restores adjacency insertion order exactly.
+Weight overwrites patch the cached index in place; structural ops
+leave ``graph.index()`` to rebuild on next use.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Engine
 from repro.dynamic import (
     AddEdge,
     AddNode,
@@ -25,6 +30,7 @@ from repro.dynamic import (
     Reweight,
     index_equal,
 )
+from repro.exec import ResultCache
 from repro.graphs import GraphIndex, WeightedGraph, build_family
 
 DEFAULT_SETTINGS = settings(
@@ -64,11 +70,10 @@ class TestSingleOpEquivalence:
     @pytest.mark.parametrize(
         "op", SINGLE_OPS, ids=lambda op: op.to_text().replace(" ", "_")
     )
-    @pytest.mark.parametrize("budget", [None, 0], ids=["patch", "rebuild"])
-    def test_apply_then_undo(self, op, budget):
+    def test_apply_then_undo(self, op):
         graph = base_graph()
         log = MutationLog(graph)
-        indexer = IncrementalIndexer(graph, patch_budget=budget)
+        indexer = IncrementalIndexer(graph)
         # Snapshot with a *fresh* build: patches mutate the cached
         # GraphIndex object in place, so graph.index() aliases the live one.
         original_index = GraphIndex(graph)
@@ -82,14 +87,65 @@ class TestSingleOpEquivalence:
         assert index_equal(graph.index(), original_index)
         assert graph.content_hash() == original_hash
 
-    def test_zero_budget_forces_rebuild_verb(self):
+    def test_structural_op_rebuilds_then_reweight_patches(self):
         graph = base_graph()
         log = MutationLog(graph)
-        indexer = IncrementalIndexer(graph, patch_budget=0)
+        indexer = IncrementalIndexer(graph)
         assert indexer.apply(log.apply(AddEdge(0, 5, 2.0))) == "rebuilt"
-        # Weight overwrites never splice, so they patch under any budget.
+        built = graph.index()  # the lazy rebuild
         assert indexer.apply(log.apply(Reweight(0, 1, 9.0))) == "patched"
-        assert indexer.stats()["rebuilt"] == 1
+        assert graph.index() is built  # patched in place, not rebuilt again
+        assert index_equal(built, GraphIndex(graph))
+        assert indexer.stats() == {"patched": 1, "rebuilt": 1, "noops": 0}
+
+    def test_reweight_without_current_index_is_rebuilt(self):
+        graph = base_graph()
+        log = MutationLog(graph)
+        indexer = IncrementalIndexer(graph)
+        stale = graph.index()
+        indexer.apply(log.apply(RemoveEdge(5, 6)))
+        # Nothing rebuilt the index since: the reweight has none to patch.
+        assert indexer.apply(log.apply(Reweight(0, 1, 9.0))) == "rebuilt"
+        assert graph.index() is not stale
+        assert_matches_rebuild(graph)
+
+    def test_merge_edge_patches_and_its_undo_patches(self):
+        graph = base_graph()
+        log = MutationLog(graph)
+        indexer = IncrementalIndexer(graph)
+        original_index = GraphIndex(graph)
+        built = graph.index()
+        # (0, 1) exists, so add_edge merges: a weight overwrite.
+        assert indexer.apply(log.apply(AddEdge(0, 1, 0.5))) == "patched"
+        assert graph.index() is built
+        assert_matches_rebuild(graph)
+        assert indexer.unapply(log.undo()) == "patched"
+        assert graph.index() is built
+        assert index_equal(built, original_index)
+        assert indexer.stats() == {"patched": 2, "rebuilt": 0, "noops": 0}
+
+    @pytest.mark.parametrize(
+        "op", [AddEdge(0, 5, 2.0), RemoveEdge(5, 6), AddNode(77),
+               RemoveNode(10)],
+        ids=lambda op: op.kind,
+    )
+    def test_structural_op_adopts_digest_and_builds_no_index(self, op):
+        graph = base_graph()
+        log = MutationLog(graph)
+        indexer = IncrementalIndexer(graph)
+        for absorb in (lambda: indexer.apply(log.apply(op)),
+                       lambda: indexer.unapply(log.undo())):
+            assert absorb() == "rebuilt"
+            # Nothing eager: no index for this version until graph.index().
+            assert graph._index_at(graph._version) is None
+            assert graph._hash_cache == (
+                graph._version, indexer.content_hash()
+            )
+            assert graph.content_hash() == graph.copy().content_hash()
+
+    def test_indexer_has_no_patch_budget_kwarg(self):
+        with pytest.raises(TypeError, match="patch_budget"):
+            IncrementalIndexer(base_graph(), patch_budget=0)
 
     def test_noop_verb(self):
         graph = base_graph()
@@ -169,19 +225,18 @@ class TestPropertyBased:
     @given(
         st.data(),
         st.integers(min_value=1, max_value=25),
-        st.sampled_from([None, 0, 8]),
     )
-    def test_random_mutation_undo_round_trip(self, data, steps, budget):
+    def test_random_mutation_undo_round_trip(self, data, steps):
         graph = WeightedGraph([(0, 1, 2.0), (1, 2, 1.0), (0, 2, 3.0)])
         log = MutationLog(graph)
         # validate=True cross-checks every op against a rebuild inline.
-        indexer = IncrementalIndexer(
-            graph, patch_budget=budget, validate=True
-        )
+        indexer = IncrementalIndexer(graph, validate=True)
         original_index = GraphIndex(graph)
         original_hash = graph.content_hash()
         applied = 0
         for _ in range(steps):
+            if data.draw(st.booleans(), label="index?"):
+                graph.index()  # a lazy rebuild the next reweight patches
             if applied and data.draw(st.booleans(), label="undo?"):
                 indexer.unapply(log.undo())
                 applied -= 1
@@ -193,3 +248,69 @@ class TestPropertyBased:
             applied -= 1
         assert index_equal(graph.index(), original_index)
         assert graph.content_hash() == original_hash
+
+
+def _stream_op(rng: random.Random, graph: WeightedGraph, fresh: int):
+    """One seeded op that keeps ``graph`` connected (except a bare add_node)."""
+    nodes = graph.nodes
+    edges = [(u, v) for u, v, _w in graph.edges()]
+    kind = rng.choice(
+        ["add_edge", "remove_edge", "add_node", "remove_node", "reweight"]
+    )
+    if kind == "add_node":
+        return AddNode(fresh)
+    if kind == "remove_node":
+        for u in rng.sample(nodes, len(nodes)):
+            probe = graph.copy()
+            probe.remove_node(u)
+            if probe.is_connected():
+                return RemoveNode(u)
+    if kind == "remove_edge":
+        for u, v in rng.sample(edges, len(edges)):
+            probe = graph.copy()
+            probe.remove_edge(u, v)
+            if probe.is_connected():
+                return RemoveEdge(u, v)
+    if kind == "add_edge":
+        u, v = rng.sample(nodes, 2)
+        if not graph.has_edge(u, v):
+            return AddEdge(u, v, rng.choice((0.5, 1.0, 2.5)))
+    u, v = rng.choice(edges)
+    return Reweight(u, v, rng.choice((0.5, 1.0, 1.5, 3.0)))
+
+
+class TestStructuralStream:
+    """Structural ops through a validating session: every value equals a
+    cold solve, and undo restores the original digest and index."""
+
+    @pytest.mark.parametrize("family", ["gnp", "grid"])
+    def test_values_match_cold_solves_and_undo_restores(self, family):
+        graph = build_family(family, 32, seed=4)
+        original_index = GraphIndex(graph)
+        original_hash = graph.content_hash()
+        engine = Engine(solver="stoer_wagner", seed=0, cache=ResultCache())
+        session = engine.dynamic_session(graph, validate=True)
+        rng = random.Random(family)
+        verbs = []
+        fresh = 1000
+        for _ in range(30):
+            ack = session.apply(_stream_op(rng, session.graph, fresh))
+            verbs.append((ack["applied"], ack["index"]))
+            if ack["applied"] == "add_node":
+                # Wire the new node in so the graph stays solvable.
+                anchor = rng.choice(session.graph.nodes[:-1])
+                session.apply(AddEdge(fresh, anchor, 1.5))
+                fresh += 1
+            value = session.solve().value
+            assert value == Engine().solve(session.graph.copy()).value
+        kinds = {kind for kind, _verb in verbs}
+        assert {"add_edge", "remove_edge", "add_node", "remove_node",
+                "reweight"} <= kinds
+        # A reweight after a structural op and a solve patches the
+        # index the solve rebuilt.
+        assert ("reweight", "patched") in verbs
+        assert session.stats()["index"]["rebuilt"] > 0
+        while len(session.log):
+            session.undo()
+        assert session.graph.content_hash() == original_hash
+        assert index_equal(session.graph.index(), original_index)

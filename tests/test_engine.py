@@ -207,10 +207,10 @@ class TestTaskPlane:
             spec.cost_model(graph.number_of_nodes, graph.number_of_edges)
         )
 
-    def test_dynamic_session_leaves_patch_budget_default(self):
+    def test_dynamic_session_rejects_patch_budget(self):
         graph = build_family("gnp", 16, seed=3)
-        session = Engine().dynamic_session(graph)
-        assert session.indexer.patch_budget is None
+        with pytest.raises(TypeError, match="patch_budget"):
+            Engine().dynamic_session(graph, patch_budget=7)
 
 
 def _registry_with_costs(unmodelled=False):
@@ -298,11 +298,6 @@ class TestOneCostModel:
             range(len(tasks))
         )
         assert (0,) in plan.assignments
-
-    def test_explicit_patch_budget_is_honoured(self):
-        graph = build_family("gnp", 16, seed=3)
-        session = Engine().dynamic_session(graph, patch_budget=7)
-        assert session.indexer.patch_budget == 7
 
     def test_select_auto_budget_in_cost_units(self):
         registry = _registry_with_costs()

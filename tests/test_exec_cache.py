@@ -218,6 +218,32 @@ class TestPersistence:
         assert cache.store.appended_records == 4
         assert len(SegmentStore(path, create=False).entries()) == 4
 
+    def test_all_hit_batch_appends_its_hit_records(self, tmp_path):
+        path = tmp_path / "cache_store"
+        graphs = [build_family("cycle", 8, seed=s) for s in range(4)]
+        solve_batch(graphs, "stoer_wagner", cache=ResultCache(path=path))
+        replay = ResultCache(path=path)  # a fresh process's view
+        before = replay.store.disk_bytes()
+        results = solve_batch(graphs, "stoer_wagner", cache=replay)
+        assert all(r.extras["cache"]["hit"] for r in results)
+        # The batch's hits land on disk with the batch, not only once
+        # a few hundred are pending.
+        assert replay.store.disk_bytes() > before
+        reopened = SegmentStore(path, create=False)
+        assert sorted(hits for hits, _ts in reopened.entry_meta().values()) == [
+            1, 1, 1, 1,
+        ]
+
+    def test_single_solve_hit_defers_its_hit_record(self, tmp_path):
+        path = tmp_path / "cache_store"
+        graph = _grid()
+        solve(graph, solver="stoer_wagner", cache=ResultCache(path=path))
+        replay = ResultCache(path=path)
+        before = replay.store.disk_bytes()
+        assert solve(graph, solver="stoer_wagner", cache=replay).extras[
+            "cache"]["hit"]
+        assert replay.store.disk_bytes() == before  # no append per request
+
     def test_concurrent_writers_merge_instead_of_erasing(self, tmp_path):
         # Two caches open the same (empty) store, then flush in turn; the
         # later writer must append to — not erase — the earlier one's entry.

@@ -51,6 +51,7 @@ class TestParseMutateRequest:
             ({"open": {}}, "missing the 'graph'"),
             ({"open": {"graph": [[0, 1]], "nope": 1}},
              "unknown mutate open request fields"),
+            # The removed index knob is an unknown field like any other.
             ({"open": {"graph": [[0, 1]], "patch_budget": -1}},
              "'patch_budget'"),
             ({"open": {"graph": [[0, 1]], "patch_budget": True}},
@@ -176,6 +177,16 @@ class TestDispatch:
         # The acked op is still applied — the log is append-only.
         assert "kept" in service.sessions[opened["session"]].graph
 
+    @pytest.mark.parametrize("value", [5, None])
+    def test_patch_budget_is_an_unknown_open_field(self, value):
+        # Older clients sent "patch_budget": null on every open.
+        service = ReproService()
+        status, payload = post(service, "/mutate", open_body(patch_budget=value))
+        assert status == 400
+        message = payload["error"]["message"]
+        assert "unknown mutate open request fields: 'patch_budget'" in message
+        assert not service.sessions
+
     def test_session_limit_is_429(self):
         service = ReproService(config=ServiceConfig(max_sessions=1))
         assert post(service, "/mutate", open_body())[0] == 200
@@ -285,6 +296,11 @@ class TestHTTP:
         graph.add_edge(u, "spare", 1.0)
         assert result.matches(graph)  # upgraded to a typed CutResult
         assert result.value == 1.0  # the fresh pendant edge is the min cut
+
+    def test_open_session_has_no_patch_budget_kwarg(self, live):
+        _server, client = live
+        with pytest.raises(TypeError, match="patch_budget"):
+            client.open_session(small_graph(), patch_budget=5)
 
     def test_bad_op_mid_request_names_committed_count(self, live):
         _server, client = live
