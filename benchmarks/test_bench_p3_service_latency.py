@@ -2,7 +2,7 @@
 
 Not a paper claim: this measures the service core.  The fleet is
 deliberately unbalanced — two healthy workers plus one **straggler**
-(``ServiceConfig.delay`` injects a fixed sleep per task solved), the
+(``ServeConfig.delay`` injects a fixed sleep per task solved), the
 deployment shape that motivated streaming dispatch.  Two effects are
 measured:
 
@@ -39,9 +39,10 @@ from conftest import run_once
 
 from repro.analysis import format_table
 from repro.api import Engine
+from repro.config import ServeConfig
 from repro.exec.remote import RemoteExecutor
 from repro.graphs import build_family
-from repro.service import ServiceClient, ServiceConfig, WorkerPool, create_server
+from repro.service import ServiceClient, WorkerPool, create_server
 
 GRAPHS = 12          # instances per solve_batch sweep
 N = 12               # instance size (stoer_wagner at this size is ~ms)
@@ -71,10 +72,7 @@ def _graphs():
 
 
 def _start_server(**config_kwargs):
-    server = create_server(
-        port=0,
-        config=ServiceConfig(**config_kwargs) if config_kwargs else None,
-    )
+    server = create_server(ServeConfig(port=0, **config_kwargs))
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server
 

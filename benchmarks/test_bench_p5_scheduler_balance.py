@@ -36,6 +36,7 @@ from conftest import run_once
 
 from repro.analysis import format_table
 from repro.api import Engine
+from repro.config import ServeConfig
 from repro.exec import pack_tasks
 from repro.exec.backends import _run_chunk
 from repro.exec.remote import RemoteExecutor
@@ -96,7 +97,7 @@ def _measure_plan(tasks, cost_fn):
 
 def _remote_identity(tasks, cost_fn):
     """Run the same tasks through two live HTTP workers, cost-planned."""
-    servers = [create_server(port=0) for _ in range(2)]
+    servers = [create_server(ServeConfig(port=0)) for _ in range(2)]
     threads = [
         threading.Thread(target=server.serve_forever, daemon=True)
         for server in servers

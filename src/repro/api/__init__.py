@@ -29,7 +29,9 @@ Modules
     (``build_batch_tasks``/``solve_tasks``) and cache warm-start.
 :mod:`~repro.api.facade`
     ``solve`` / ``solve_all`` / ``solve_batch`` — thin delegations to
-    the process-wide default engine (:func:`default_engine`).
+    the process-wide default engine (:func:`default_engine`), or to an
+    engine built with the ``registry``/``backend``/``cache`` a call
+    names.
 """
 
 from .engine import Engine, default_engine

@@ -17,12 +17,15 @@ per-request call:
     results = engine.solve_batch(graphs)    # cached + process fan-out
     table = engine.compare(graph)           # ground truth first
 
-Configuration precedence is uniform: **explicit call argument >
-engine default > environment** (``$REPRO_BACKEND`` for the backend
-knob).  The module-level façade functions are thin delegations to one
-process-wide default engine (:func:`default_engine`), so the historic
-surface keeps working unchanged — same signatures, same env fallbacks,
-same results.
+Registry, backend and cache belong to the engine: its methods take no
+per-call ``registry=``/``backend=``/``cache=`` (a caller who wants
+another builds another ``Engine``).  The solver knobs resolve as
+**explicit call argument > engine default**, and the backend as
+**engine > environment** (``$REPRO_BACKEND``).  The module-level
+façade functions delegate to one process-wide default engine
+(:func:`default_engine`), or to a fresh engine when the call names a
+registry, backend or cache, so the historic surface keeps working
+unchanged — same signatures, same env fallbacks, same results.
 
 Engines also own the **task plane**: :meth:`Engine.build_batch_tasks`
 freezes a batch call into :class:`~repro.exec.task.SolveTask` objects
@@ -42,7 +45,6 @@ files so the first sweep already hits.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -58,7 +60,8 @@ from .result import CutResult
 Backend = Union[str, Executor, None]
 
 #: Sentinel distinguishing "argument not given" from an explicit ``None``
-#: (``cache=None`` must mean "no cache", not "the engine's cache").
+#: for the knobs where ``None`` is a real value (``epsilon=None``: exact
+#: solvers; ``budget=None``: no cap), not "the engine's default".
 _UNSET = object()
 
 
@@ -115,11 +118,6 @@ class Engine:
         self.mode = mode
         self.seed = seed
         self.budget = budget
-        # The process-wide default engine keeps the historic façade
-        # surface (module-level functions forwarding raw kwargs) warning
-        # -free; explicit engines deprecate raw backend=/cache= kwargs
-        # in favour of engine configuration.
-        self._warn_raw_kwargs = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backend = (
@@ -183,51 +181,17 @@ class Engine:
             budget=config.budget,
         )
 
-    # -- configuration resolution ---------------------------------------
-
-    def _pick(self, value, default):
-        return default if value is _UNSET else value
-
-    def _pick_registry(self, registry) -> SolverRegistry:
-        if registry is _UNSET or registry is None:
-            return self.registry
-        return registry
-
-    def _deprecate_raw(self, **kwargs) -> None:
-        """Deprecate per-call ``backend=``/``cache=`` on explicit engines.
-
-        The sunset path for the kwarg-threading style: when a session
-        object is in play, transport and cache belong to the session —
-        configure them on the :class:`Engine` (or build a second engine)
-        instead of re-passing them per call.  The module-level façade
-        (which forwards through the default engine) never warns, so the
-        historic surface stays quiet.
-        """
-        if not self._warn_raw_kwargs:
-            return
-        passed = [name for name, value in kwargs.items() if value is not _UNSET]
-        if passed:
-            warnings.warn(
-                f"passing {'/'.join(passed)}= per call on an explicit Engine "
-                "is deprecated; configure them on the Engine "
-                "(Engine(backend=..., cache=...)) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
     # -- the façade surface ---------------------------------------------
 
     def solve(
         self,
         graph: WeightedGraph,
-        solver: Union[str, object] = _UNSET,
+        solver: Optional[str] = None,
         *,
         epsilon: Union[Optional[float], object] = _UNSET,
-        mode: Union[str, object] = _UNSET,
-        seed: Union[int, object] = _UNSET,
+        mode: Optional[str] = None,
+        seed: Optional[int] = None,
         budget: Union[Optional[int], object] = _UNSET,
-        registry: Union[Optional[SolverRegistry], object] = _UNSET,
-        cache: Union[Optional[ResultCache], object] = _UNSET,
         **options: Any,
     ) -> CutResult:
         """Compute a minimum cut of ``graph`` with one registered solver.
@@ -235,16 +199,14 @@ class Engine:
         Same contract as :func:`repro.api.solve`, with unset knobs
         falling back to this engine's defaults.
         """
-        self._deprecate_raw(cache=cache)
+        _refuse_session_knobs("solve", options)
         return self._solve(
             graph,
-            solver=self._pick(solver, self.solver),
-            epsilon=self._pick(epsilon, self.epsilon),
-            mode=self._pick(mode, self.mode),
-            seed=self._pick(seed, self.seed),
-            budget=self._pick(budget, self.budget),
-            registry=self._pick_registry(registry),
-            cache=self._pick(cache, self.cache),
+            solver=self.solver if solver is None else solver,
+            epsilon=self.epsilon if epsilon is _UNSET else epsilon,
+            mode=self.mode if mode is None else mode,
+            seed=self.seed if seed is None else seed,
+            budget=self.budget if budget is _UNSET else budget,
             options=options,
         )
 
@@ -253,48 +215,38 @@ class Engine:
         graph: WeightedGraph,
         *,
         epsilon: Union[Optional[float], object] = _UNSET,
-        mode: Union[str, object] = _UNSET,
-        seed: Union[int, object] = _UNSET,
+        mode: Optional[str] = None,
+        seed: Optional[int] = None,
         budget: Union[Optional[int], object] = _UNSET,
         kinds: Optional[Sequence[str]] = None,
         names: Optional[Sequence[str]] = None,
         include_heavy: bool = False,
-        registry: Union[Optional[SolverRegistry], object] = _UNSET,
-        backend: Union[Backend, object] = _UNSET,
-        cache: Union[Optional[ResultCache], object] = _UNSET,
     ) -> list[CutResult]:
         """Run every applicable registered solver on ``graph``.
 
         Same contract as :func:`repro.api.solve_all`, with unset knobs
         falling back to this engine's defaults.
         """
-        self._deprecate_raw(backend=backend, cache=cache)
         return self._solve_all(
             graph,
-            epsilon=self._pick(epsilon, self.epsilon),
-            mode=self._pick(mode, self.mode),
-            seed=self._pick(seed, self.seed),
-            budget=self._pick(budget, self.budget),
+            epsilon=self.epsilon if epsilon is _UNSET else epsilon,
+            mode=self.mode if mode is None else mode,
+            seed=self.seed if seed is None else seed,
+            budget=self.budget if budget is _UNSET else budget,
             kinds=kinds,
             names=names,
             include_heavy=include_heavy,
-            registry=self._pick_registry(registry),
-            backend=self._pick(backend, self.backend),
-            cache=self._pick(cache, self.cache),
         )
 
     def solve_batch(
         self,
         graphs: Iterable[WeightedGraph],
-        solver: Union[str, object] = _UNSET,
+        solver: Optional[str] = None,
         *,
         epsilon: Union[Optional[float], object] = _UNSET,
-        mode: Union[str, object] = _UNSET,
-        seed: Union[int, object] = _UNSET,
+        mode: Optional[str] = None,
+        seed: Optional[int] = None,
         budget: Union[Optional[int], object] = _UNSET,
-        registry: Union[Optional[SolverRegistry], object] = _UNSET,
-        backend: Union[Backend, object] = _UNSET,
-        cache: Union[Optional[ResultCache], object] = _UNSET,
         **options: Any,
     ) -> list[CutResult]:
         """``solve`` mapped over many graphs (one result per graph, in order).
@@ -302,37 +254,28 @@ class Engine:
         Same contract as :func:`repro.api.solve_batch`, with unset knobs
         falling back to this engine's defaults.
         """
-        self._deprecate_raw(backend=backend, cache=cache)
-        registry = self._pick_registry(registry)
+        _refuse_session_knobs("solve_batch", options)
         tasks = self.build_batch_tasks(
             graphs,
-            solver=self._pick(solver, self.solver),
-            epsilon=self._pick(epsilon, self.epsilon),
-            mode=self._pick(mode, self.mode),
-            seed=self._pick(seed, self.seed),
-            budget=self._pick(budget, self.budget),
+            solver=self.solver if solver is None else solver,
+            epsilon=self.epsilon if epsilon is _UNSET else epsilon,
+            mode=self.mode if mode is None else mode,
+            seed=self.seed if seed is None else seed,
+            budget=self.budget if budget is _UNSET else budget,
             options=options,
-            registry=registry,
         )
-        return self.solve_tasks(
-            tasks,
-            registry=registry,
-            backend=self._pick(backend, self.backend),
-            cache=self._pick(cache, self.cache),
-        )
+        return self.solve_tasks(tasks)
 
     def compare(
         self,
         graph: WeightedGraph,
         *,
         epsilon: Union[Optional[float], object] = _UNSET,
-        mode: Union[str, object] = _UNSET,
-        seed: Union[int, object] = _UNSET,
+        mode: Optional[str] = None,
+        seed: Optional[int] = None,
         names: Optional[Sequence[str]] = None,
         kinds: Optional[Sequence[str]] = None,
         include_heavy: bool = False,
-        backend: Union[Backend, object] = _UNSET,
-        cache: Union[Optional[ResultCache], object] = _UNSET,
     ) -> list[CutResult]:
         """The compare workload: every applicable solver plus ground truth.
 
@@ -342,23 +285,16 @@ class Engine:
         with the ground-truth entry first — the shape the CLI's
         ``compare`` table and the registry-driven benchmarks consume.
         """
-        self._deprecate_raw(backend=backend, cache=cache)
-        epsilon = self._pick(epsilon, self.epsilon)
-        mode = self._pick(mode, self.mode)
-        seed = self._pick(seed, self.seed)
-        cache = self._pick(cache, self.cache)
+        seed = self.seed if seed is None else seed
         results = self._solve_all(
             graph,
-            epsilon=epsilon,
-            mode=mode,
+            epsilon=self.epsilon if epsilon is _UNSET else epsilon,
+            mode=self.mode if mode is None else mode,
             seed=seed,
             budget=None,
             kinds=kinds,
             names=names,
             include_heavy=include_heavy,
-            registry=self.registry,
-            backend=self._pick(backend, self.backend),
-            cache=cache,
         )
         truth_name = self.registry.ground_truth().name
         if all(result.solver != truth_name for result in results):
@@ -371,8 +307,6 @@ class Engine:
                     mode="reference",
                     seed=seed,
                     budget=None,
-                    registry=self.registry,
-                    cache=cache,
                     options={},
                 ),
             )
@@ -381,7 +315,7 @@ class Engine:
 
     # -- the cost plane --------------------------------------------------
 
-    def task_cost_fn(self, registry: Optional[SolverRegistry] = None):
+    def task_cost_fn(self):
         """A ``cost_fn(task) -> float`` for the shared LPT planner.
 
         Each task costs its solver's registry ``cost_model`` at the
@@ -390,7 +324,7 @@ class Engine:
         when nothing is known, which degenerates the pack to the
         historic stripe.
         """
-        registry = registry if registry is not None else self.registry
+        registry = self.registry
 
         def cost(task: SolveTask) -> float:
             try:
@@ -419,7 +353,6 @@ class Engine:
         options: Optional[dict[str, Any]] = None,
         seeds: Optional[Sequence[int]] = None,
         solvers: Optional[Sequence[str]] = None,
-        registry: Optional[SolverRegistry] = None,
     ) -> list[SolveTask]:
         """Freeze a batch call into :class:`SolveTask` objects.
 
@@ -433,7 +366,6 @@ class Engine:
         ``solver="auto"``, ``budget`` steers selection and is *not*
         frozen into the tasks (the pick runs at default effort).
         """
-        registry = registry if registry is not None else self.registry
         frozen_options = tuple(sorted((options or {}).items()))
         graphs = list(graphs)
         for name, override in (("seeds", seeds), ("solvers", solvers)):
@@ -449,7 +381,7 @@ class Engine:
             try:
                 graph.require_connected()
                 spec = _resolve_spec(
-                    registry, graph, wanted, mode=mode, epsilon=epsilon,
+                    self.registry, graph, wanted, mode=mode, epsilon=epsilon,
                     budget=budget,
                 )
             except ReproError as exc:
@@ -469,19 +401,13 @@ class Engine:
         return tasks
 
     def solve_tasks(
-        self,
-        tasks: Sequence[SolveTask],
-        *,
-        registry: Union[Optional[SolverRegistry], object] = _UNSET,
-        backend: Union[Backend, object] = _UNSET,
-        cache: Union[Optional[ResultCache], object] = _UNSET,
+        self, tasks: Sequence[SolveTask], *, backend: Backend = None
     ) -> list[CutResult]:
-        """Run pre-built tasks through the configured backend and cache.
+        """Run pre-built tasks through a backend and this engine's cache.
 
-        The programmatic seam under every batch entry point (and the
-        one the service's batch endpoint calls), so it does **not**
-        deprecate raw ``backend=``/``cache=`` arguments: callers at
-        this level are routing work, not configuring a session.
+        The seam under every batch entry point.  ``backend`` (``None``:
+        this engine's own) is the one per-call knob: the service's
+        ``/solve_batch`` lets a request pick how it fans out.
 
         Cache lookups and stores happen in the calling process (worker
         processes cannot share the cache object), so only misses are
@@ -492,15 +418,14 @@ class Engine:
         while without one the serial backend stops at the failure
         instead of computing results nobody will see.
         """
-        registry = self._pick_registry(registry)
-        backend = self._pick(backend, self.backend)
-        cache = self._pick(cache, self.cache)
-        executor = resolve_backend(backend)  # validate even if every task hits
+        cache = self.cache
+        # Validate the backend even if every task hits.
+        executor = resolve_backend(self.backend if backend is None else backend)
         if getattr(executor, "cost_fn", None) is None:
             # Attach the engine's task-cost predictor so packing
             # backends balance by predicted work; an executor the
             # caller already configured keeps its own cost function.
-            executor.cost_fn = self.task_cost_fn(registry)
+            executor.cost_fn = self.task_cost_fn()
         tasks = list(tasks)
         results: list[Optional[CutResult]] = [None] * len(tasks)
         if cache is not None:
@@ -520,7 +445,7 @@ class Engine:
         if pending:
             computed = executor.run_tasks(
                 [task for _, task in pending],
-                registry=registry,
+                registry=self.registry,
                 keep_going=cache is not None,  # completed work is only worth
             )                                  # finishing if it can be cached
             for (position, _task), outcome in zip(pending, computed):
@@ -579,7 +504,7 @@ class Engine:
             self.cache.flush()
         return adopted
 
-    # -- internals (default-resolved values, no deprecation checks) ------
+    # -- internals (default-resolved values) -----------------------------
 
     def _solve(
         self,
@@ -590,15 +515,14 @@ class Engine:
         mode: str,
         seed: int,
         budget: Optional[int],
-        registry: SolverRegistry,
-        cache: Optional[ResultCache],
         options: dict[str, Any],
     ) -> CutResult:
         spec = _resolve_spec(
-            registry, graph, solver, mode=mode, epsilon=epsilon, budget=budget
+            self.registry, graph, solver, mode=mode, epsilon=epsilon, budget=budget
         )
         if solver == "auto":
             budget = None  # consumed by selection; the pick runs at default effort
+        cache = self.cache
         key = None
         if cache is not None:
             key = CacheKey.for_solve(
@@ -632,10 +556,8 @@ class Engine:
         kinds: Optional[Sequence[str]],
         names: Optional[Sequence[str]],
         include_heavy: bool,
-        registry: SolverRegistry,
-        backend: Backend,
-        cache: Optional[ResultCache],
     ) -> list[CutResult]:
+        registry = self.registry
         graph.require_connected()
         kind_filter = tuple(kinds) if kinds is not None else None
         if names is not None:
@@ -664,8 +586,21 @@ class Engine:
             )
             for spec in specs
         ]
-        return self.solve_tasks(
-            tasks, registry=registry, backend=backend, cache=cache
+        return self.solve_tasks(tasks)
+
+
+def _refuse_session_knobs(method: str, options: dict) -> None:
+    """Registry, backend and cache belong to the engine, not to a call.
+
+    ``solve``/``solve_batch`` forward unknown keywords to the solver, so
+    they refuse these names explicitly (``solve_all``/``compare`` have
+    no such catch-all and refuse them as Python does).
+    """
+    passed = [name for name in ("registry", "backend", "cache") if name in options]
+    if passed:
+        raise TypeError(
+            f"Engine.{method}() takes no per-call {'/'.join(passed)}=; "
+            "build another Engine(registry=..., backend=..., cache=...)"
         )
 
 
@@ -740,15 +675,13 @@ def default_engine() -> Engine:
     """The process-wide default :class:`Engine` (built lazily, once).
 
     This is the engine the module-level ``solve``/``solve_all``/
-    ``solve_batch`` delegate to: default registry, no cache, backend
-    from ``$REPRO_BACKEND``.  It never emits the raw-kwarg deprecation
-    warnings — the historic per-call surface *is* its job.
+    ``solve_batch`` delegate to when the call names no registry,
+    backend or cache: default registry, no cache, backend from
+    ``$REPRO_BACKEND``.
     """
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
-        engine = Engine()
-        engine._warn_raw_kwargs = False
-        _DEFAULT_ENGINE = engine
+        _DEFAULT_ENGINE = Engine()
     return _DEFAULT_ENGINE
 
 

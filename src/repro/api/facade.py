@@ -15,18 +15,18 @@ downstream consumers (CLI, comparison tables, benchmarks, the
 :mod:`repro.service` HTTP layer) never touch per-algorithm result
 types.
 
-These module-level functions are **thin delegations to the default
-:class:`~repro.api.engine.Engine`** (:func:`repro.api.default_engine`):
-the engine is the session object that owns registry, backend, cache
-and budget policy, and this module keeps the historic per-call-kwarg
-surface stable on top of it.  Every knob accepted here — ``backend=``
-(``"serial"``/``"process"``/``"remote"`` or an
-:class:`~repro.exec.backends.Executor`, default from
-``$REPRO_BACKEND``), ``cache=`` (a
-:class:`~repro.exec.cache.ResultCache`), ``registry=``, ``budget=`` —
-forwards verbatim, with unset values falling back to the default
-engine's configuration; long-lived callers should construct their own
-:class:`~repro.api.engine.Engine` instead of re-passing kwargs.
+These module-level functions are **thin delegations to an
+:class:`~repro.api.engine.Engine`**, the session object that owns
+registry, backend, cache and budget policy; this module keeps the
+historic per-call-kwarg surface stable on top of it.  A call that names
+no ``registry=``/``backend=`` (``"serial"``/``"process"``/``"remote"``
+or an :class:`~repro.exec.backends.Executor`, default from
+``$REPRO_BACKEND``)/``cache=`` (a
+:class:`~repro.exec.cache.ResultCache`) runs on the process-wide
+default engine (:func:`repro.api.default_engine`); one that names any
+of them runs on an engine built with them.  Long-lived callers should
+construct their own :class:`~repro.api.engine.Engine` instead of
+re-passing kwargs.
 
 ``solve_all`` runs every applicable solver on one graph (the compare
 workload); ``solve_batch`` maps ``solve`` over many graphs (the sweep
@@ -39,16 +39,22 @@ counters.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence
 
-from ..exec.backends import Executor
 from ..exec.cache import ResultCache
 from ..graphs.graph import WeightedGraph
-from .engine import _UNSET, default_engine
+from .engine import Backend, Engine, default_engine
 from .registry import SolverRegistry
 from .result import CutResult
 
-Backend = Union[str, Executor, None]
+
+def _engine(
+    registry: Optional[SolverRegistry], backend: Backend, cache: Optional[ResultCache]
+) -> Engine:
+    """The default engine, or one built with the knobs the call named."""
+    if registry is None and backend is None and cache is None:
+        return default_engine()
+    return Engine(registry=registry, backend=backend, cache=cache)
 
 
 def solve(
@@ -103,15 +109,13 @@ def solve(
         Extra keyword arguments forwarded verbatim to the solver adapter
         (e.g. ``tree_count=...`` for the packing solvers).
     """
-    return default_engine().solve(
+    return _engine(registry, None, cache).solve(
         graph,
         solver,
         epsilon=epsilon,
         mode=mode,
         seed=seed,
         budget=budget,
-        registry=registry,
-        cache=cache if cache is not None else _UNSET,
         **options,
     )
 
@@ -149,7 +153,7 @@ def solve_all(
     short-circuits solvers whose result for this exact instance and
     knob set is already known.
     """
-    return default_engine().solve_all(
+    return _engine(registry, backend, cache).solve_all(
         graph,
         epsilon=epsilon,
         mode=mode,
@@ -158,9 +162,6 @@ def solve_all(
         kinds=kinds,
         names=names,
         include_heavy=include_heavy,
-        registry=registry,
-        backend=backend if backend is not None else _UNSET,
-        cache=cache if cache is not None else _UNSET,
     )
 
 
@@ -199,16 +200,13 @@ def solve_batch(
     *within* a batch sits at a different index, gets a different seed,
     and recomputes.
     """
-    return default_engine().solve_batch(
+    return _engine(registry, backend, cache).solve_batch(
         graphs,
         solver,
         epsilon=epsilon,
         mode=mode,
         seed=seed,
         budget=budget,
-        registry=registry,
-        backend=backend if backend is not None else _UNSET,
-        cache=cache if cache is not None else _UNSET,
         **options,
     )
 

@@ -83,10 +83,11 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .analysis import fit_power_law, format_cut_results, format_table
 from .api import CutResult, Engine, default_registry, solve
+from .config import MODES, CacheConfig, ServeConfig, load_config
 from .core import one_respecting_min_cut_congest
 from .errors import ReproError
 from .exec import (
@@ -160,6 +161,36 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_section_flags(parser, section, choices=None) -> None:
+    """One ``--field-name`` flag per field of a config ``section``.
+
+    Type, default, help and metavar come from the field; a tuple field
+    is a repeatable flag.  Every flag defaults to ``None``: an omitted
+    flag defers to the config file (then the field default), a given
+    one beats both — the one precedence rule.
+    """
+    hints = get_type_hints(section)
+    for spec in dataclasses.fields(section):
+        kind = hints[spec.name]
+        if get_origin(kind) is Union:  # Optional[X]
+            kind = get_args(kind)[0]
+        repeat = get_origin(kind) is tuple
+        parser.add_argument(
+            "--" + spec.name.replace("_", "-"),
+            type=get_args(kind)[0] if repeat else kind,
+            action="append" if repeat else "store",
+            default=None,
+            choices=(choices or {}).get(spec.name),
+            metavar=spec.metadata["metavar"],
+            help=spec.metadata["help"],
+        )
+
+
+def _section_flags(args: argparse.Namespace, section) -> dict:
+    """The flag layer for ``section``: its fields' values from ``args``."""
+    return {spec.name: getattr(args, spec.name) for spec in dataclasses.fields(section)}
+
+
 def _build_engine(args: argparse.Namespace) -> Engine:
     """One :class:`Engine` from the precedence chain.
 
@@ -171,9 +202,7 @@ def _build_engine(args: argparse.Namespace) -> Engine:
     a manager, the engine comes back with a ready
     :class:`~repro.exec.remote.RemoteExecutor` attached.
     """
-    from .config import load_config
-
-    config = load_config(getattr(args, "config", None)).merged(
+    config = load_config(args.config).merged(
         engine={
             "backend": args.backend,
             "cache": args.cache_file or (True if args.cache else None),
@@ -531,54 +560,12 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .config import load_config
-    from .service import Heartbeat, ServiceConfig, create_server
+    from .service import Heartbeat, create_server
 
-    config = load_config(getattr(args, "config", None)).merged(
-        serve={
-            "host": args.host,
-            "port": args.port,
-            "pool_workers": args.pool_workers,
-            "queue_depth": args.queue_depth,
-            "retry_after": args.retry_after,
-            "delay": args.delay,
-            "max_nodes": args.max_nodes,
-            "max_batch": args.max_batch,
-            "backend": args.backend,
-            "cache_file": args.cache_file,
-            "warm_start": args.warm_start,
-            "access_log": args.access_log,
-            "register": args.register,
-            "advertise": args.advertise,
-            "heartbeat": args.heartbeat,
-            "worker_ttl": args.worker_ttl,
-        }
-    )
-    sc = config.serve
-    cache = ResultCache(path=sc.cache_file) if sc.cache_file else ResultCache()
-    depth = sc.queue_depth
-    if depth is not None and depth <= 0:
-        depth = None  # 0 from a flag or file means "no backpressure gate"
-    service_config = ServiceConfig(
-        max_nodes=sc.max_nodes,
-        max_batch=sc.max_batch,
-        max_body_bytes=sc.max_body_bytes,
-        max_sessions=sc.max_sessions,
-        backend=sc.backend,
-        queue_depth=depth,
-        retry_after=sc.retry_after,
-        worker_ttl=sc.worker_ttl,
-        delay=sc.delay,
-    )
-    server = create_server(
-        sc.host,
-        sc.port,
-        cache=cache,
-        config=service_config,
-        access_log=sc.access_log,
-        warm_start=tuple(sc.warm_start),
-        pool_workers=sc.pool_workers,
-    )
+    sc = load_config(args.config).merged(
+        serve=_section_flags(args, ServeConfig)
+    ).serve
+    server = create_server(sc)
     if sc.warm_start:
         print(
             f"warm start: adopted {server.service.warm_start_adopted} "
@@ -613,9 +600,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_config(args: argparse.Namespace) -> int:
-    from .config import load_config
-
-    config = load_config(getattr(args, "config", None))
+    config = load_config(args.config)
     print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -691,31 +676,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 0
 
 
-def _retention_policy(args: argparse.Namespace) -> "RetentionPolicy":
-    """The effective retention policy for ``repro cache compact``.
-
-    The usual precedence chain: ``--max-entries``/``--max-bytes``/
-    ``--max-age`` flags beat ``$REPRO_CACHE_MAX_*``, which beat the
-    config file's ``[cache]`` section, which beats the (unbounded)
-    defaults.
-    """
-    from .config import load_config
-    from .store import RetentionPolicy
-
-    cache = load_config(getattr(args, "config", None)).merged(
-        cache={
-            "max_entries": args.max_entries,
-            "max_bytes": args.max_bytes,
-            "max_age": args.max_age,
-        }
-    ).cache
-    return RetentionPolicy(
-        max_entries=cache.max_entries,
-        max_bytes=cache.max_bytes,
-        max_age=cache.max_age,
-    )
-
-
 def _print_compaction(report, *, header: str) -> None:
     print(
         f"{header}: kept {report.kept_entries} "
@@ -734,7 +694,7 @@ def _print_compaction(report, *, header: str) -> None:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .store import STORE_SCHEMA_VERSION, SegmentStore
+    from .store import STORE_SCHEMA_VERSION, RetentionPolicy, SegmentStore
 
     if args.action == "merge":
         out = ResultCache(path=args.out)
@@ -770,7 +730,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.action in ("compact", "gc"):
         store = SegmentStore(args.path, create=False)
         if args.action == "compact":
-            report = store.compact(_retention_policy(args))
+            cache = load_config(args.config).merged(
+                cache=_section_flags(args, CacheConfig)
+            ).cache
+            report = store.compact(RetentionPolicy(**dataclasses.asdict(cache)))
         else:
             report = store.gc()
         if args.json:
@@ -887,15 +850,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--config", default=None, metavar="PATH",
-        help="TOML or JSON config file with [engine]/[serve]/[remote] "
-             "sections (default: $REPRO_CONFIG); any flag passed on the "
-             "command line still wins",
+        help="TOML or JSON config file with [engine]/[serve]/[remote]/"
+             "[cache] sections (default: $REPRO_CONFIG); any flag passed "
+             "on the command line still wins",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="exact minimum cut")
     _add_instance_arguments(p_exact)
-    p_exact.add_argument("--mode", choices=("reference", "congest"), default="reference")
+    p_exact.add_argument("--mode", choices=MODES, default="reference")
     p_exact.add_argument("--trees", type=int, default=None, help="pin the packing size")
     _add_solver_argument(p_exact, default="exact")
     p_exact.set_defaults(handler=_cmd_exact)
@@ -904,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_arguments(p_approx)
     p_approx.add_argument("--epsilon", type=float, default=0.5)
     p_approx.add_argument(
-        "--mode", choices=("reference", "congest"), default="reference"
+        "--mode", choices=MODES, default="reference"
     )
     _add_solver_argument(p_approx, default="approx")
     p_approx.set_defaults(handler=_cmd_approx)
@@ -994,78 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run the JSON-over-HTTP solve service"
     )
-    # All serve flags default to None: an omitted flag defers to the
-    # [serve] section of the config file (then the schema default), and
-    # a given flag beats both — the one precedence rule.
-    p_serve.add_argument("--host", default=None, help="bind address (default: 127.0.0.1)")
-    p_serve.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port (0 picks a free one; default: 8000)",
-    )
-    p_serve.add_argument(
-        "--pool-workers", type=int, default=None, metavar="N",
-        help="dispatch thread-pool size (default: queue depth + headroom)",
-    )
-    p_serve.add_argument(
-        "--queue-depth", type=int, default=None, metavar="N",
-        help="solver requests queued or running before the service "
-             "answers 429 + Retry-After (0 disables; default: 32)",
-    )
-    p_serve.add_argument(
-        "--retry-after", type=float, default=None, metavar="SECONDS",
-        help="suggested client backoff carried on 429 responses",
-    )
-    p_serve.add_argument(
-        "--delay", type=float, default=None, metavar="SECONDS",
-        help="inject this much sleep per task solved (straggler "
-             "simulation for benchmarks/CI; default: 0)",
-    )
-    p_serve.add_argument(
-        "--cache-file", default=None, metavar="PATH",
-        help="persist the shared result cache to this segment-store "
-             "directory (created if missing)",
-    )
-    p_serve.add_argument(
-        "--backend", choices=sorted(BACKENDS), default=None,
-        help="default execution backend for /solve_batch",
-    )
-    p_serve.add_argument(
-        "--max-nodes", type=int, default=None,
-        help="reject (413) single graphs larger than this (default: 4096)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=None,
-        help="reject (413) batches longer than this (default: 256)",
-    )
-    p_serve.add_argument(
-        "--access-log", default=None, metavar="PATH",
-        help="append one line per request to this file (default: stderr)",
-    )
-    p_serve.add_argument(
-        "--warm-start", action="append", default=None, metavar="PATH",
-        help="merge this store directory (or legacy schema <= 2 cache "
-             "file) into the shared cache before serving "
-             "(repeatable; see `repro cache merge`)",
-    )
-    p_serve.add_argument(
-        "--register", default=None, metavar="URL",
-        help="pool manager to heartbeat this worker's URL to (any other "
-             "`repro serve` process; enables discovery without restarts)",
-    )
-    p_serve.add_argument(
-        "--advertise", default=None, metavar="URL",
-        help="URL to register as (default: the listening URL — set this "
-             "when the bind address is not what clients should dial)",
-    )
-    p_serve.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="re-registration interval with --register (default: 5)",
-    )
-    p_serve.add_argument(
-        "--worker-ttl", type=float, default=None, metavar="SECONDS",
-        help="how long this server lists a registered worker without a "
-             "fresh heartbeat (default: 15)",
-    )
+    _add_section_flags(p_serve, ServeConfig, choices={"backend": sorted(BACKENDS)})
     p_serve.set_defaults(handler=_cmd_serve)
 
     p_config = sub.add_parser(
@@ -1100,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_action.add_argument("--solver", default="auto")
             p_action.add_argument("--epsilon", type=float, default=None)
             p_action.add_argument(
-                "--mode", choices=("reference", "congest"), default="reference"
+                "--mode", choices=MODES, default="reference"
             )
         elif action == "batch":
             p_action.add_argument(
@@ -1159,18 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compact.add_argument(
         "path", metavar="STORE", help="segment-store directory"
     )
-    p_compact.add_argument(
-        "--max-entries", type=int, default=None, metavar="N",
-        help="keep at most N entries (most-frequently/-recently hit win)",
-    )
-    p_compact.add_argument(
-        "--max-bytes", type=int, default=None, metavar="BYTES",
-        help="keep the best-ranked entries fitting this byte budget",
-    )
-    p_compact.add_argument(
-        "--max-age", type=float, default=None, metavar="SECONDS",
-        help="drop entries idle longer than this (vs the newest record)",
-    )
+    _add_section_flags(p_compact, CacheConfig)
     p_compact.add_argument(
         "--json", action="store_true",
         help="emit the compaction report as JSON",

@@ -1,18 +1,28 @@
 """One typed schema for every operational knob in :mod:`repro`.
 
-This module is the single source of truth for how the engine, the
-service (``repro serve``), and the remote executor are configured.  It
-was grown out of ROADMAP item 5's observation that each subsystem had
-sprouted its own layer of flags and environment variables: the knobs
-now live in three frozen dataclasses with typed defaults, loadable
-from a config file as well as flags and env.
+Each knob of the engine, the service (``repro serve``), the remote
+executor and cache compaction is one field of a frozen dataclass
+below, and that field declares everything about it once: its type (the
+annotation), its default, its checker (type and range) and its help
+text (``field(metadata=...)``).  Every other surface is derived from
+the fields:
+
+* ``repro serve``'s flags and ``repro cache compact``'s ``--max-*``
+  flags are generated from :class:`ServeConfig` / :class:`CacheConfig`,
+  one ``--field-name`` per field (see :mod:`repro.cli`);
+* the service's request knobs (``solver``/``epsilon``/``mode``/
+  ``seed``/``budget``) are checked by :class:`EngineConfig`'s checkers
+  (see :mod:`repro.service.protocol`);
+* every section checks its fields when it is built, so a value is held
+  to the same rule whether it came from a file, the environment, a
+  flag or a keyword argument.
 
 Precedence — one rule, applied everywhere::
 
     explicit argument  >  CLI flag  >  environment  >  config file  >  default
 
 * *explicit argument* — a keyword passed to ``Engine(...)``,
-  ``RemoteExecutor(...)``, ``create_server(...)``: always wins.
+  ``RemoteExecutor(...)``, ``ServeConfig(...)``: always wins.
 * *CLI flag* — ``repro --config repro.toml serve --port 9000`` serves
   on 9000 regardless of what the file says.  Flags are overlaid via
   :meth:`ReproConfig.merged`.
@@ -45,7 +55,7 @@ Example ``repro.toml``::
     max_age = 604800.0                  # drop entries idle > 7 days
 
 Consumers: :meth:`repro.api.engine.Engine.from_config`,
-``repro serve`` (via :meth:`repro.service.server.ServiceConfig`), and
+:class:`repro.service.server.ReproService` (``repro serve``), and
 :meth:`repro.exec.remote.RemoteExecutor.from_config`.
 """
 
@@ -53,6 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,98 +75,293 @@ from .errors import ConfigError
 #: flag / explicit path is given.
 REPRO_CONFIG_ENV = "REPRO_CONFIG"
 
+#: The execution modes every solver entry point accepts.
+MODES = ("reference", "congest")
+
 _BACKEND_ENV = "REPRO_BACKEND"
 _CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 _CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 _CACHE_MAX_AGE_ENV = "REPRO_CACHE_MAX_AGE"
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Defaults for :class:`~repro.api.engine.Engine` sessions.
+# -- field checkers: (name, value) -> normalised value, or ConfigError ------
 
-    ``cache`` accepts three forms: ``None``/``false`` (no cache),
-    ``true`` (fresh in-memory cache) or a path string (disk-backed).
+
+def _opt(check):
+    def inner(name, value):
+        return None if value is None else check(name, value)
+
+    return inner
+
+
+def _str(name, value):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a string (non-empty), got {value!r}")
+    return value
+
+
+def _int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _int_in(low, high=None):
+    def inner(name, value):
+        value = _int(name, value)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise ConfigError(f"{name} must be {bound}, got {value!r}")
+        return value
+
+    return inner
+
+
+def _float(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _finite(name, value):
+    value = _float(name, value)
+    if not math.isfinite(value):  # json.loads lets NaN/Infinity through
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _choice(*allowed):
+    def inner(name, value):
+        if value not in allowed:
+            raise ConfigError(
+                f"{name} must be one of {', '.join(map(repr, allowed))}, "
+                f"got {value!r}"
+            )
+        return value
+
+    return inner
+
+
+def _cache(name, value):
+    if value is None or isinstance(value, bool):
+        return value
+    return _str(name, value)
+
+
+def _url_list(name, value):
+    if isinstance(value, str):
+        value = [part.strip() for part in value.split(",") if part.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(
+            f"{name} must be a list of URLs (or a comma-separated "
+            f"string), got {value!r}"
+        )
+    return tuple(_str(f"{name}[{i}]", url).rstrip("/") for i, url in enumerate(value))
+
+
+def _paths(name, value):
+    if isinstance(value, str):
+        value = [value]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a path or list of paths, got {value!r}")
+    return tuple(_str(f"{name}[{i}]", p) for i, p in enumerate(value))
+
+
+def _knob(default, check, help, metavar=None):
+    """A config field: its default, checker, help text and flag metavar."""
+    return field(
+        default=default,
+        metadata={"check": check, "help": help, "metavar": metavar},
+    )
+
+
+class _Section:
+    """Checks (and normalises) every field with its checker when built.
+
+    ``dataclasses.replace`` rebuilds through ``__init__``, so overlays
+    are checked too; an error names the field as ``section.field``.
     """
 
-    backend: Optional[str] = None
-    solver: str = "auto"
-    epsilon: Optional[float] = None
-    mode: str = "reference"
-    seed: int = 0
-    budget: Optional[int] = None
-    cache: Union[bool, str, None] = None
+    section = ""
+
+    def __post_init__(self) -> None:
+        for spec in dataclasses.fields(self):
+            name = f"{self.section}.{spec.name}"
+            value = spec.metadata["check"](name, getattr(self, spec.name))
+            object.__setattr__(self, spec.name, value)
 
 
 @dataclass(frozen=True)
-class ServeConfig:
-    """Knobs for one ``repro serve`` process.
+class EngineConfig(_Section):
+    """Defaults for :class:`~repro.api.engine.Engine` sessions."""
 
-    The transport is always the asyncio server; ``pool_workers`` sizes
-    its dispatch pool (``None``: just above ``queue_depth``).
-    ``queue_depth`` bounds requests queued or running on the solver
-    path; past it the service answers a structured 429 telling clients
-    to retry after ``retry_after`` seconds.  ``delay`` injects that
-    many seconds of sleep per task solved — a straggler-worker knob for
-    benchmarks and CI, never set in production.  ``register`` points at
-    a pool-manager service the worker should heartbeat its
-    ``advertise`` URL to every ``heartbeat`` seconds; ``worker_ttl`` is
-    how long *this* server keeps a registered worker listed without a
-    fresh heartbeat.
-    """
+    section = "engine"
 
-    host: str = "127.0.0.1"
-    port: int = 8000
-    pool_workers: Optional[int] = None
-    queue_depth: Optional[int] = 32
-    retry_after: float = 1.0
-    delay: float = 0.0
-    max_nodes: Optional[int] = 4096
-    max_batch: Optional[int] = 256
-    max_body_bytes: Optional[int] = 32 * 1024 * 1024
-    max_sessions: Optional[int] = 32
-    backend: Optional[str] = None
-    cache_file: Optional[str] = None
-    warm_start: tuple = ()
-    access_log: Optional[str] = None
-    register: Optional[str] = None
-    advertise: Optional[str] = None
-    heartbeat: float = 5.0
-    worker_ttl: float = 15.0
+    backend: Optional[str] = _knob(
+        None, _opt(_str),
+        "execution backend for batch entry points (default: "
+        "$REPRO_BACKEND or serial)",
+    )
+    solver: str = _knob("auto", _str, "registered solver name, or auto")
+    epsilon: Optional[float] = _knob(
+        None, _opt(_finite), "approximation parameter (switches auto to "
+        "approx solvers)",
+    )
+    mode: str = _knob("reference", _choice(*MODES), "reference or congest")
+    seed: int = _knob(0, _int, "determinism knob")
+    budget: Optional[int] = _knob(
+        None, _opt(_int_in(0)),
+        "a named solver's effort cap; with auto, an expected-cost ceiling",
+    )
+    cache: Union[bool, str, None] = _knob(
+        None, _cache,
+        "result cache: false/unset (none), true (in-memory) or a "
+        "segment-store path (persistent)",
+    )
 
 
 @dataclass(frozen=True)
-class RemoteConfig:
+class ServeConfig(_Section):
+    """Knobs for one ``repro serve`` process (the asyncio transport)."""
+
+    section = "serve"
+
+    host: str = _knob("127.0.0.1", _str, "bind address (default: 127.0.0.1)")
+    port: int = _knob(
+        8000, _int_in(0, 65535), "TCP port (0 picks a free one; default: 8000)"
+    )
+    pool_workers: Optional[int] = _knob(
+        None, _opt(_int_in(1)),
+        "dispatch thread-pool size (default: queue depth + headroom)", "N",
+    )
+    queue_depth: int = _knob(
+        32, _int_in(0),
+        "solver requests queued or running before the service answers "
+        "429 + Retry-After (0 disables; default: 32)", "N",
+    )
+    retry_after: float = _knob(
+        1.0, _float, "suggested client backoff carried on 429 responses",
+        "SECONDS",
+    )
+    delay: float = _knob(
+        0.0, _float,
+        "inject this much sleep per task solved (straggler simulation "
+        "for benchmarks/CI; default: 0)", "SECONDS",
+    )
+    max_nodes: Optional[int] = _knob(
+        4096, _opt(_int),
+        "reject (413) single graphs larger than this (default: 4096)",
+    )
+    max_batch: Optional[int] = _knob(
+        256, _opt(_int),
+        "reject (413) batches longer than this (default: 256)",
+    )
+    max_body_bytes: Optional[int] = _knob(
+        32 * 1024 * 1024, _opt(_int),
+        "reject (413) request bodies longer than this, before reading "
+        "them (default: 32 MiB)", "BYTES",
+    )
+    max_sessions: Optional[int] = _knob(
+        32, _opt(_int),
+        "open /mutate sessions before one more answers 429 (default: 32)",
+        "N",
+    )
+    backend: Optional[str] = _knob(
+        None, _opt(_str), "default execution backend for /solve_batch"
+    )
+    cache_file: Optional[str] = _knob(
+        None, _opt(_str),
+        "persist the shared result cache to this segment-store "
+        "directory (created if missing)", "PATH",
+    )
+    warm_start: tuple[str, ...] = _knob(
+        (), _paths,
+        "merge this store directory (or legacy schema <= 2 cache file) "
+        "into the shared cache before serving (repeatable; see `repro "
+        "cache merge`)", "PATH",
+    )
+    access_log: Optional[str] = _knob(
+        None, _opt(_str),
+        "append one line per request to this file (default: stderr)",
+        "PATH",
+    )
+    register: Optional[str] = _knob(
+        None, _opt(_str),
+        "pool manager to heartbeat this worker's URL to (any other "
+        "`repro serve` process; enables discovery without restarts)", "URL",
+    )
+    advertise: Optional[str] = _knob(
+        None, _opt(_str),
+        "URL to register as (default: the listening URL; set this when "
+        "the bind address is not what clients should dial)", "URL",
+    )
+    heartbeat: float = _knob(
+        5.0, _float, "re-registration interval with --register (default: 5)",
+        "SECONDS",
+    )
+    worker_ttl: float = _knob(
+        15.0, _float,
+        "how long this server lists a registered worker without a fresh "
+        "heartbeat (default: 15)", "SECONDS",
+    )
+
+
+@dataclass(frozen=True)
+class RemoteConfig(_Section):
     """Knobs for the ``remote`` backend's worker pool.
 
-    Membership comes from exactly one of: ``manager`` (a pool-manager
-    URL polled for its live ``/workers`` list — health-driven, workers
-    join and leave without restarts) or ``workers`` (a static URL
-    list).  Dispatch is always streamed: chunked per-worker queues with
-    mid-sweep re-packing, so batch latency is max-of-shards.
+    Membership comes from exactly one of ``manager`` (health-driven:
+    workers join and leave without restarts) or ``workers``.  Dispatch
+    is always streamed: chunked per-worker queues with mid-sweep
+    re-packing, so batch latency is max-of-shards.
     """
 
-    workers: tuple = ()
-    manager: Optional[str] = None
-    timeout: float = 300.0
-    max_shard: Optional[int] = None
-    health_interval: float = 1.0
+    section = "remote"
+
+    workers: tuple[str, ...] = _knob(
+        (), _url_list, "static worker URLs (a list or a comma-separated string)"
+    )
+    manager: Optional[str] = _knob(
+        None, _opt(_str), "pool-manager URL polled for its live /workers list"
+    )
+    timeout: float = _knob(300.0, _float, "per-request timeout in seconds")
+    max_shard: Optional[int] = _knob(
+        None, _opt(_int), "largest chunk of tasks sent to one worker at once"
+    )
+    health_interval: float = _knob(
+        1.0, _float, "seconds between polls of the manager's /workers"
+    )
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(_Section):
     """Retention bounds for cache-store compaction (``repro cache``).
 
-    ``None`` means *unbounded* along that axis.  ``max_age`` is in
-    seconds, measured against the store's newest record timestamp (not
-    the wall clock) so compaction stays deterministic.  These are the
-    file/env layer behind ``repro cache compact``'s ``--max-entries``
-    / ``--max-bytes`` / ``--max-age`` flags.
+    ``None`` means *unbounded* along that axis.  ``max_age`` is
+    measured against the store's newest record timestamp (not the wall
+    clock) so compaction stays deterministic.
     """
 
-    max_entries: Optional[int] = None
-    max_bytes: Optional[int] = None
-    max_age: Optional[float] = None
+    section = "cache"
+
+    max_entries: Optional[int] = _knob(
+        None, _opt(_int),
+        "keep at most N entries (most-frequently/-recently hit win)", "N",
+    )
+    max_bytes: Optional[int] = _knob(
+        None, _opt(_int),
+        "keep the best-ranked entries fitting this byte budget", "BYTES",
+    )
+    max_age: Optional[float] = _knob(
+        None, _opt(_float),
+        "drop entries idle longer than this many seconds (vs the newest "
+        "record)", "SECONDS",
+    )
+
+
+_SECTIONS = {
+    cls.section: cls for cls in (EngineConfig, ServeConfig, RemoteConfig, CacheConfig)
+}
 
 
 @dataclass(frozen=True)
@@ -178,10 +384,10 @@ class ReproConfig:
         (env/file/default) value untouched.
         """
         return ReproConfig(
-            engine=_overlay(self.engine, engine or {}, "engine"),
-            serve=_overlay(self.serve, serve or {}, "serve"),
-            remote=_overlay(self.remote, remote or {}, "remote"),
-            cache=_overlay(self.cache, cache or {}, "cache"),
+            engine=_overlay(self.engine, engine or {}),
+            serve=_overlay(self.serve, serve or {}),
+            remote=_overlay(self.remote, remote or {}),
+            cache=_overlay(self.cache, cache or {}),
             source=self.source,
         )
 
@@ -199,143 +405,16 @@ class ReproConfig:
         return payload
 
 
-# -- field validation -----------------------------------------------------
-
-
-def _opt(check):
-    def inner(name, value):
-        return None if value is None else check(name, value)
-
-    return inner
-
-
-def _str(name, value):
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
-    return value
-
-
-def _int(name, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _float(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _bool(name, value):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be a boolean, got {value!r}")
-    return value
-
-
-def _cache(name, value):
-    if value is None or isinstance(value, bool):
-        return value
-    return _str(name, value)
-
-
-def _url_list(name, value):
-    if isinstance(value, str):
-        value = [part.strip() for part in value.split(",") if part.strip()]
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(
-            f"{name} must be a list of URLs (or a comma-separated "
-            f"string), got {value!r}"
-        )
-    return tuple(_str(f"{name}[{i}]", url).rstrip("/") for i, url in enumerate(value))
-
-
-def _choice(*allowed):
-    def inner(name, value):
-        if value not in allowed:
+def _overlay(section, updates: dict):
+    """Apply non-``None`` ``updates`` onto a section (checked on rebuild)."""
+    names = [spec.name for spec in dataclasses.fields(section)]
+    for key in updates:
+        if key not in names:
             raise ConfigError(
-                f"{name} must be one of {', '.join(map(repr, allowed))}, "
-                f"got {value!r}"
+                f"unknown config key {section.section}.{key} "
+                f"(allowed: {', '.join(sorted(names))})"
             )
-        return value
-
-    return inner
-
-
-def _paths(name, value):
-    if isinstance(value, str):
-        value = [value]
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a path or list of paths, got {value!r}")
-    return tuple(_str(f"{name}[{i}]", p) for i, p in enumerate(value))
-
-
-_ENGINE_FIELDS = {
-    "backend": _opt(_str),
-    "solver": _str,
-    "epsilon": _opt(_float),
-    "mode": _choice("reference", "congest"),
-    "seed": _int,
-    "budget": _opt(_int),
-    "cache": _cache,
-}
-
-_SERVE_FIELDS = {
-    "host": _str,
-    "port": _int,
-    "pool_workers": _opt(_int),
-    "queue_depth": _opt(_int),
-    "retry_after": _float,
-    "delay": _float,
-    "max_nodes": _opt(_int),
-    "max_batch": _opt(_int),
-    "max_body_bytes": _opt(_int),
-    "max_sessions": _opt(_int),
-    "backend": _opt(_str),
-    "cache_file": _opt(_str),
-    "warm_start": _paths,
-    "access_log": _opt(_str),
-    "register": _opt(_str),
-    "advertise": _opt(_str),
-    "heartbeat": _float,
-    "worker_ttl": _float,
-}
-
-_REMOTE_FIELDS = {
-    "workers": _url_list,
-    "manager": _opt(_str),
-    "timeout": _float,
-    "max_shard": _opt(_int),
-    "health_interval": _float,
-}
-
-_CACHE_FIELDS = {
-    "max_entries": _opt(_int),
-    "max_bytes": _opt(_int),
-    "max_age": _opt(_float),
-}
-
-_SECTIONS = {
-    "engine": (EngineConfig, _ENGINE_FIELDS),
-    "serve": (ServeConfig, _SERVE_FIELDS),
-    "remote": (RemoteConfig, _REMOTE_FIELDS),
-    "cache": (CacheConfig, _CACHE_FIELDS),
-}
-
-
-def _overlay(section, updates: dict, section_name: str):
-    """Apply non-``None`` ``updates`` onto a section dataclass, typed."""
-    _, fields = _SECTIONS[section_name]
-    cleaned = {}
-    for key, value in updates.items():
-        if key not in fields:
-            raise ConfigError(
-                f"unknown config key {section_name}.{key} "
-                f"(allowed: {', '.join(sorted(fields))})"
-            )
-        if value is None:
-            continue
-        cleaned[key] = fields[key](f"{section_name}.{key}", value)
+    cleaned = {key: value for key, value in updates.items() if value is not None}
     return dataclasses.replace(section, **cleaned) if cleaned else section
 
 
@@ -391,7 +470,7 @@ def load_config(
         if not isinstance(data, dict):
             raise ConfigError(
                 f"config file {file_path} must hold an object with "
-                f"[engine]/[serve]/[remote] sections, got "
+                f"[engine]/[serve]/[remote]/[cache] sections, got "
                 f"{type(data).__name__}"
             )
         unknown = sorted(set(data) - set(_SECTIONS))
@@ -408,12 +487,7 @@ def load_config(
                 )
             sections[name] = body
         source = str(file_path)
-    config = ReproConfig(source=source).merged(
-        engine=sections.get("engine"),
-        serve=sections.get("serve"),
-        remote=sections.get("remote"),
-        cache=sections.get("cache"),
-    )
+    config = ReproConfig(source=source).merged(**sections)
     if env:
         config = config.merged(
             engine={"backend": os.environ.get(_BACKEND_ENV) or None},
@@ -427,6 +501,7 @@ def load_config(
 
 
 __all__ = [
+    "MODES",
     "REPRO_CONFIG_ENV",
     "CacheConfig",
     "EngineConfig",

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ..config import MODES
 from ..errors import AlgorithmError
 from ..congest.metrics import RunMetrics
 from ..congest.network import CongestNetwork
@@ -38,8 +39,6 @@ from ..graphs.graph import WeightedGraph
 from ..graphs.trees import RootedTree
 from ..mst.kutten_peleg import kutten_peleg_round_cost
 from ..packing.greedy import GreedyTreePacking
-
-MODES = ("reference", "congest")
 
 
 @dataclass(frozen=True)

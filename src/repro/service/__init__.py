@@ -39,7 +39,6 @@ from .protocol import (
 from .server import (
     AsyncHTTPServer,
     ReproService,
-    ServiceConfig,
     create_server,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "RemoteDynamicSession",
     "ReproService",
     "ServiceClient",
-    "ServiceConfig",
     "WorkerPool",
     "create_server",
     "cut_result_from_json",

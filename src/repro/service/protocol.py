@@ -23,11 +23,12 @@ transports) without an HTTP server in sight:
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from typing import Any
 
 from ..api.result import CutResult
-from ..errors import ReproError, ServiceError
+from ..config import EngineConfig
+from ..errors import ConfigError, ReproError, ServiceError
 from ..exec.cache import decode_extras, encode_extras
 from ..graphs.graph import WeightedGraph
 from ..graphs.io import edge_list_from_text, graph_from_json
@@ -44,15 +45,21 @@ from ..graphs.io import edge_list_from_text, graph_from_json
 #: ``patch_budget`` field of a ``/mutate`` open (now an unknown field).
 PROTOCOL_VERSION = 5
 
-_SOLVE_FIELDS = ("graph", "solver", "epsilon", "mode", "seed", "budget", "options")
-_BATCH_FIELDS = (
-    "graphs", "solver", "epsilon", "mode", "seed", "budget", "options", "backend",
-    "seeds", "solvers",
-)
+#: Request knobs that are :class:`~repro.config.EngineConfig` fields,
+#: checked by those fields' own checkers, with their defaults.
+_KNOBS = ("solver", "epsilon", "mode", "seed", "budget")
+_OPEN_KNOBS = ("solver", "epsilon", "mode", "seed")
+_KNOB_SPECS = {
+    spec.name: (spec.metadata["check"], spec.default)
+    for spec in dataclasses.fields(EngineConfig)
+    if spec.name in _KNOBS
+}
+
+_SOLVE_FIELDS = ("graph", *_KNOBS, "options")
+_BATCH_FIELDS = ("graphs", *_KNOBS, "options", "backend", "seeds", "solvers")
 _MUTATE_FIELDS = ("session", "open", "ops", "undo", "solve", "close")
 _REGISTER_FIELDS = ("url", "leaving")
-_OPEN_FIELDS = ("graph", "solver", "epsilon", "mode", "seed")
-_MODES = ("reference", "congest")
+_OPEN_FIELDS = ("graph", *_OPEN_KNOBS)
 
 
 def parse_graph(payload: Any) -> WeightedGraph:
@@ -89,33 +96,20 @@ def _require_envelope(body: Any, allowed: tuple[str, ...], what: str) -> dict:
     return body
 
 
-def _parse_knobs(body: dict) -> dict:
-    """Validate the solver knobs shared by ``/solve`` and ``/solve_batch``."""
-    solver = body.get("solver", "auto")
-    if not isinstance(solver, str):
-        raise ServiceError(f"'solver' must be a string, got {solver!r}")
-    epsilon = body.get("epsilon")
-    if epsilon is not None and (
-        isinstance(epsilon, bool)
-        or not isinstance(epsilon, (int, float))
-        or not math.isfinite(epsilon)  # json.loads lets NaN/Infinity through
-    ):
-        raise ServiceError(
-            f"'epsilon' must be a finite number or null, got {epsilon!r}"
-        )
-    mode = body.get("mode", "reference")
-    if mode not in _MODES:
-        raise ServiceError(f"'mode' must be one of {_MODES}, got {mode!r}")
-    seed = body.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ServiceError(f"'seed' must be an integer, got {seed!r}")
-    budget = body.get("budget")
-    if budget is not None and (
-        isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
-    ):
-        raise ServiceError(
-            f"'budget' must be a non-negative integer or null, got {budget!r}"
-        )
+def _parse_knobs(body: dict, names: tuple[str, ...] = _KNOBS) -> dict:
+    """Check the engine knobs ``names`` as ``[engine]`` checks them."""
+    knobs = {}
+    for name in names:
+        check, default = _KNOB_SPECS[name]
+        try:
+            knobs[name] = check(f"'{name}'", body.get(name, default))
+        except ConfigError as exc:
+            raise ServiceError(str(exc)) from None
+    return knobs
+
+
+def _parse_options(body: dict) -> dict:
+    """The solver ``options`` of ``/solve`` and ``/solve_batch``."""
     options = body.get("options", {})
     if not isinstance(options, dict) or not all(
         isinstance(key, str) for key in options
@@ -123,14 +117,7 @@ def _parse_knobs(body: dict) -> dict:
         raise ServiceError(
             f"'options' must be an object with string keys, got {options!r}"
         )
-    return {
-        "solver": solver,
-        "epsilon": None if epsilon is None else float(epsilon),
-        "mode": mode,
-        "seed": seed,
-        "budget": budget,
-        "options": options,
-    }
+    return options
 
 
 def parse_solve_request(body: Any) -> dict:
@@ -139,6 +126,7 @@ def parse_solve_request(body: Any) -> dict:
     if "graph" not in body:
         raise ServiceError("solve request is missing the 'graph' field")
     parsed = _parse_knobs(body)
+    parsed["options"] = _parse_options(body)
     parsed["graph"] = parse_graph(body["graph"])
     return parsed
 
@@ -189,6 +177,7 @@ def parse_batch_request(body: Any) -> dict:
                     f"is {name!r}"
                 )
     parsed = _parse_knobs(body)
+    parsed["options"] = _parse_options(body)
     graphs = []
     for position, payload in enumerate(payloads):
         try:
@@ -240,17 +229,8 @@ def parse_mutate_request(body: Any) -> dict:
         open_body = _require_envelope(open_body, _OPEN_FIELDS, "mutate open")
         if "graph" not in open_body:
             raise ServiceError("mutate 'open' is missing the 'graph' field")
-        knobs = _parse_knobs(
-            {k: v for k, v in open_body.items()
-             if k in ("solver", "epsilon", "mode", "seed")}
-        )
-        open_body = {
-            "graph": parse_graph(open_body["graph"]),
-            "solver": knobs["solver"],
-            "epsilon": knobs["epsilon"],
-            "mode": knobs["mode"],
-            "seed": knobs["seed"],
-        }
+        knobs = _parse_knobs(open_body, _OPEN_KNOBS)
+        open_body = {"graph": parse_graph(open_body["graph"]), **knobs}
     elif session is None:
         raise ServiceError(
             "mutate request needs 'open' (new session) or 'session' (id)"

@@ -72,13 +72,12 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from ..api.engine import Engine
 from ..api.registry import SolverRegistry
-from ..errors import ConfigError, ReproError, ServiceError
+from ..config import ServeConfig
+from ..errors import ReproError, ServiceError
 from ..exec.cache import ResultCache
 from .protocol import (
     PROTOCOL_VERSION,
@@ -116,67 +115,32 @@ def _retry_after_header(payload: object) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Operator-facing limits and defaults for one service process.
-
-    ``max_nodes`` / ``max_batch`` bound a single request's instance size
-    and batch length (over-limit requests get a structured 413 instead
-    of tying up the solver lock); ``max_body_bytes`` bounds the raw
-    request body and is enforced from the ``Content-Length`` header
-    *before* any byte is read or parsed, so an oversized POST cannot
-    make a handler thread buffer it first.  ``max_sessions`` bounds the
-    number of concurrently open ``/mutate`` dynamic-graph sessions
-    (each pins a live graph + index in server memory); opening one more
-    answers 429 until a session is closed.  ``backend`` is the default
-    execution backend for ``/solve_batch`` when the request does not
-    name one (``None`` defers to ``$REPRO_BACKEND`` / serial); its
-    chunks are packed by the registry's cost models.
-
-    ``queue_depth`` bounds solver-path requests concurrently queued or
-    running: one more gets a structured 429 telling the client to come
-    back in ``retry_after`` seconds (``None`` disables the gate).
-    ``worker_ttl`` is how long a ``/register``-ed worker stays listed
-    without a fresh heartbeat.  ``delay`` injects that many seconds of
-    sleep per task solved — the straggler-worker knob the P3 benchmark
-    and the CI latency-smoke use; leave it 0 in production.
-    """
-
-    max_nodes: Optional[int] = 4096
-    max_batch: Optional[int] = 256
-    max_body_bytes: Optional[int] = 32 * 1024 * 1024
-    max_sessions: Optional[int] = 32
-    backend: Optional[str] = None
-    queue_depth: Optional[int] = 32
-    retry_after: float = 1.0
-    worker_ttl: float = 15.0
-    delay: float = 0.0
-
-
 class ReproService:
     """Transport-free request handling over one :class:`Engine`.
 
-    ``warm_start`` paths are merged into the engine's cache before the
-    first request is served — the deployment story for sharded sweeps:
-    merge the workers' ``--cache-file`` tiers (``python -m repro cache
-    merge``) and hand the result to the next fleet so it starts warm.
+    ``config`` is the process's :class:`~repro.config.ServeConfig`.
+    Without an explicit ``cache``, the shared cache is opened on
+    ``config.cache_file`` (in memory when unset).  ``config.warm_start``
+    paths are merged into it before the first request is served — the
+    deployment story for sharded sweeps: merge the workers'
+    ``--cache-file`` tiers (``python -m repro cache merge``) and hand
+    the result to the next fleet so it starts warm.
     """
 
     def __init__(
         self,
         registry: Optional[SolverRegistry] = None,
         cache: Optional[ResultCache] = None,
-        config: Optional[ServiceConfig] = None,
-        warm_start: tuple = (),
+        config: Optional[ServeConfig] = None,
     ) -> None:
-        self.config = config if config is not None else ServiceConfig()
+        self.config = config = config if config is not None else ServeConfig()
         self.engine = Engine(
             registry=registry,
-            cache=cache if cache is not None else ResultCache(),
-            backend=self.config.backend,
+            cache=cache if cache is not None else ResultCache(path=config.cache_file),
+            backend=config.backend,
         )
         self.warm_start_adopted = (
-            self.engine.warm_start(*warm_start) if warm_start else 0
+            self.engine.warm_start(*config.warm_start) if config.warm_start else 0
         )
         self.started = time.time()
         self.counters = {
@@ -191,11 +155,11 @@ class ReproService:
         self.workers_seen: dict[str, float] = {}
         self._solve_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        depth = self.config.queue_depth
-        if depth is not None and depth < 1:
-            raise ConfigError(f"queue_depth must be >= 1 or None, got {depth}")
+        # queue_depth 0 means no gate (ServeConfig rejects negatives).
         self._admit_slots = (
-            threading.BoundedSemaphore(depth) if depth is not None else None
+            threading.BoundedSemaphore(config.queue_depth)
+            if config.queue_depth
+            else None
         )
 
     @property
@@ -348,7 +312,6 @@ class ReproService:
                 f"'backend' must be one of {sorted(_REQUEST_BACKENDS)} "
                 f"(or null for the server default), got {backend!r}"
             )
-        backend = backend or self.config.backend
         with self._admit(), self._solve_lock:
             self._straggle(len(graphs))
             # Freeze the batch into tasks, honouring the protocol's
@@ -569,26 +532,20 @@ class AsyncHTTPServer:
     short or trickled body is dropped the same way).
     """
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: ReproService,
-        access_log_path: Union[str, Path, None] = None,
-        *,
-        pool_workers: Optional[int] = None,
-        idle_timeout: float = 60.0,
-    ) -> None:
+    def __init__(self, service: ReproService, *, idle_timeout: float = 60.0) -> None:
+        config = service.config
         self.service = service
-        self._socket = socket.create_server(address, backlog=128)
+        self._socket = socket.create_server((config.host, config.port), backlog=128)
         self._socket.setblocking(False)
         self.server_address = self._socket.getsockname()
         self.access_log = (
-            open(access_log_path, "a", encoding="utf-8")
-            if access_log_path is not None
+            open(config.access_log, "a", encoding="utf-8")
+            if config.access_log is not None
             else None
         )
+        pool_workers = config.pool_workers
         if pool_workers is None:
-            depth = service.config.queue_depth or 8
+            depth = config.queue_depth or 8
             # Headroom above the queue gate so /healthz + /workers still
             # get a thread while `queue_depth` solver requests sit in
             # the gate (429s themselves are answered without dispatch).
@@ -800,35 +757,24 @@ async def _read_headers(reader) -> Optional[dict]:
 
 
 def create_server(
-    host: str = "127.0.0.1",
-    port: int = 8000,
+    config: Optional[ServeConfig] = None,
     *,
     registry: Optional[SolverRegistry] = None,
     cache: Optional[ResultCache] = None,
-    config: Optional[ServiceConfig] = None,
-    access_log: Union[str, Path, None] = None,
-    warm_start: tuple = (),
-    pool_workers: Optional[int] = None,
 ) -> AsyncHTTPServer:
-    """Build a ready-to-serve :class:`AsyncHTTPServer` (``port=0`` picks a free port).
+    """Build a ready-to-serve :class:`AsyncHTTPServer` from ``config``.
 
-    The caller owns the lifecycle: ``serve_forever()`` to block (or run
-    it in a thread, as the tests do) and ``server_close()`` to release
-    the socket and the access log.  ``warm_start`` paths are merged into
-    the shared cache before the socket accepts its first request.
+    ``ServeConfig(port=0)`` picks a free port.  The caller owns the
+    lifecycle: ``serve_forever()`` to block (or run it in a thread, as
+    the tests do) and ``server_close()`` to release the socket and the
+    access log.  ``config.warm_start`` paths are merged into the shared
+    cache before the socket accepts its first request.
     """
-    service = ReproService(
-        registry=registry, cache=cache, config=config, warm_start=warm_start
-    )
-    return AsyncHTTPServer(
-        (host, port), service, access_log_path=access_log,
-        pool_workers=pool_workers,
-    )
+    return AsyncHTTPServer(ReproService(registry=registry, cache=cache, config=config))
 
 
 __all__ = [
     "AsyncHTTPServer",
     "ReproService",
-    "ServiceConfig",
     "create_server",
 ]

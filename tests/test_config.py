@@ -356,10 +356,9 @@ class TestConfigCli:
         )
         captured = {}
 
-        def fake_create_server(host, port, **kwargs):
-            captured["host"] = host
-            captured["port"] = port
-            captured["config"] = kwargs["config"]
+        def fake_create_server(config, **kwargs):
+            captured["port"] = config.port
+            captured["config"] = config
             raise KeyboardInterrupt  # unwind _cmd_serve before serving
 
         monkeypatch.setattr(
@@ -370,3 +369,132 @@ class TestConfigCli:
         assert captured["port"] == 9999          # flag beat the file's 9100
         assert captured["config"].queue_depth == 5   # file beat default 32
         assert captured["config"].delay == 0.25
+
+
+def _fail_create_server(*_args, **_kwargs):
+    raise AssertionError("a rejected config must not reach create_server")
+
+
+class TestServeRangeChecks:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("pool_workers", 0), ("port", -5), ("port", 70000), ("queue_depth", -3)],
+    )
+    def test_file_and_flag_are_clean_errors(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        from repro.cli import main
+
+        monkeypatch.setattr("repro.service.create_server", _fail_create_server)
+        path = tmp_path / "serve.toml"
+        path.write_text(f"[serve]\n{key} = {value}\n")
+        assert main(["--config", str(path), "serve"]) == 2
+        assert f"error: serve.{key} must be" in capsys.readouterr().err
+        flag = "--" + key.replace("_", "-")
+        assert main(["serve", flag, str(value)]) == 2
+        assert f"error: serve.{key} must be" in capsys.readouterr().err
+
+    def test_queue_depth_zero_means_no_gate(self):
+        from repro.errors import ServiceError
+        from repro.service import ReproService
+
+        gated = ReproService(config=ServeConfig(queue_depth=1))
+        with gated._admit():
+            with pytest.raises(ServiceError) as excinfo:
+                with gated._admit():
+                    pass
+        assert excinfo.value.status == 429
+        open_gate = ReproService(config=ServeConfig(queue_depth=0))
+        with open_gate._admit(), open_gate._admit(), open_gate._admit():
+            pass
+        assert open_gate.counters["throttled"] == 0
+        with pytest.raises(ConfigError, match="serve.queue_depth must be >= 0"):
+            ServeConfig(queue_depth=-3)
+
+    def test_generated_flags_reach_the_server_config(self, monkeypatch):
+        from repro import cli
+
+        captured = {}
+
+        def fake_create_server(config, **_kwargs):
+            captured["config"] = config
+            raise KeyboardInterrupt  # unwind _cmd_serve before serving
+
+        monkeypatch.setattr("repro.service.create_server", fake_create_server)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([
+                "serve", "--queue-depth", "0", "--max-sessions", "3",
+                "--max-body-bytes", "1024", "--warm-start", "a",
+                "--warm-start", "b",
+            ])
+        config = captured["config"]
+        assert config.queue_depth == 0
+        assert config.max_sessions == 3
+        assert config.max_body_bytes == 1024
+        assert config.warm_start == ("a", "b")
+
+
+class TestOneSchema:
+    """Flags, config keys and wire knobs are one set of names, one set of rules."""
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("epsilon", float("nan")), ("budget", -5), ("mode", "fast"), ("seed", "1")],
+    )
+    def test_bad_knob_is_rejected_by_config_and_every_request(
+        self, tmp_path, knob, value
+    ):
+        from repro.errors import ServiceError
+        from repro.service import parse_mutate_request, parse_solve_request
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"engine": {knob: value}}))
+        with pytest.raises(ConfigError, match=rf"engine\.{knob}"):
+            load_config(path)
+        with pytest.raises(ServiceError, match=f"'{knob}'"):
+            parse_solve_request({"graph": [[0, 1]], knob: value})
+        with pytest.raises(ServiceError, match=f"'{knob}'"):
+            parse_mutate_request({"open": {"graph": [[0, 1]], knob: value}})
+
+    @staticmethod
+    def _subparser(parser, *path):
+        import argparse
+
+        for name in path:
+            action = next(
+                a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)
+            )
+            parser = action.choices[name]
+        return parser
+
+    def test_flag_config_and_wire_names_match(self):
+        import dataclasses
+
+        from repro.cli import build_parser
+        from repro.config import CacheConfig
+        from repro.service import protocol
+
+        def names(section):
+            return {spec.name for spec in dataclasses.fields(section)}
+
+        parser = build_parser()
+        serve = self._subparser(parser, "serve")
+        assert {a.dest for a in serve._actions if a.dest != "help"} == names(ServeConfig)
+        compact = self._subparser(parser, "cache", "compact")
+        max_flags = {
+            a.dest for a in compact._actions
+            if a.option_strings and a.option_strings[0].startswith("--max-")
+        }
+        assert max_flags == names(CacheConfig)
+        # Every request knob is an [engine] field, checked by that field.
+        knobs = set(protocol._KNOBS)
+        assert knobs <= names(EngineConfig)
+        assert set(protocol._SOLVE_FIELDS) - {"graph", "options"} == knobs
+        assert knobs <= set(protocol._BATCH_FIELDS)
+        assert set(protocol._OPEN_FIELDS) - {"graph"} <= knobs
+        for spec in dataclasses.fields(EngineConfig):
+            if spec.name in knobs:
+                assert protocol._KNOB_SPECS[spec.name] == (
+                    spec.metadata["check"], spec.default
+                )

@@ -117,36 +117,40 @@ class TestEngineDefaults:
         assert {r.solver for r in results} == {truth_name, "matula"}
 
 
-class TestRawKwargDeprecation:
-    def test_explicit_engine_warns_on_raw_backend(self):
-        engine = Engine()
-        with pytest.warns(DeprecationWarning, match="backend"):
-            engine.solve_batch(_graphs(2), "stoer_wagner", backend="serial")
+class TestNoPerCallSessionKnobs:
+    """Registry, backend and cache are the engine's; a call cannot name them."""
 
-    def test_explicit_engine_warns_on_raw_cache(self):
-        engine = Engine()
-        with pytest.warns(DeprecationWarning, match="cache"):
-            engine.solve(
-                build_family("cycle", 8), "stoer_wagner", cache=ResultCache()
-            )
+    @pytest.mark.parametrize("knob", ["registry", "backend", "cache"])
+    @pytest.mark.parametrize("method", ["solve", "solve_batch", "solve_all", "compare"])
+    def test_engine_methods_refuse_session_knobs(self, method, knob):
+        engine = Engine(cache=ResultCache())
+        target = _graphs(2) if method == "solve_batch" else build_family("cycle", 8)
+        value = {"registry": SolverRegistry(), "backend": "serial",
+                 "cache": ResultCache()}[knob]
+        with pytest.raises(TypeError, match=knob):
+            getattr(engine, method)(target, **{knob: value})
+        assert engine.cache.stats()["misses"] == 0  # refused before any work
 
-    def test_facade_does_not_warn(self):
+    def test_facade_still_takes_them_and_does_not_warn(self):
+        cache = ResultCache()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            solve_batch(
-                _graphs(2), "stoer_wagner", backend="serial",
-                cache=ResultCache(),
+            results = solve_batch(
+                _graphs(2), "stoer_wagner", backend="serial", cache=cache,
             )
+        assert all(not r.extras["cache"]["hit"] for r in results)
+        assert cache.stats()["misses"] == 2
 
-    def test_solve_tasks_is_the_programmatic_seam_and_does_not_warn(self):
-        engine = Engine()
+    def test_solve_tasks_takes_a_per_call_backend_and_the_engine_cache(self):
+        engine = Engine(cache=ResultCache())
         tasks = engine.build_batch_tasks(_graphs(2), solver="stoer_wagner")
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            results = engine.solve_tasks(
-                tasks, backend="serial", cache=ResultCache()
-            )
+            results = engine.solve_tasks(tasks, backend="serial")
         assert len(results) == 2
+        assert engine.cache.stats()["misses"] == 2
+        with pytest.raises(TypeError):
+            engine.solve_tasks(tasks, cache=ResultCache())
 
 
 class TestTaskPlane:

@@ -16,10 +16,11 @@ import pytest
 
 from repro.api import solve_all, solve_batch
 from repro.api.registry import SolverRegistry
+from repro.config import ServeConfig
 from repro.errors import AlgorithmError
 from repro.exec.remote import RemoteExecutor
 from repro.graphs import build_family
-from repro.service import ServiceConfig, create_server
+from repro.service import create_server
 
 
 def _identity(results):
@@ -32,7 +33,7 @@ def _identity(results):
 @pytest.fixture
 def workers():
     """Two live service workers; yields (urls, servers)."""
-    servers = [create_server(port=0) for _ in range(2)]
+    servers = [create_server(ServeConfig(port=0)) for _ in range(2)]
     threads = [
         threading.Thread(target=server.serve_forever, daemon=True)
         for server in servers
@@ -305,7 +306,7 @@ class TestRemoteFallbacks:
         # A worker with --max-batch 1 rejects every multi-task shard
         # with 413; the executor must degrade to per-task POSTs and
         # still return the full, correctly ordered batch.
-        server = create_server(port=0, config=ServiceConfig(max_batch=1))
+        server = create_server(ServeConfig(port=0, max_batch=1))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -320,7 +321,7 @@ class TestRemoteFallbacks:
             server.server_close()
 
     def test_max_shard_chunks_requests_under_the_limit(self):
-        server = create_server(port=0, config=ServiceConfig(max_batch=2))
+        server = create_server(ServeConfig(port=0, max_batch=2))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

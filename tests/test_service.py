@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.api import default_registry, solve
+from repro.config import ServeConfig
 from repro.errors import GraphError, ServiceError
 from repro.exec import ResultCache
 from repro.graphs import (
@@ -30,7 +31,6 @@ from repro.graphs import (
 from repro.service import (
     ReproService,
     ServiceClient,
-    ServiceConfig,
     create_server,
     cut_result_from_json,
     cut_result_to_json,
@@ -244,7 +244,7 @@ class TestDispatch:
         assert payload["error"]["type"] == "ServiceError"
         assert "['process', 'serial']" in payload["error"]["message"]
         # Named as the server default: the engine's unknown-backend error.
-        service = ReproService(config=ServiceConfig(backend="thread"))
+        service = ReproService(config=ServeConfig(backend="thread"))
         status, payload = post(service, "/solve_batch", {"graphs": graphs})
         assert status == 400
         assert payload["error"]["type"] == "AlgorithmError"
@@ -335,7 +335,7 @@ class TestDispatch:
         assert hit_graph._index_cache is None
 
     def test_over_node_limit_is_413(self):
-        service = ReproService(config=ServiceConfig(max_nodes=4))
+        service = ReproService(config=ServeConfig(max_nodes=4))
         status, payload = post(
             service, "/solve", {"graph": graph_to_json(small_graph())}
         )
@@ -343,7 +343,7 @@ class TestDispatch:
         assert "over this service's limit" in payload["error"]["message"]
 
     def test_over_batch_limit_is_413(self):
-        service = ReproService(config=ServiceConfig(max_batch=1))
+        service = ReproService(config=ServeConfig(max_batch=1))
         graphs = [graph_to_json(small_graph())] * 2
         status, payload = post(service, "/solve_batch", {"graphs": graphs})
         assert status == 413
@@ -363,7 +363,7 @@ class TestDispatch:
 @pytest.fixture(scope="module")
 def live():
     """One shared server + client for the HTTP tier."""
-    server = create_server(port=0)
+    server = create_server(ServeConfig(port=0))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     client = ServiceClient(server.url, timeout=30.0)
@@ -440,11 +440,7 @@ class TestHTTP:
         assert result.value == 2.0
 
     def test_oversized_body_is_413_before_parsing(self):
-        from repro.service import ServiceConfig
-
-        server = create_server(
-            port=0, config=ServiceConfig(max_body_bytes=1024)
-        )
+        server = create_server(ServeConfig(port=0, max_body_bytes=1024))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -572,7 +568,7 @@ class TestRequestHead:
         from repro.service import server as server_module
 
         monkeypatch.setattr(server_module, "_HEAD_TIMEOUT", 0.3)
-        server = create_server(port=0)
+        server = create_server(ServeConfig(port=0))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -609,7 +605,7 @@ class TestRequestHead:
         from repro.service import server as server_module
 
         monkeypatch.setattr(server_module, "_BODY_TIMEOUT", 0.3)
-        server = create_server(port=0)
+        server = create_server(ServeConfig(port=0))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]

@@ -16,9 +16,10 @@ import threading
 
 import pytest
 
+from repro.config import ServeConfig
 from repro.errors import ServiceError
 from repro.graphs import build_family
-from repro.service import ServiceClient, ServiceConfig, create_server
+from repro.service import ServiceClient, create_server
 
 
 def _free_port() -> int:
@@ -117,7 +118,7 @@ class TestDroppedMidExchange:
 
 class TestOverLimit:
     def test_batch_over_max_batch_is_structured_413(self):
-        server = create_server(port=0, config=ServiceConfig(max_batch=2))
+        server = create_server(ServeConfig(port=0, max_batch=2))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

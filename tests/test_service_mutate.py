@@ -11,14 +11,14 @@ import threading
 import pytest
 
 from repro.api import Engine
-from repro.dynamic import AddEdge, RemoveEdge, Reweight
+from repro.config import ServeConfig
+from repro.dynamic import AddEdge, Reweight
 from repro.errors import ServiceError
 from repro.exec import ResultCache
 from repro.graphs import graph_to_json, planted_cut_graph
 from repro.service import (
     ReproService,
     ServiceClient,
-    ServiceConfig,
     create_server,
     cut_result_from_json,
     parse_mutate_request,
@@ -188,20 +188,20 @@ class TestDispatch:
         assert not service.sessions
 
     def test_session_limit_is_429(self):
-        service = ReproService(config=ServiceConfig(max_sessions=1))
+        service = ReproService(config=ServeConfig(max_sessions=1))
         assert post(service, "/mutate", open_body())[0] == 200
         status, payload = post(service, "/mutate", open_body())
         assert status == 429
         assert "close one first" in payload["error"]["message"]
 
     def test_open_over_node_limit_is_413(self):
-        service = ReproService(config=ServiceConfig(max_nodes=4))
+        service = ReproService(config=ServeConfig(max_nodes=4))
         status, _ = post(service, "/mutate", open_body())
         assert status == 413
 
     def test_node_growth_past_limit_is_413(self):
         n = small_graph().number_of_nodes
-        service = ReproService(config=ServiceConfig(max_nodes=n))
+        service = ReproService(config=ServeConfig(max_nodes=n))
         _, opened = post(service, "/mutate", open_body())
         status, payload = post(service, "/mutate", {
             "session": opened["session"],
@@ -226,7 +226,7 @@ class TestDispatch:
 
 @pytest.fixture(scope="module")
 def live():
-    server = create_server(port=0)
+    server = create_server(ServeConfig(port=0))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     client = ServiceClient(server.url, timeout=30.0)

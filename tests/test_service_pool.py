@@ -20,13 +20,13 @@ import time
 import pytest
 
 from repro.api import solve_batch
+from repro.config import ServeConfig
 from repro.errors import AlgorithmError, ConfigError, ServiceError
 from repro.exec.remote import RemoteExecutor
 from repro.graphs import build_family
 from repro.service import (
     Heartbeat,
     ServiceClient,
-    ServiceConfig,
     WorkerPool,
     create_server,
 )
@@ -35,9 +35,7 @@ from repro.service.protocol import parse_register_request
 
 def start_server(**config_kwargs):
     """One live async-transport server on a free port."""
-    server = create_server(
-        port=0, config=ServiceConfig(**config_kwargs) if config_kwargs else None
-    )
+    server = create_server(ServeConfig(port=0, **config_kwargs))
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server
 
