@@ -31,7 +31,7 @@ from conftest import run_once
 from repro.analysis import format_table
 from repro.api import CutResult
 from repro.exec import CACHE_SCHEMA_VERSION, CacheKey, ResultCache
-from repro.exec.cache import _result_to_payload, load_cache_file
+from repro.exec.cache import load_cache_file
 from repro.store import SegmentStore
 
 BASE_ENTRIES = 4800
@@ -71,7 +71,7 @@ def _experiment(tmp_path):
     store_path = tmp_path / "cache_store"
     total = BASE_ENTRIES + TAIL_ENTRIES
     expected = {
-        _key(i).digest(): _result_to_payload(_result(i)) for i in range(total)
+        _key(i).digest(): _result(i).to_json(strict=True) for i in range(total)
     }
 
     cache = ResultCache(maxsize=8192, path=store_path)

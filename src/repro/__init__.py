@@ -8,7 +8,7 @@ Public API highlights
   :func:`repro.solve_batch` façade delegates to a process-wide default
   engine and returns canonical :class:`repro.CutResult` objects
   (see :mod:`repro.api`).
-* :mod:`repro.exec` — registered execution backends (``serial``/
+* :mod:`repro.exec` — the execution backends (``serial``/
   ``process``/``remote``, the ``backend=`` knob) and
   :class:`repro.ResultCache`, the content-addressed result cache with
   a versioned, mergeable on-disk tier (``python -m repro cache``).

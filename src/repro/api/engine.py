@@ -74,8 +74,8 @@ class Engine:
         The :class:`SolverRegistry` to resolve solver names against
         (default: the library registry with every built-in solver).
     backend:
-        Default execution backend for batch entry points — a registered
-        name (``"serial"``/``"process"``/``"remote"``/...),
+        Default execution backend for batch entry points — a name in
+        :data:`repro.config.BACKENDS` (``"serial"``/``"process"``/``"remote"``),
         an :class:`~repro.exec.backends.Executor` instance, or ``None``
         to defer to ``$REPRO_BACKEND`` then ``"serial"``.
     cache:

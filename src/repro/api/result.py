@@ -11,10 +11,18 @@ metrics, wall time, and an ``extras`` dict for solver-specific detail
 ``verify(graph)`` recomputes the witness side's cut value directly from
 the graph, so any consumer can check a result without trusting the
 solver that produced it.
+
+``to_json()`` / ``from_json()`` are the one JSON codec of a result,
+shared by the cache's disk tier (:mod:`repro.exec.cache`, which
+persists only what the codec's *strict* mode returns) and the wire
+(:mod:`repro.service.protocol`, which adds a CONGEST metrics summary).
+Tuples in ``extras`` travel under a tagged encoding and come back as
+tuples.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -86,3 +94,72 @@ class CutResult:
     def other_side(self, graph: WeightedGraph) -> frozenset:
         """The complementary witness side."""
         return frozenset(set(graph.nodes) - self.side)
+
+    def to_json(self, *, strict: bool = False) -> Optional[dict]:
+        """The JSON form of every field but ``metrics``.
+
+        With ``strict``, ``None`` unless :meth:`from_json` of the
+        payload's JSON round trip gives this exact result back: no
+        CONGEST metrics, JSON-native nodes, and no NaN, non-string key
+        or reserved tag in ``extras``.  The cache persists only these.
+        """
+        payload = {
+            "value": self.value,
+            "side": sorted(self.side, key=repr),
+            "solver": self.solver,
+            "guarantee": self.guarantee,
+            "seed": self.seed,
+            "wall_time": self.wall_time,
+            "extras": _encode_extras(self.extras),
+        }
+        if strict:
+            try:
+                again = CutResult.from_json(json.loads(json.dumps(payload)))
+            except (TypeError, ValueError):
+                return None
+            if again != self:
+                return None
+        return payload
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "CutResult":
+        """Rebuild a result from :meth:`to_json` output (``metrics=None``).
+
+        Raises ``KeyError``/``TypeError``/``ValueError`` on a malformed
+        payload; a missing ``extras`` reads as empty.
+        """
+        return cls(
+            value=float(payload["value"]),
+            side=frozenset(payload["side"]),
+            solver=str(payload["solver"]),
+            guarantee=str(payload["guarantee"]),
+            seed=payload["seed"],
+            wall_time=float(payload["wall_time"]),
+            extras=_decode_extras(dict(payload.get("extras", {}))),
+        )
+
+
+#: Marker key for the tagged tuple encoding in serialised extras.
+_TUPLE_TAG = "__tuple__"
+
+
+def _encode_extras(value):
+    """JSON-safe form of an extras value; tuples get a tagged wrapper."""
+    if isinstance(value, tuple):
+        return {_TUPLE_TAG: [_encode_extras(item) for item in value]}
+    if isinstance(value, list):
+        return [_encode_extras(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode_extras(item) for key, item in value.items()}
+    return value
+
+
+def _decode_extras(value):
+    """Inverse of :func:`_encode_extras`."""
+    if isinstance(value, dict):
+        if set(value) == {_TUPLE_TAG}:
+            return tuple(_decode_extras(item) for item in value[_TUPLE_TAG])
+        return {key: _decode_extras(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_decode_extras(item) for item in value]
+    return value

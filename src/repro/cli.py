@@ -87,16 +87,10 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .analysis import fit_power_law, format_cut_results, format_table
 from .api import CutResult, Engine, default_registry, solve
-from .config import MODES, CacheConfig, ServeConfig, load_config
+from .config import BACKENDS, MODES, CacheConfig, ServeConfig, load_config
 from .core import one_respecting_min_cut_congest
 from .errors import ReproError
-from .exec import (
-    BACKENDS,
-    Executor,
-    ResultCache,
-    load_cache_file,
-    resolve_backend,
-)
+from .exec import Executor, ResultCache, load_cache_file, resolve_backend
 from .exec.cache import CACHE_SCHEMA_VERSION
 from .graphs import (
     WeightedGraph,
@@ -143,7 +137,7 @@ def _add_solver_argument(parser: argparse.ArgumentParser, default: str) -> None:
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=sorted(BACKENDS),
+        choices=BACKENDS,
         default=None,
         help="execution backend (default: $REPRO_BACKEND or serial)",
     )
@@ -191,13 +185,14 @@ def _section_flags(args: argparse.Namespace, section) -> dict:
     return {spec.name: getattr(args, spec.name) for spec in dataclasses.fields(section)}
 
 
-def _build_engine(args: argparse.Namespace) -> Engine:
+def _build_engine(args: argparse.Namespace, **knobs) -> Engine:
     """One :class:`Engine` from the precedence chain.
 
     :func:`repro.config.load_config` supplies the file + environment
     layers (``--config`` / ``$REPRO_CONFIG``, ``$REPRO_BACKEND``); the
-    execution flags are overlaid on top, so a flag the user typed
-    always beats the file and the env.  With
+    execution flags and the ``[engine]`` ``knobs`` a command's flags
+    set (``None`` when not given) are overlaid on top, so a flag the
+    user typed always beats the file and the env.  With
     ``backend = "remote"`` and a ``[remote]`` section naming workers or
     a manager, the engine comes back with a ready
     :class:`~repro.exec.remote.RemoteExecutor` attached.
@@ -206,6 +201,7 @@ def _build_engine(args: argparse.Namespace) -> Engine:
         engine={
             "backend": args.backend,
             "cache": args.cache_file or (True if args.cache else None),
+            **knobs,
         }
     )
     engine = Engine.from_config(config)
@@ -346,19 +342,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_stream(args: argparse.Namespace) -> int:
+def _cmd_sweep_stream(args: argparse.Namespace, engine: Engine) -> int:
     from .dynamic import parse_stream
 
     graph = build_family(args.family, args.n, seed=args.seed)
     graph.require_connected()
-    engine = _build_engine(args)
     session = engine.dynamic_session(
-        graph,
-        solver=args.solver,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        copy=False,
-        validate=args.validate,
+        graph, seed=args.seed, copy=False, validate=args.validate
     )
     with open(args.stream) as handle:
         events = list(parse_stream(handle))
@@ -439,23 +429,19 @@ def _cmd_sweep_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    engine = _build_engine(
+        args, solver=args.solver, epsilon=args.epsilon, budget=args.budget
+    )
     if args.stream:
-        return _cmd_sweep_stream(args)
+        return _cmd_sweep_stream(args, engine)
     graphs = [
         build_family(args.family, args.n, seed=args.seed + i)
         for i in range(args.count)
     ]
-    engine = _build_engine(args)
     backend = engine.backend
     results: list[CutResult] = []
     for _ in range(max(1, args.repeat)):
-        results = engine.solve_batch(
-            graphs,
-            args.solver,
-            epsilon=args.epsilon,
-            seed=args.seed,
-            budget=args.budget,
-        )
+        results = engine.solve_batch(graphs, seed=args.seed)
     rows = []
     for index, (graph, result) in enumerate(zip(graphs, results)):
         note = "-"
@@ -694,7 +680,7 @@ def _print_compaction(report, *, header: str) -> None:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .store import STORE_SCHEMA_VERSION, RetentionPolicy, SegmentStore
+    from .store import STORE_SCHEMA_VERSION, SegmentStore
 
     if args.action == "merge":
         out = ResultCache(path=args.out)
@@ -730,10 +716,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.action in ("compact", "gc"):
         store = SegmentStore(args.path, create=False)
         if args.action == "compact":
-            cache = load_config(args.config).merged(
+            policy = load_config(args.config).merged(
                 cache=_section_flags(args, CacheConfig)
             ).cache
-            report = store.compact(RetentionPolicy(**dataclasses.asdict(cache)))
+            report = store.compact(policy)
         else:
             report = store.gc()
         if args.json:
@@ -914,15 +900,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--solver",
         choices=["auto"] + sorted(default_registry().names()),
-        default="auto",
-        help="registered solver to run on every instance (default: auto)",
+        default=None,
+        help="registered solver to run on every instance (default: "
+             "[engine] solver, else auto)",
     )
     p_sweep.add_argument(
         "--epsilon", type=float, default=None,
-        help="approximation parameter (switches auto to approx solvers)",
+        help="approximation parameter (switches auto to approx solvers; "
+             "default: [engine] epsilon)",
     )
     p_sweep.add_argument(
-        "--budget", type=int, default=None, help="per-solver effort cap"
+        "--budget", type=int, default=None,
+        help="per-solver effort cap (default: [engine] budget)",
     )
     p_sweep.add_argument(
         "--repeat", type=int, default=1,
@@ -957,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run the JSON-over-HTTP solve service"
     )
-    _add_section_flags(p_serve, ServeConfig, choices={"backend": sorted(BACKENDS)})
+    _add_section_flags(p_serve, ServeConfig, choices={"backend": BACKENDS})
     p_serve.set_defaults(handler=_cmd_serve)
 
     p_config = sub.add_parser(
@@ -1004,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_action.add_argument("--solver", default="auto")
             p_action.add_argument("--epsilon", type=float, default=None)
             p_action.add_argument(
-                "--backend", choices=sorted(BACKENDS), default=None,
+                "--backend", choices=BACKENDS, default=None,
                 help="server-side execution backend for the fan-out",
             )
         p_action.set_defaults(handler=_cmd_client)

@@ -13,6 +13,10 @@ the fields:
 * the service's request knobs (``solver``/``epsilon``/``mode``/
   ``seed``/``budget``) are checked by :class:`EngineConfig`'s checkers
   (see :mod:`repro.service.protocol`);
+* the backend names are :data:`BACKENDS` (``[engine]``/``[serve]``
+  ``backend`` and every ``--backend`` flag's choices), and
+  :class:`CacheConfig` is the retention policy
+  :meth:`repro.store.SegmentStore.compact` reads;
 * every section checks its fields when it is built, so a value is held
   to the same rule whether it came from a file, the environment, a
   flag or a keyword argument.
@@ -63,8 +67,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -78,7 +82,12 @@ REPRO_CONFIG_ENV = "REPRO_CONFIG"
 #: The execution modes every solver entry point accepts.
 MODES = ("reference", "congest")
 
-_BACKEND_ENV = "REPRO_BACKEND"
+#: The execution backend names (:func:`repro.exec.resolve_backend`); a
+#: custom :class:`~repro.exec.Executor` is passed as an instance instead.
+BACKENDS = ("serial", "process", "remote")
+
+#: Environment variable supplying the default backend name.
+REPRO_BACKEND_ENV = "REPRO_BACKEND"
 _CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 _CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 _CACHE_MAX_AGE_ENV = "REPRO_CACHE_MAX_AGE"
@@ -117,16 +126,19 @@ def _int_in(low, high=None):
     return inner
 
 
-def _float(name, value):
+def _finite(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    # json.loads and TOML let NaN/inf through; a huge int overflows float()
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _finite(name, value):
-    value = _float(name, value)
-    if not math.isfinite(value):  # json.loads lets NaN/Infinity through
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+def _nonneg(name, value):
+    value = _finite(name, value)
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value!r}")
     return value
 
 
@@ -198,7 +210,7 @@ class EngineConfig(_Section):
     section = "engine"
 
     backend: Optional[str] = _knob(
-        None, _opt(_str),
+        None, _opt(_choice(*BACKENDS)),
         "execution backend for batch entry points (default: "
         "$REPRO_BACKEND or serial)",
     )
@@ -240,34 +252,35 @@ class ServeConfig(_Section):
         "429 + Retry-After (0 disables; default: 32)", "N",
     )
     retry_after: float = _knob(
-        1.0, _float, "suggested client backoff carried on 429 responses",
+        1.0, _nonneg, "suggested client backoff carried on 429 responses",
         "SECONDS",
     )
     delay: float = _knob(
-        0.0, _float,
+        0.0, _nonneg,
         "inject this much sleep per task solved (straggler simulation "
         "for benchmarks/CI; default: 0)", "SECONDS",
     )
     max_nodes: Optional[int] = _knob(
-        4096, _opt(_int),
+        4096, _opt(_int_in(0)),
         "reject (413) single graphs larger than this (default: 4096)",
     )
     max_batch: Optional[int] = _knob(
-        256, _opt(_int),
+        256, _opt(_int_in(0)),
         "reject (413) batches longer than this (default: 256)",
     )
     max_body_bytes: Optional[int] = _knob(
-        32 * 1024 * 1024, _opt(_int),
+        32 * 1024 * 1024, _opt(_int_in(0)),
         "reject (413) request bodies longer than this, before reading "
         "them (default: 32 MiB)", "BYTES",
     )
     max_sessions: Optional[int] = _knob(
-        32, _opt(_int),
+        32, _opt(_int_in(0)),
         "open /mutate sessions before one more answers 429 (default: 32)",
         "N",
     )
     backend: Optional[str] = _knob(
-        None, _opt(_str), "default execution backend for /solve_batch"
+        None, _opt(_choice(*BACKENDS)),
+        "default execution backend for /solve_batch",
     )
     cache_file: Optional[str] = _knob(
         None, _opt(_str),
@@ -296,11 +309,11 @@ class ServeConfig(_Section):
         "the bind address is not what clients should dial)", "URL",
     )
     heartbeat: float = _knob(
-        5.0, _float, "re-registration interval with --register (default: 5)",
+        5.0, _nonneg, "re-registration interval with --register (default: 5)",
         "SECONDS",
     )
     worker_ttl: float = _knob(
-        15.0, _float,
+        15.0, _nonneg,
         "how long this server lists a registered worker without a fresh "
         "heartbeat (default: 15)", "SECONDS",
     )
@@ -324,18 +337,19 @@ class RemoteConfig(_Section):
     manager: Optional[str] = _knob(
         None, _opt(_str), "pool-manager URL polled for its live /workers list"
     )
-    timeout: float = _knob(300.0, _float, "per-request timeout in seconds")
+    timeout: float = _knob(300.0, _nonneg, "per-request timeout in seconds")
     max_shard: Optional[int] = _knob(
-        None, _opt(_int), "largest chunk of tasks sent to one worker at once"
+        None, _opt(_int_in(1)), "largest chunk of tasks sent to one worker at once"
     )
     health_interval: float = _knob(
-        1.0, _float, "seconds between polls of the manager's /workers"
+        1.0, _nonneg, "seconds between polls of the manager's /workers"
     )
 
 
 @dataclass(frozen=True)
 class CacheConfig(_Section):
-    """Retention bounds for cache-store compaction (``repro cache``).
+    """The retention policy :meth:`repro.store.SegmentStore.compact`
+    applies (``repro cache compact``).
 
     ``None`` means *unbounded* along that axis.  ``max_age`` is
     measured against the store's newest record timestamp (not the wall
@@ -345,15 +359,15 @@ class CacheConfig(_Section):
     section = "cache"
 
     max_entries: Optional[int] = _knob(
-        None, _opt(_int),
+        None, _opt(_int_in(0)),
         "keep at most N entries (most-frequently/-recently hit win)", "N",
     )
     max_bytes: Optional[int] = _knob(
-        None, _opt(_int),
+        None, _opt(_int_in(0)),
         "keep the best-ranked entries fitting this byte budget", "BYTES",
     )
     max_age: Optional[float] = _knob(
-        None, _opt(_float),
+        None, _opt(_nonneg),
         "drop entries idle longer than this many seconds (vs the newest "
         "record)", "SECONDS",
     )
@@ -490,7 +504,7 @@ def load_config(
     config = ReproConfig(source=source).merged(**sections)
     if env:
         config = config.merged(
-            engine={"backend": os.environ.get(_BACKEND_ENV) or None},
+            engine={"backend": os.environ.get(REPRO_BACKEND_ENV) or None},
             cache={
                 "max_entries": _env_number(_CACHE_MAX_ENTRIES_ENV, int),
                 "max_bytes": _env_number(_CACHE_MAX_BYTES_ENV, int),
@@ -501,7 +515,9 @@ def load_config(
 
 
 __all__ = [
+    "BACKENDS",
     "MODES",
+    "REPRO_BACKEND_ENV",
     "REPRO_CONFIG_ENV",
     "CacheConfig",
     "EngineConfig",

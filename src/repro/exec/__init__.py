@@ -6,14 +6,13 @@ every sweep workload; this package is the layer that scales it:
 * :mod:`~repro.exec.task` — :class:`SolveTask`, a picklable frozen
   façade call, and :func:`run_task`, the module-level runner every
   backend shares (the determinism contract).
-* :mod:`~repro.exec.backends` — :class:`Executor`, the
-  :func:`register_backend` registry, and the ``serial`` / ``process``
-  implementations, selected by the ``backend=`` knob on
-  ``solve_batch``/``solve_all`` or the ``REPRO_BACKEND`` environment
-  variable.
+* :mod:`~repro.exec.backends` — :class:`Executor`, the ``serial`` /
+  ``process`` implementations and :func:`resolve_backend`, which maps
+  a name in :data:`repro.config.BACKENDS` (the ``backend=`` knob, or
+  the ``REPRO_BACKEND`` environment variable) onto its executor.
 * :mod:`~repro.exec.remote` — :class:`RemoteExecutor`
   (``backend="remote"``), the sharded fan-out over a pool of
-  ``repro serve`` workers (registered lazily; worker URLs via the
+  ``repro serve`` workers (imported when picked; worker URLs via the
   constructor, a ``WorkerPool`` or the ``[remote]`` config section).
 * :mod:`~repro.exec.plan` — :func:`pack_tasks`, the deterministic LPT
   planner the ``process`` and ``remote`` backends share for cost-aware
@@ -24,7 +23,8 @@ every sweep workload; this package is the layer that scales it:
   solver knobs) and :class:`ResultCache`, an LRU with an optional
   persistence tier: a :class:`repro.store.SegmentStore` directory of
   append-only JSONL segments with deterministic compaction (schema ≤ 2
-  single-file caches are read-only migration inputs).  Mergeable via
+  single-file caches are read-only migration inputs) holding
+  :meth:`repro.api.CutResult.to_json` payloads.  Mergeable via
   :meth:`ResultCache.merge_from` / ``python -m repro cache merge``
   (which reports :class:`MergeCounts`), consulted by
   ``solve``/``solve_all``/``solve_batch`` via their ``cache=``
@@ -46,7 +46,6 @@ from .backends import (
     ProcessExecutor,
     REPRO_BACKEND_ENV,
     SerialExecutor,
-    register_backend,
     resolve_backend,
 )
 from .cache import (
@@ -73,7 +72,6 @@ __all__ = [
     "SolveTask",
     "load_cache_file",
     "pack_tasks",
-    "register_backend",
     "resolve_backend",
     "run_task",
     "run_task_captured",

@@ -1,4 +1,4 @@
-"""Execution backends: a small open registry of :class:`Executor`\\ s.
+"""Execution backends: the :class:`Executor` interface and its three names.
 
 Every backend implements the same tiny :class:`Executor` interface —
 ``run_tasks(tasks, registry=None)`` returning outcomes **in task
@@ -9,21 +9,14 @@ selects one without touching any solver code, and (with a cache
 attached) one failing task never discards the rest of the batch's
 completed work; without a cache the serial backend fails fast instead.
 
-Backends are *registered*, not hard-coded: :func:`register_backend`
-maps a name onto an executor factory in :data:`BACKENDS`, which is
-everything :func:`resolve_backend` consults.  The built-ins are
-``serial`` / ``process`` (this module) plus ``remote``
-(:mod:`repro.exec.remote` — a sharded fan-out over a pool of
-``repro serve`` workers, registered lazily so the core engine never
-imports the service client unless asked to).  Third-party executors
-join the same way::
-
-    from repro.exec import Executor, register_backend
-
-    @register_backend("mine")
-    class MyExecutor(Executor):
-        name = "mine"
-        def run_tasks(self, tasks, registry=None, keep_going=False): ...
+The backends are a closed set, :data:`repro.config.BACKENDS`:
+``serial`` / ``process`` (this module) and ``remote``
+(:class:`repro.exec.remote.RemoteExecutor` — a sharded fan-out over a
+pool of ``repro serve`` workers, imported only when picked, so the
+core engine never loads the service client unless asked to).
+:func:`resolve_backend` maps a name onto its executor; an
+:class:`Executor` *instance* (custom pool sizing, or a backend of your
+own) passes through it untouched.
 
 Determinism contract: a task's seed is frozen when the task is built
 (``seed + index`` for batches), every solver draws randomness from a
@@ -43,44 +36,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from ..config import BACKENDS, REPRO_BACKEND_ENV
 from ..errors import AlgorithmError
 from .plan import pack_tasks
 from .task import SolveTask, run_task_captured
-
-#: Environment variable supplying the default backend name.
-REPRO_BACKEND_ENV = "REPRO_BACKEND"
-
-#: Name → zero-argument executor factory; the valid values of
-#: ``backend=`` / ``$REPRO_BACKEND``.  Populated via
-#: :func:`register_backend`; consult :func:`resolve_backend` rather
-#: than calling the factories directly.
-BACKENDS: dict[str, Callable[[], "Executor"]] = {}
-
-
-def register_backend(name: str, factory: Optional[Callable[[], "Executor"]] = None):
-    """Register an executor factory under ``name`` (usable as decorator).
-
-    ``factory`` is anything callable with no arguments that returns an
-    :class:`Executor` — typically the executor class itself, but a
-    plain function works too (the lazily imported ``remote`` backend
-    uses one so that registering it costs nothing until it is picked).
-    Re-registering a taken name raises :class:`AlgorithmError`: backend
-    names are part of the public knob surface, silently shadowing one
-    would change behaviour at a distance.
-    """
-
-    def _register(factory: Callable[[], "Executor"]):
-        key = str(name).lower()
-        if key in BACKENDS:
-            raise AlgorithmError(f"execution backend {key!r} is already registered")
-        BACKENDS[key] = factory
-        return factory
-
-    if factory is not None:
-        return _register(factory)
-    return _register
 
 
 def _default_workers() -> int:
@@ -130,7 +91,6 @@ class Executor:
         return f"{type(self).__name__}()"
 
 
-@register_backend("serial")
 class SerialExecutor(Executor):
     """Run tasks one after another in the calling thread (the default)."""
 
@@ -156,7 +116,6 @@ def _run_chunk(tasks: Sequence[SolveTask]) -> list:
     return [run_task_captured(task) for task in tasks]
 
 
-@register_backend("process")
 class ProcessExecutor(Executor):
     """Process-pool backend — real parallelism for sweep workloads.
 
@@ -217,20 +176,6 @@ class ProcessExecutor(Executor):
         return outcomes
 
 
-@register_backend("remote")
-def _remote_backend() -> Executor:
-    """Sharded fan-out over ``repro serve`` workers (lazy import).
-
-    The import cost (and the service-client machinery) is only paid
-    when ``backend="remote"`` is actually resolved; worker URLs come
-    from the executor's constructor, a ``WorkerPool`` or the ``[remote]``
-    config section.
-    """
-    from .remote import RemoteExecutor
-
-    return RemoteExecutor()
-
-
 def resolve_backend(backend: Union[str, Executor, None] = None) -> Executor:
     """Turn a ``backend=`` knob value into an :class:`Executor`.
 
@@ -240,17 +185,19 @@ def resolve_backend(backend: Union[str, Executor, None] = None) -> Executor:
     """
     if isinstance(backend, Executor):
         return backend
-    name = backend
-    if name is None:
-        name = os.environ.get(REPRO_BACKEND_ENV, "").strip() or "serial"
-    try:
-        factory = BACKENDS[str(name).lower()]
-    except KeyError:
-        raise AlgorithmError(
-            f"unknown execution backend {name!r}; choose one of "
-            f"{', '.join(sorted(BACKENDS))} (or set ${REPRO_BACKEND_ENV})"
-        ) from None
-    return factory()
+    name = backend or os.environ.get(REPRO_BACKEND_ENV, "").strip() or "serial"
+    if name == "remote":
+        from .remote import RemoteExecutor
+
+        return RemoteExecutor()
+    if name == "process":
+        return ProcessExecutor()
+    if name == "serial":
+        return SerialExecutor()
+    raise AlgorithmError(
+        f"unknown execution backend {name!r}; choose one of "
+        f"{', '.join(sorted(BACKENDS))} (or set ${REPRO_BACKEND_ENV})"
+    )
 
 
 __all__ = [
@@ -259,6 +206,5 @@ __all__ = [
     "ProcessExecutor",
     "REPRO_BACKEND_ENV",
     "SerialExecutor",
-    "register_backend",
     "resolve_backend",
 ]

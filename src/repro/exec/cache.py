@@ -14,12 +14,13 @@ optional persistence tier: pass ``path=`` (a directory) and every
 storable entry is appended to a :class:`repro.store.SegmentStore` —
 the one on-disk format — and reloaded by later processes.  Disk-tier
 hits are appended as usage metadata so compaction can keep the
-most-used entries.  Tuples in ``extras`` (the paper solvers report
+most-used entries.  An entry's payload is :meth:`CutResult.to_json`
+in its strict mode: tuples in ``extras`` (the paper solvers report
 e.g. ``per_tree_values``) are persisted via a tagged encoding and
-restored as tuples; results that still do not round-trip JSON
-faithfully (CONGEST metrics attached, non-scalar nodes, non-string
-dict keys) stay memory-only — the cache never persists an entry it
-could not reproduce exactly.
+restored as tuples, and results that would not round-trip JSON
+faithfully (CONGEST metrics attached, non-scalar nodes, NaN or
+non-string dict keys in extras) stay memory-only — the cache never
+persists an entry it could not reproduce exactly.
 
 Single-file caches of earlier releases (the ``{"schema": 2}``
 envelope and the unversioned bare dict) are **read-only** inputs of
@@ -196,8 +197,11 @@ class ResultCache:
         if self.store is not None or self._pending_puts:  # skip the digest if no tier
             payload = self._disk_payload(key.digest())
         if payload is not None:
-            result = _result_from_payload(payload)
-            if result is not None:
+            try:
+                result = CutResult.from_json(payload)
+            except (KeyError, TypeError, ValueError):
+                pass  # a foreign/corrupt entry reads as a miss
+            else:
                 self._remember(key, result)
                 self.hits += 1
                 self._note_hit(key)
@@ -230,7 +234,7 @@ class ResultCache:
         """
         self._remember(key, result)
         if self.store is not None:
-            payload = _result_to_payload(result)
+            payload = result.to_json(strict=True)
             if payload is not None:
                 digest = key.digest()
                 if not self._on_disk(digest):
@@ -311,7 +315,7 @@ class ResultCache:
             for key, result in source._memory.items():
                 digest = key.digest()
                 if digest not in entries:
-                    payload = _result_to_payload(result)
+                    payload = result.to_json(strict=True)
                     if payload is not None:
                         entries[digest] = payload
         else:
@@ -415,90 +419,10 @@ def load_cache_file(path: Union[str, Path]) -> dict[str, dict]:
     return entries
 
 
-#: Marker key for the tagged tuple encoding in persisted extras.
-_TUPLE_TAG = "__tuple__"
-
-
-def encode_extras(value):
-    """JSON-safe form of an extras value; tuples get a tagged wrapper.
-
-    Shared with the service layer (:mod:`repro.service.protocol`), so a
-    ``CutResult`` crosses the wire with the same fidelity guarantees as
-    the persistence tier.
-
-    Raises ``ValueError`` for values the encoding cannot represent
-    unambiguously (a dict that itself uses the tag key).
-    """
-    if isinstance(value, tuple):
-        return {_TUPLE_TAG: [encode_extras(item) for item in value]}
-    if isinstance(value, list):
-        return [encode_extras(item) for item in value]
-    if isinstance(value, dict):
-        if _TUPLE_TAG in value:
-            raise ValueError(f"extras dict uses the reserved key {_TUPLE_TAG!r}")
-        return {key: encode_extras(item) for key, item in value.items()}
-    return value
-
-
-def decode_extras(value):
-    if isinstance(value, dict):
-        if set(value) == {_TUPLE_TAG}:
-            return tuple(decode_extras(item) for item in value[_TUPLE_TAG])
-        return {key: decode_extras(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [decode_extras(item) for item in value]
-    return value
-
-
-def _result_to_payload(result: CutResult) -> Optional[dict]:
-    """JSON payload for ``result``, or ``None`` when not faithfully storable."""
-    if result.metrics is not None:
-        return None  # CONGEST metrics carry per-phase objects; memory tier only
-    if not all(isinstance(node, (int, str)) for node in result.side):
-        return None
-    try:
-        extras = encode_extras(dict(result.extras))
-    except ValueError:
-        return None
-    payload = {
-        "value": result.value,
-        "side": sorted(result.side, key=repr),
-        "solver": result.solver,
-        "guarantee": result.guarantee,
-        "seed": result.seed,
-        "wall_time": result.wall_time,
-        "extras": extras,
-    }
-    try:
-        if json.loads(json.dumps(payload)) != payload:
-            return None  # non-string keys/NaN would come back altered — skip
-    except (TypeError, ValueError):
-        return None
-    return payload
-
-
-def _result_from_payload(payload: dict) -> Optional[CutResult]:
-    try:
-        return CutResult(
-            value=float(payload["value"]),
-            side=frozenset(payload["side"]),
-            solver=str(payload["solver"]),
-            guarantee=str(payload["guarantee"]),
-            seed=payload["seed"],
-            metrics=None,
-            wall_time=float(payload["wall_time"]),
-            extras=decode_extras(dict(payload["extras"])),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None  # foreign/corrupt entry: treat as a miss
-
-
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CacheKey",
     "MergeCounts",
     "ResultCache",
-    "decode_extras",
-    "encode_extras",
     "load_cache_file",
 ]

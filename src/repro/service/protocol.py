@@ -13,12 +13,12 @@ transports) without an HTTP server in sight:
   letting :class:`~repro.errors.GraphError` bubble (for graph payload
   problems); the server maps both onto structured 4xx bodies;
 * :func:`cut_result_to_json` / :func:`cut_result_from_json` — carry a
-  :class:`~repro.api.result.CutResult` across the wire faithfully.
-  ``extras`` use the same tagged tuple encoding as the result cache's
-  persistence tier (:func:`repro.exec.cache.encode_extras`), so
-  everything the cache can persist the service can serve; CONGEST
-  metrics travel as their summary dict (the per-phase objects stay
-  server-side).
+  :class:`~repro.api.result.CutResult` across the wire through its one
+  codec (:meth:`~repro.api.result.CutResult.to_json`, the same one the
+  result cache persists with, without its strict mode), plus the
+  CONGEST metrics summary dict (the per-phase objects stay
+  server-side).  Extras JSON cannot carry degrade through
+  :func:`json_default` when the response is dumped.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Any
 from ..api.result import CutResult
 from ..config import EngineConfig
 from ..errors import ConfigError, ReproError, ServiceError
-from ..exec.cache import decode_extras, encode_extras
 from ..graphs.graph import WeightedGraph
 from ..graphs.io import edge_list_from_text, graph_from_json
 
@@ -288,17 +287,12 @@ def parse_register_request(body: Any) -> dict:
 
 
 def cut_result_to_json(result: CutResult) -> dict:
-    """The JSON form of a :class:`CutResult` (see module docstring)."""
-    return {
-        "value": result.value,
-        "side": sorted(result.side, key=repr),
-        "solver": result.solver,
-        "guarantee": result.guarantee,
-        "seed": result.seed,
-        "wall_time": result.wall_time,
-        "extras": encode_extras(dict(result.extras)),
-        "metrics": result.metrics.summary() if result.metrics is not None else None,
-    }
+    """The wire form of a :class:`CutResult`: its codec plus ``metrics``."""
+    payload = result.to_json()
+    payload["metrics"] = (
+        result.metrics.summary() if result.metrics is not None else None
+    )
+    return payload
 
 
 def cut_result_from_json(payload: Any) -> CutResult:
@@ -316,23 +310,12 @@ def cut_result_from_json(payload: Any) -> CutResult:
             f"result payload must be an object, got {type(payload).__name__}"
         )
     try:
-        extras = decode_extras(dict(payload.get("extras", {})))
-        summary = payload.get("metrics")
-        if summary is not None:
-            extras = dict(extras)
-            extras["congest"] = summary
-        return CutResult(
-            value=float(payload["value"]),
-            side=frozenset(payload["side"]),
-            solver=str(payload["solver"]),
-            guarantee=str(payload["guarantee"]),
-            seed=payload["seed"],
-            metrics=None,
-            wall_time=float(payload["wall_time"]),
-            extras=extras,
-        )
+        result = CutResult.from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"malformed result payload: {exc}") from exc
+    if payload.get("metrics") is not None:
+        result.extras["congest"] = payload["metrics"]
+    return result
 
 
 def error_body(exc: Exception, status: int) -> dict:

@@ -69,47 +69,6 @@ STORE_KIND = "repro-cache-store"
 MANIFEST_NAME = "MANIFEST.json"
 
 
-@dataclass(frozen=True)
-class RetentionPolicy:
-    """What :meth:`SegmentStore.compact` keeps.
-
-    ``None`` for every field means "keep all live entries" (compaction
-    then only folds duplicate records and hit metadata).  Entries are
-    ranked most-frequently-hit first, most-recently-used to break
-    ties, digest order last — a total, deterministic order:
-
-    * ``max_age`` drops entries whose last use is more than this many
-      seconds older than the *newest* record in the store (not the
-      wall clock, so the same inputs always age the same way; pass
-      ``now=`` to :meth:`SegmentStore.compact` for wall-clock expiry).
-    * ``max_entries`` keeps the best-ranked N entries.
-    * ``max_bytes`` keeps the best-ranked prefix whose encoded
-      compacted records fit the budget.
-    """
-
-    max_entries: Optional[int] = None
-    max_bytes: Optional[int] = None
-    max_age: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_entries is not None and self.max_entries < 0:
-            raise AlgorithmError(
-                f"max_entries must be >= 0, got {self.max_entries}"
-            )
-        if self.max_bytes is not None and self.max_bytes < 0:
-            raise AlgorithmError(f"max_bytes must be >= 0, got {self.max_bytes}")
-        if self.max_age is not None and self.max_age < 0:
-            raise AlgorithmError(f"max_age must be >= 0, got {self.max_age}")
-
-    @property
-    def unbounded(self) -> bool:
-        return (
-            self.max_entries is None
-            and self.max_bytes is None
-            and self.max_age is None
-        )
-
-
 @dataclass(slots=True)
 class _Live:
     """Folded per-digest state: where the entry's ``put`` line lives, plus
@@ -459,12 +418,26 @@ class SegmentStore:
             ),
         )
 
-    def select(
-        self, policy: Optional[RetentionPolicy], *, now: Optional[float] = None
-    ) -> list[str]:
-        """Digests the policy retains, in canonical (digest) order."""
-        if policy is None or policy.unbounded:
+    def select(self, policy=None, *, now: Optional[float] = None) -> list[str]:
+        """Digests the retention ``policy`` keeps, in digest order.
+
+        ``policy`` is a :class:`repro.config.CacheConfig` (any object
+        with its ``max_entries``/``max_bytes``/``max_age``; ``None``
+        keeps every live entry).  Entries are ranked most-frequently-
+        hit first, most-recently-used to break ties, digest order last
+        — a total, deterministic order:
+
+        * ``max_age`` drops entries whose last use is more than this
+          many seconds older than the *newest* record in the store
+          (not the wall clock, so the same inputs always age the same
+          way; pass ``now=`` for wall-clock expiry).
+        * ``max_entries`` keeps the best-ranked N entries.
+        * ``max_bytes`` keeps the best-ranked prefix whose encoded
+          compacted records fit the budget.
+        """
+        if policy is None:
             return sorted(self._live)
+        max_age, max_entries = policy.max_age, policy.max_entries
         reference = self.newest_ts() if now is None else float(now)
         kept: list[str] = []
         budget = policy.max_bytes
@@ -473,12 +446,12 @@ class SegmentStore:
         for digest in ranked:
             live = self._live[digest]
             if (
-                policy.max_age is not None
+                max_age is not None
                 and reference is not None
-                and reference - live.last_ts > policy.max_age
+                and reference - live.last_ts > max_age
             ):
                 continue
-            if policy.max_entries is not None and len(kept) >= policy.max_entries:
+            if max_entries is not None and len(kept) >= max_entries:
                 break
             if budget is not None:
                 cost = len(lines.get(digest, "").encode("utf-8"))
@@ -501,13 +474,9 @@ class SegmentStore:
 
     # -- compaction ----------------------------------------------------
 
-    def compact(
-        self,
-        policy: Optional[RetentionPolicy] = None,
-        *,
-        now: Optional[float] = None,
-    ) -> CompactionReport:
-        """Fold every segment into one, under the retention policy.
+    def compact(self, policy=None, *, now: Optional[float] = None) -> CompactionReport:
+        """Fold every segment into one, under the retention ``policy``
+        (see :meth:`select`).
 
         Deterministic and idempotent: the output segment's bytes are a
         pure function of the live entry state and the policy (entries
@@ -646,7 +615,6 @@ def _entry_of(record: Optional[dict], digest: str) -> Optional[dict]:
 __all__ = [
     "CompactionReport",
     "MANIFEST_NAME",
-    "RetentionPolicy",
     "STORE_KIND",
     "STORE_SCHEMA_VERSION",
     "SegmentStore",

@@ -15,6 +15,7 @@ import pytest
 from repro.api import Engine
 from repro.config import (
     REPRO_CONFIG_ENV,
+    CacheConfig,
     EngineConfig,
     RemoteConfig,
     ReproConfig,
@@ -439,7 +440,9 @@ class TestOneSchema:
 
     @pytest.mark.parametrize(
         "knob, value",
-        [("epsilon", float("nan")), ("budget", -5), ("mode", "fast"), ("seed", "1")],
+        [("epsilon", float("nan")),
+         pytest.param("epsilon", 10**400, id="epsilon-int-overflow"), ("budget", -5),
+         ("mode", "fast"), ("seed", "1")],
     )
     def test_bad_knob_is_rejected_by_config_and_every_request(
         self, tmp_path, knob, value
@@ -498,3 +501,141 @@ class TestOneSchema:
                 assert protocol._KNOB_SPECS[spec.name] == (
                     spec.metadata["check"], spec.default
                 )
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+#: (TOML literal, Python value, flag text) — every one out of range for
+#: a finite, non-negative float field.
+_BAD_FLOATS = [("nan", _NAN, "nan"), ("inf", _INF, "inf"), ("-inf", -_INF, "-inf"),
+               ("-1.5", -1.5, "-1.5")]
+#: The same for a non-negative int field.  NaN and inf are floats, so a
+#: flag's ``type=int`` refuses them first (argparse's own exit 2).
+_BAD_INTS = [("nan", _NAN, None), ("inf", _INF, None), ("-1", -1, "-1")]
+
+
+class TestFiniteNonNegative:
+    """NaN, inf and negatives are ``error: <section>.<field>`` (exit 2)
+    from a file and from a flag, and a ``ConfigError`` from a keyword."""
+
+    SECTIONS = {
+        "serve": ServeConfig, "remote": RemoteConfig, "cache": CacheConfig,
+    }
+
+    @staticmethod
+    def _store(tmp_path):
+        from repro.store import SegmentStore
+
+        SegmentStore(tmp_path / "st").append([("d0", {"value": 1.0})])
+        return str(tmp_path / "st")
+
+    def _argv(self, tmp_path, section):
+        """The command that reads ``section``."""
+        return {
+            "serve": ["serve"],
+            "remote": ["config", "show"],
+            "cache": ["cache", "compact", self._store(tmp_path)],
+        }[section]
+
+    def _check(self, tmp_path, capsys, monkeypatch, section, key, bad):
+        from repro.cli import main
+
+        monkeypatch.setattr("repro.service.create_server", _fail_create_server)
+        argv = self._argv(tmp_path, section)
+        path = tmp_path / "bad.toml"
+        for literal, value, flag_text in bad:
+            with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be"):
+                self.SECTIONS[section](**{key: value})
+            path.write_text(f"[{section}]\n{key} = {literal}\n")
+            assert main(["--config", str(path), *argv]) == 2, literal
+            assert f"error: {section}.{key} must be" in capsys.readouterr().err
+            if section == "remote":
+                continue  # [remote] has no flags
+            flag = "--" + key.replace("_", "-")
+            if flag_text is None:
+                with pytest.raises(SystemExit) as excinfo:
+                    main([*argv, flag, literal])
+                assert excinfo.value.code == 2
+                assert "invalid int value" in capsys.readouterr().err
+                continue
+            assert main([*argv, f"{flag}={flag_text}"]) == 2, flag_text
+            assert f"error: {section}.{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key", ["retry_after", "delay", "heartbeat", "worker_ttl"]
+    )
+    def test_serve_floats(self, tmp_path, capsys, monkeypatch, key):
+        self._check(tmp_path, capsys, monkeypatch, "serve", key, _BAD_FLOATS)
+
+    @pytest.mark.parametrize(
+        "key", ["max_nodes", "max_batch", "max_body_bytes", "max_sessions"]
+    )
+    def test_serve_limits(self, tmp_path, capsys, monkeypatch, key):
+        self._check(tmp_path, capsys, monkeypatch, "serve", key, _BAD_INTS)
+        assert getattr(ServeConfig(**{key: 0}), key) == 0
+
+    @pytest.mark.parametrize("key", ["timeout", "health_interval"])
+    def test_remote_floats(self, tmp_path, capsys, monkeypatch, key):
+        self._check(tmp_path, capsys, monkeypatch, "remote", key, _BAD_FLOATS)
+
+    def test_remote_max_shard_is_at_least_one(self, tmp_path, capsys, monkeypatch):
+        bad = [("0", 0, None), *_BAD_INTS]
+        self._check(tmp_path, capsys, monkeypatch, "remote", "max_shard", bad)
+        assert RemoteConfig(max_shard=1).max_shard == 1
+
+    @pytest.mark.parametrize("key", ["max_entries", "max_bytes", "max_age"])
+    def test_cache(self, tmp_path, capsys, monkeypatch, key):
+        bad = _BAD_FLOATS if key == "max_age" else _BAD_INTS
+        self._check(tmp_path, capsys, monkeypatch, "cache", key, bad)
+
+    def test_nan_retry_after_in_serve_section(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setattr("repro.service.create_server", _fail_create_server)
+        path = tmp_path / "bad.toml"
+        path.write_text("[serve]\nretry_after = nan\n")
+        assert main(["--config", str(path), "serve"]) == 2
+        assert "error: serve.retry_after must be a finite number" in (
+            capsys.readouterr().err
+        )
+        monkeypatch.setenv("REPRO_CACHE_MAX_AGE", "nan")
+        with pytest.raises(ConfigError, match=r"cache\.max_age"):
+            load_config(None)
+
+
+class TestSweepPrecedence:
+    """``sweep``'s solver knobs follow flag > file > default too."""
+
+    def _solvers(self, capsys, argv):
+        from repro.cli import main
+
+        assert main(argv) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        return {row[3] for row in rows if len(row) == 7 and row[0].isdigit()}
+
+    def test_engine_section_reaches_sweep(self, tmp_path, capsys):
+        path = tmp_path / "c.toml"
+        path.write_text('[engine]\nsolver = "stoer_wagner"\n')
+        sweep = ["sweep", "--n", "20", "--count", "2"]
+        assert self._solvers(capsys, sweep) == {"exact"}
+        assert self._solvers(capsys, ["--config", str(path), *sweep]) == {
+            "stoer_wagner"
+        }
+        assert self._solvers(
+            capsys, ["--config", str(path), *sweep, "--solver", "exact"]
+        ) == {"exact"}
+        path.write_text("[engine]\nepsilon = 0.5\n")
+        assert self._solvers(capsys, ["--config", str(path), *sweep]) == {"approx"}
+
+    def test_engine_section_reaches_sweep_stream(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ops = tmp_path / "ops.txt"
+        ops.write_text("solve\n")
+        path = tmp_path / "c.toml"
+        path.write_text('[engine]\nsolver = "stoer_wagner"\n')
+        argv = ["sweep", "--stream", str(ops), "--family", "cycle", "--n", "8"]
+        assert main(["--config", str(path), *argv]) == 0
+        assert "solver:stoer_wagner" in capsys.readouterr().out
+        assert main(["--config", str(path), *argv, "--solver", "exact"]) == 0
+        assert "solver:exact" in capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 The PR-5 redesign: :class:`repro.api.Engine` owns registry, backend,
 cache and default solver knobs; the module-level façade delegates to a
-default engine; backends are registered, not hard-coded; the cache's
+default engine; backends are one closed set of names; the cache's
 on-disk tier is versioned and mergeable.
 """
 
@@ -19,10 +19,8 @@ from repro.exec import (
     CACHE_SCHEMA_VERSION,
     Executor,
     ResultCache,
-    SerialExecutor,
     load_cache_file,
     pack_tasks,
-    register_backend,
     resolve_backend,
 )
 from repro.exec.task import SolveTask, run_task_captured
@@ -326,11 +324,7 @@ class TestBackendRegistry:
     def test_builtins_registered(self):
         assert {"serial", "process", "remote"} <= set(BACKENDS)
 
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(AlgorithmError, match="already registered"):
-            register_backend("serial", SerialExecutor)
-
-    def test_registered_backend_usable_by_name(self):
+    def test_custom_executor_instance_runs_a_batch(self):
         calls = []
 
         class CountingExecutor(Executor):
@@ -343,18 +337,30 @@ class TestBackendRegistry:
                     for task in tasks
                 ]
 
-        if "counting_test" not in BACKENDS:
-            register_backend("counting_test", CountingExecutor)
-        try:
-            results = solve_batch(
-                _graphs(3), "stoer_wagner", backend="counting_test"
-            )
-            assert calls == [3]
-            assert _identity(results) == _identity(
-                solve_batch(_graphs(3), "stoer_wagner")
-            )
-        finally:
-            BACKENDS.pop("counting_test", None)
+        results = solve_batch(
+            _graphs(3), "stoer_wagner", backend=CountingExecutor()
+        )
+        assert calls == [3]
+        assert _identity(results) == _identity(
+            solve_batch(_graphs(3), "stoer_wagner")
+        )
+
+    def test_backend_names_are_one_closed_set(self):
+        from repro import cli, config
+        from repro.errors import ConfigError
+
+        assert BACKENDS is config.BACKENDS == ("serial", "process", "remote")
+        for section in (config.EngineConfig, config.ServeConfig):
+            with pytest.raises(
+                ConfigError, match=rf"{section.section}\.backend must be one of"
+            ):
+                section(backend="thread")
+        parser = cli.build_parser()
+        for command in ("compare", "sweep", "serve"):
+            for name in BACKENDS:
+                assert parser.parse_args([command, "--backend", name]).backend == name
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--backend", "thread"])
 
     def test_remote_resolves_without_workers(self):
         # Construction must succeed (resolution happens before the pool

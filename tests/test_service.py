@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import default_registry, solve
 from repro.config import ServeConfig
-from repro.errors import GraphError, ServiceError
+from repro.errors import ConfigError, GraphError, ServiceError
 from repro.exec import ResultCache
 from repro.graphs import (
     WeightedGraph,
@@ -243,15 +243,9 @@ class TestDispatch:
         assert status == 400
         assert payload["error"]["type"] == "ServiceError"
         assert "['process', 'serial']" in payload["error"]["message"]
-        # Named as the server default: the engine's unknown-backend error.
-        service = ReproService(config=ServeConfig(backend="thread"))
-        status, payload = post(service, "/solve_batch", {"graphs": graphs})
-        assert status == 400
-        assert payload["error"]["type"] == "AlgorithmError"
-        assert payload["error"]["message"].startswith(
-            "unknown execution backend 'thread'; choose one of process, "
-            "remote, serial"
-        )
+        # Named as the server default: refused when the config is built.
+        with pytest.raises(ConfigError, match="serve.backend must be one of"):
+            ServeConfig(backend="thread")
 
     def error_type(self, payload):
         return payload["error"]["type"]

@@ -23,13 +23,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AlgorithmError
+from repro.config import CacheConfig
+from repro.errors import AlgorithmError, ConfigError
 from repro.exec import CACHE_SCHEMA_VERSION, ResultCache
 from repro.exec.cache import load_cache_file
 from repro.store import (
     ACTIVE_SEGMENT,
     MANIFEST_NAME,
-    RetentionPolicy,
     STORE_KIND,
     STORE_SCHEMA_VERSION,
     SegmentStore,
@@ -160,7 +160,7 @@ class TestCompaction:
         two.append([], [("d1", 2)], ts=10.0)
         two.append([], [("d1", 1), ("d4", 1)], ts=10.0)
 
-        policy = RetentionPolicy(max_entries=4)
+        policy = CacheConfig(max_entries=4)
         report_one = one.compact(policy)
         report_two = two.compact(policy)
         assert report_one.segment == report_two.segment
@@ -173,16 +173,16 @@ class TestCompaction:
         store = SegmentStore(tmp_path / "st")
         fill(store, 8)
         store.append([], [("d0003", 5)], ts=200.0)
-        first = store.compact(RetentionPolicy(max_entries=5))
+        first = store.compact(CacheConfig(max_entries=5))
         blob = (tmp_path / "st" / first.segment).read_bytes()
-        second = store.compact(RetentionPolicy(max_entries=5))
+        second = store.compact(CacheConfig(max_entries=5))
         assert second.segment == first.segment
         assert (tmp_path / "st" / second.segment).read_bytes() == blob
         assert second.dropped_entries == 0
         assert second.dropped_records == 0
         # And a third time from a fresh open (on-disk state only).
         third = SegmentStore(tmp_path / "st").compact(
-            RetentionPolicy(max_entries=5)
+            CacheConfig(max_entries=5)
         )
         assert third.segment == first.segment
 
@@ -200,7 +200,7 @@ class TestCompaction:
     def test_empty_selection_leaves_no_segments(self, tmp_path):
         store = SegmentStore(tmp_path / "st")
         fill(store, 3)
-        report = store.compact(RetentionPolicy(max_entries=0))
+        report = store.compact(CacheConfig(max_entries=0))
         assert report.segment is None
         assert report.kept_entries == 0
         assert len(SegmentStore(tmp_path / "st")) == 0
@@ -218,45 +218,45 @@ class TestCompaction:
 
 class TestRetentionPolicy:
     def test_validation(self):
-        with pytest.raises(AlgorithmError, match="max_entries"):
-            RetentionPolicy(max_entries=-1)
-        with pytest.raises(AlgorithmError, match="max_bytes"):
-            RetentionPolicy(max_bytes=-1)
-        with pytest.raises(AlgorithmError, match="max_age"):
-            RetentionPolicy(max_age=-0.5)
+        with pytest.raises(ConfigError, match="max_entries"):
+            CacheConfig(max_entries=-1)
+        with pytest.raises(ConfigError, match="max_bytes"):
+            CacheConfig(max_bytes=-1)
+        with pytest.raises(ConfigError, match="max_age"):
+            CacheConfig(max_age=-0.5)
 
     def test_most_frequently_hit_win(self, tmp_path):
         store = SegmentStore(tmp_path / "st")
         fill(store, 4)
         store.append([], [("d0002", 5), ("d0000", 2)], ts=100.0)
-        kept = store.select(RetentionPolicy(max_entries=2))
+        kept = store.select(CacheConfig(max_entries=2))
         assert kept == ["d0000", "d0002"]
 
     def test_recency_breaks_hit_ties(self, tmp_path):
         store = SegmentStore(tmp_path / "st")
         store.append([("old", entry(1))], ts=10.0)
         store.append([("new", entry(2))], ts=20.0)
-        assert store.select(RetentionPolicy(max_entries=1)) == ["new"]
+        assert store.select(CacheConfig(max_entries=1)) == ["new"]
 
     def test_max_age_measured_from_newest_record(self, tmp_path):
         store = SegmentStore(tmp_path / "st")
         store.append([("stale", entry(1))], ts=100.0)
         store.append([("fresh", entry(2))], ts=500.0)
-        assert store.select(RetentionPolicy(max_age=1000.0)) == [
+        assert store.select(CacheConfig(max_age=1000.0)) == [
             "fresh",
             "stale",
         ]
-        assert store.select(RetentionPolicy(max_age=100.0)) == ["fresh"]
+        assert store.select(CacheConfig(max_age=100.0)) == ["fresh"]
         # Explicit wall-clock reference for expiry-style sweeps.
-        assert store.select(RetentionPolicy(max_age=100.0), now=700.0) == []
+        assert store.select(CacheConfig(max_age=100.0), now=700.0) == []
 
     def test_max_bytes_budget(self, tmp_path):
         store = SegmentStore(tmp_path / "st")
         fill(store, 6)
         line_cost = len(store._compacted_lines(["d0000"])["d0000"].encode("utf-8"))
-        kept = store.select(RetentionPolicy(max_bytes=3 * line_cost))
+        kept = store.select(CacheConfig(max_bytes=3 * line_cost))
         assert len(kept) == 3
-        report = store.compact(RetentionPolicy(max_bytes=3 * line_cost))
+        report = store.compact(CacheConfig(max_bytes=3 * line_cost))
         assert report.bytes_after <= 3 * line_cost
 
 
