@@ -45,10 +45,11 @@ files so the first sweep already hits.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence, Union
 
+from ..config import EngineConfig, check_field
 from ..errors import AlgorithmError, ReproError
 from ..exec.backends import Executor, resolve_backend
 from ..exec.cache import CacheKey, ResultCache
@@ -63,6 +64,28 @@ Backend = Union[str, Executor, None]
 #: for the knobs where ``None`` is a real value (``epsilon=None``: exact
 #: solvers; ``budget=None``: no cap), not "the engine's default".
 _UNSET = object()
+
+
+@dataclass(frozen=True, slots=True)
+class Lookup:
+    """One ``solve`` call resolved and probed against the cache.
+
+    :meth:`Engine.lookup` builds it: the solver is resolved, ``budget``
+    is the one the solver would run at, ``key`` is the cache key
+    (``None`` without a cache) and ``result`` the stamped hit, or
+    ``None`` on a miss.  :meth:`Engine.finish` completes a miss without
+    parsing, hashing or counting it again.
+    """
+
+    spec: SolverSpec
+    graph: WeightedGraph
+    epsilon: Optional[float]
+    mode: str
+    seed: int
+    budget: Optional[int]
+    options: dict[str, Any]
+    key: Optional[CacheKey]
+    result: Optional[CutResult]
 
 
 class Engine:
@@ -93,7 +116,10 @@ class Engine:
 
     Every method resolves configuration as **explicit argument > engine
     default > environment**, and returns the same canonical
-    :class:`CutResult` objects as the module-level façade.
+    :class:`CutResult` objects as the module-level façade.  A backend
+    name and the solver knobs are checked by their
+    :class:`~repro.config.EngineConfig` fields' checkers here, so a bad
+    one raises :class:`~repro.errors.ConfigError` at construction.
     """
 
     def __init__(
@@ -109,15 +135,17 @@ class Engine:
         budget: Optional[int] = None,
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
+        if not isinstance(backend, Executor):
+            backend = check_field(EngineConfig, "backend", backend)
         self.backend = backend
         if isinstance(cache, (str, Path)):
             cache = ResultCache(path=cache)
         self.cache = cache
-        self.solver = solver
-        self.epsilon = epsilon
-        self.mode = mode
-        self.seed = seed
-        self.budget = budget
+        self.solver = check_field(EngineConfig, "solver", solver)
+        self.epsilon = check_field(EngineConfig, "epsilon", epsilon)
+        self.mode = check_field(EngineConfig, "mode", mode)
+        self.seed = check_field(EngineConfig, "seed", seed)
+        self.budget = check_field(EngineConfig, "budget", budget)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backend = (
@@ -209,6 +237,67 @@ class Engine:
             budget=self.budget if budget is _UNSET else budget,
             options=options,
         )
+
+    def lookup(
+        self,
+        graph: WeightedGraph,
+        solver: Optional[str] = None,
+        *,
+        epsilon: Union[Optional[float], object] = _UNSET,
+        mode: Optional[str] = None,
+        seed: Optional[int] = None,
+        budget: Union[Optional[int], object] = _UNSET,
+        **options: Any,
+    ) -> Lookup:
+        """The cache-probe half of :meth:`solve`: resolve, key, look up.
+
+        Takes :meth:`solve`'s arguments and runs no solver: the returned
+        :class:`Lookup` carries the stamped hit in ``result``, or
+        ``None`` on a miss, which :meth:`finish` then solves.  A hit is
+        counted once, here.  The service answers ``/solve`` hits this
+        way on its event loop, without waiting for solves in flight.
+        """
+        _refuse_session_knobs("lookup", options)
+        return self._lookup(
+            graph,
+            solver=self.solver if solver is None else solver,
+            epsilon=self.epsilon if epsilon is _UNSET else epsilon,
+            mode=self.mode if mode is None else mode,
+            seed=self.seed if seed is None else seed,
+            budget=self.budget if budget is _UNSET else budget,
+            options=options,
+        )
+
+    def finish(self, lookup: Lookup) -> CutResult:
+        """The solve half of :meth:`solve`: a hit as is, else a solve.
+
+        A miss checks connectivity, runs the resolved solver and puts
+        the result under ``lookup.key`` — unless a call for the same key
+        has put it since the lookup, which is then answered from the
+        cache (its miss stays counted).
+        """
+        if lookup.result is not None:
+            return lookup.result
+        cache = self.cache
+        if cache is not None and lookup.key is not None:
+            with cache.lock:
+                done = cache.peek(lookup.key)
+                if done is not None:
+                    return _stamp_cache(done, cache, hit=True)
+        graph = lookup.graph
+        # Only a miss checks connectivity: an entry exists only for a
+        # graph some solve already required to be connected, and the key
+        # pins the graph's content, so a hit skips the traversal.
+        graph.require_connected()
+        result = _run(
+            lookup.spec, graph, epsilon=lookup.epsilon, mode=lookup.mode,
+            seed=lookup.seed, budget=lookup.budget, **lookup.options,
+        )
+        if cache is not None and lookup.key is not None:
+            with cache.lock:
+                cache.put(lookup.key, result)
+                result = _stamp_cache(result, cache, hit=False)
+        return result
 
     def solve_all(
         self,
@@ -506,7 +595,10 @@ class Engine:
 
     # -- internals (default-resolved values) -----------------------------
 
-    def _solve(
+    def _solve(self, graph: WeightedGraph, **knobs: Any) -> CutResult:
+        return self.finish(self._lookup(graph, **knobs))
+
+    def _lookup(
         self,
         graph: WeightedGraph,
         *,
@@ -516,34 +608,24 @@ class Engine:
         seed: int,
         budget: Optional[int],
         options: dict[str, Any],
-    ) -> CutResult:
+    ) -> Lookup:
         spec = _resolve_spec(
             self.registry, graph, solver, mode=mode, epsilon=epsilon, budget=budget
         )
         if solver == "auto":
             budget = None  # consumed by selection; the pick runs at default effort
         cache = self.cache
-        key = None
+        key = hit = None
         if cache is not None:
             key = CacheKey.for_solve(
                 graph, spec.name, epsilon=epsilon, mode=mode, seed=seed,
                 budget=budget, options=options,
             )
-            hit = cache.get(key)
-            if hit is not None:
-                return _stamp_cache(hit, cache, hit=True)
-        # Only a miss checks connectivity: an entry exists only for a
-        # graph some solve already required to be connected, and the key
-        # pins the graph's content, so a hit skips the traversal.
-        graph.require_connected()
-        result = _run(
-            spec, graph, epsilon=epsilon, mode=mode, seed=seed, budget=budget,
-            **options,
-        )
-        if cache is not None:
-            cache.put(key, result)
-            result = _stamp_cache(result, cache, hit=False)
-        return result
+            with cache.lock:  # the stamped counters are this lookup's
+                hit = cache.get(key)
+                if hit is not None:
+                    hit = _stamp_cache(hit, cache, hit=True)
+        return Lookup(spec, graph, epsilon, mode, seed, budget, options, key, hit)
 
     def _solve_all(
         self,
@@ -685,4 +767,4 @@ def default_engine() -> Engine:
     return _DEFAULT_ENGINE
 
 
-__all__ = ["Engine", "default_engine"]
+__all__ = ["Engine", "Lookup", "default_engine"]

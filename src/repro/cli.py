@@ -87,7 +87,14 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .analysis import fit_power_law, format_cut_results, format_table
 from .api import CutResult, Engine, default_registry, solve
-from .config import BACKENDS, MODES, CacheConfig, ServeConfig, load_config
+from .config import (
+    BACKENDS,
+    MODES,
+    REQUEST_BACKENDS,
+    CacheConfig,
+    ServeConfig,
+    load_config,
+)
 from .core import one_respecting_min_cut_congest
 from .errors import ReproError
 from .exec import Executor, ResultCache, load_cache_file, resolve_backend
@@ -993,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_action.add_argument("--solver", default="auto")
             p_action.add_argument("--epsilon", type=float, default=None)
             p_action.add_argument(
-                "--backend", choices=BACKENDS, default=None,
+                "--backend", choices=REQUEST_BACKENDS, default=None,
                 help="server-side execution backend for the fan-out",
             )
         p_action.set_defaults(handler=_cmd_client)

@@ -19,7 +19,9 @@ the fields:
   :meth:`repro.store.SegmentStore.compact` reads;
 * every section checks its fields when it is built, so a value is held
   to the same rule whether it came from a file, the environment, a
-  flag or a keyword argument.
+  flag or a keyword argument; the objects a section configures
+  (``Engine``, ``RemoteExecutor``) run their own keyword arguments
+  through the same checkers with :func:`check_field`.
 
 Precedence — one rule, applied everywhere::
 
@@ -85,6 +87,12 @@ MODES = ("reference", "congest")
 #: The execution backend names (:func:`repro.exec.resolve_backend`); a
 #: custom :class:`~repro.exec.Executor` is passed as an instance instead.
 BACKENDS = ("serial", "process", "remote")
+
+#: The backends a ``/solve_batch`` request may pick for the worker's own
+#: fan-out (``repro client batch --backend``): local executors only, so
+#: a request cannot turn a worker into an HTTP client of other machines
+#: (or of itself); ``remote`` is the operator's call (``[serve] backend``).
+REQUEST_BACKENDS = ("serial", "process")
 
 #: Environment variable supplying the default backend name.
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
@@ -248,8 +256,9 @@ class ServeConfig(_Section):
     )
     queue_depth: int = _knob(
         32, _int_in(0),
-        "solver requests queued or running before the service answers "
-        "429 + Retry-After (0 disables; default: 32)", "N",
+        "solves queued or running before the service answers 429 + "
+        "Retry-After (0 disables; /solve cache hits are never gated; "
+        "default: 32)", "N",
     )
     retry_after: float = _knob(
         1.0, _nonneg, "suggested client backoff carried on 429 responses",
@@ -258,7 +267,8 @@ class ServeConfig(_Section):
     delay: float = _knob(
         0.0, _nonneg,
         "inject this much sleep per task solved (straggler simulation "
-        "for benchmarks/CI; default: 0)", "SECONDS",
+        "for benchmarks/CI; /solve cache hits are never delayed; "
+        "default: 0)", "SECONDS",
     )
     max_nodes: Optional[int] = _knob(
         4096, _opt(_int_in(0)),
@@ -376,6 +386,17 @@ class CacheConfig(_Section):
 _SECTIONS = {
     cls.section: cls for cls in (EngineConfig, ServeConfig, RemoteConfig, CacheConfig)
 }
+
+
+def check_field(section: type, name: str, value):
+    """``value`` checked (and normalised) as ``section``'s field ``name``.
+
+    For the keyword arguments of the objects a section configures, so
+    ``Engine(backend="gpu")`` fails at construction with the
+    ``engine.backend`` message a config file would get.
+    """
+    spec = section.__dataclass_fields__[name]
+    return spec.metadata["check"](f"{section.section}.{name}", value)
 
 
 @dataclass(frozen=True)
@@ -519,10 +540,12 @@ __all__ = [
     "MODES",
     "REPRO_BACKEND_ENV",
     "REPRO_CONFIG_ENV",
+    "REQUEST_BACKENDS",
     "CacheConfig",
     "EngineConfig",
     "RemoteConfig",
     "ReproConfig",
     "ServeConfig",
+    "check_field",
     "load_config",
 ]

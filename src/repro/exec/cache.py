@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,6 +162,13 @@ class ResultCache:
         flushes append only the new records.  An existing regular file
         — a schema ≤ 2 single-file cache — raises
         :class:`AlgorithmError` naming the migration command.
+
+    Every public method holds :attr:`lock`, a re-entrant lock, so one
+    cache is safe to share between threads: the service probes it for
+    ``/solve`` hits on its event loop while solves put into it and flush
+    it from the dispatch pool.  A caller that needs a lookup and the
+    counters it moved to agree (``Engine`` stamping ``extras["cache"]``)
+    holds the lock around both.
     """
 
     def __init__(
@@ -180,6 +188,7 @@ class ResultCache:
         self._pending_hits: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
+        self.lock = threading.RLock()
         if self.path is not None:
             self.store = SegmentStore(self.path)
 
@@ -187,27 +196,34 @@ class ResultCache:
 
     def get(self, key: CacheKey) -> Optional[CutResult]:
         """The cached result for ``key``, or ``None`` (counts hit/miss)."""
-        entry = self._memory.get(key)
-        if entry is not None:
-            self._memory.move_to_end(key)
-            self.hits += 1
-            self._note_hit(key)
-            return entry
-        payload = None
-        if self.store is not None or self._pending_puts:  # skip the digest if no tier
-            payload = self._disk_payload(key.digest())
-        if payload is not None:
-            try:
-                result = CutResult.from_json(payload)
-            except (KeyError, TypeError, ValueError):
-                pass  # a foreign/corrupt entry reads as a miss
-            else:
-                self._remember(key, result)
+        with self.lock:
+            entry = self._memory.get(key)
+            if entry is not None:
+                self._memory.move_to_end(key)
                 self.hits += 1
                 self._note_hit(key)
-                return result
-        self.misses += 1
-        return None
+                return entry
+            payload = None
+            if self.store is not None or self._pending_puts:  # skip the digest if no tier
+                payload = self._disk_payload(key.digest())
+            if payload is not None:
+                try:
+                    result = CutResult.from_json(payload)
+                except (KeyError, TypeError, ValueError):
+                    pass  # a foreign/corrupt entry reads as a miss
+                else:
+                    self._remember(key, result)
+                    self.hits += 1
+                    self._note_hit(key)
+                    return result
+            self.misses += 1
+            return None
+
+    def peek(self, key: CacheKey) -> Optional[CutResult]:
+        """The memory tier's result for ``key``, without counting a hit
+        or a miss and without touching the LRU order."""
+        with self.lock:
+            return self._memory.get(key)
 
     def _note_hit(self, key: CacheKey) -> None:
         """Record usage metadata for the store's retention policy.
@@ -232,15 +248,16 @@ class ResultCache:
         entry and call :meth:`flush` once at the end, so a sweep
         appends in one locked write.
         """
-        self._remember(key, result)
-        if self.store is not None:
-            payload = result.to_json(strict=True)
-            if payload is not None:
-                digest = key.digest()
-                if not self._on_disk(digest):
-                    self._pending_puts[digest] = payload
-            if flush:
-                self.flush()
+        with self.lock:
+            self._remember(key, result)
+            if self.store is not None:
+                payload = result.to_json(strict=True)
+                if payload is not None:
+                    digest = key.digest()
+                    if not self._on_disk(digest):
+                        self._pending_puts[digest] = payload
+                if flush:
+                    self.flush()
 
     def _on_disk(self, digest: str) -> bool:
         return digest in self._pending_puts or (
@@ -274,19 +291,21 @@ class ResultCache:
         (no-op for memory-only caches)."""
         if self.store is None:
             return
-        puts, self._pending_puts = self._pending_puts, {}
-        hits, self._pending_hits = self._pending_hits, {}
-        self.store.append(puts.items(), hits.items())
+        with self.lock:
+            puts, self._pending_puts = self._pending_puts, {}
+            hits, self._pending_hits = self._pending_hits, {}
+            self.store.append(puts.items(), hits.items())
 
     def clear(self) -> None:
         """Drop every entry (both tiers) and reset the counters."""
-        self._memory.clear()
-        self._pending_puts.clear()
-        self._pending_hits.clear()
-        self.hits = 0
-        self.misses = 0
-        if self.store is not None:
-            self.store.clear()
+        with self.lock:
+            self._memory.clear()
+            self._pending_puts.clear()
+            self._pending_hits.clear()
+            self.hits = 0
+            self.misses = 0
+            if self.store is not None:
+                self.store.clear()
 
     def merge_from(
         self, source: Union["ResultCache", str, Path], *, flush: bool = True
@@ -311,26 +330,28 @@ class ResultCache:
         exactly the schema-3 migration path.
         """
         if isinstance(source, ResultCache):
-            entries = source._disk_entries()
-            for key, result in source._memory.items():
-                digest = key.digest()
-                if digest not in entries:
-                    payload = result.to_json(strict=True)
-                    if payload is not None:
-                        entries[digest] = payload
+            with source.lock:
+                entries = source._disk_entries()
+                for key, result in source._memory.items():
+                    digest = key.digest()
+                    if digest not in entries:
+                        payload = result.to_json(strict=True)
+                        if payload is not None:
+                            entries[digest] = payload
         else:
             entries = load_cache_file(source)
         added = kept_ours = skipped = 0
-        for digest, payload in entries.items():
-            if not isinstance(payload, dict):
-                skipped += 1
-            elif self._on_disk(digest):
-                kept_ours += 1
-            else:
-                self._pending_puts[digest] = payload
-                added += 1
-        if added and flush:
-            self.flush()
+        with self.lock:
+            for digest, payload in entries.items():
+                if not isinstance(payload, dict):
+                    skipped += 1
+                elif self._on_disk(digest):
+                    kept_ours += 1
+                else:
+                    self._pending_puts[digest] = payload
+                    added += 1
+            if added and flush:
+                self.flush()
         return MergeCounts.build(
             added=added, kept_ours=kept_ours, skipped=skipped
         )
@@ -344,22 +365,24 @@ class ResultCache:
         along — which is how ``/healthz`` and ``repro cache stats``
         report them without knowing about the store.
         """
-        stats = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memory_entries": len(self._memory),
-            "disk_entries": len(self._pending_puts),
-        }
-        if self.store is not None:
-            stats["disk_entries"] += len(self.store)
-            stats.update(self.store.stats())
+        with self.lock:
+            stats = {
+                "hits": self.hits,
+                "misses": self.misses,
+                "memory_entries": len(self._memory),
+                "disk_entries": len(self._pending_puts),
+            }
+            if self.store is not None:
+                stats["disk_entries"] += len(self.store)
+                stats.update(self.store.stats())
         return stats
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._memory or self._on_disk(key.digest())
+        with self.lock:
+            return key in self._memory or self._on_disk(key.digest())
 
 
 class MergeCounts(int):

@@ -85,6 +85,7 @@ from collections import deque
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ..config import RemoteConfig, check_field
 from ..errors import AlgorithmError, ServiceError
 from .backends import Executor
 from .plan import pack_tasks
@@ -114,7 +115,9 @@ class RemoteExecutor(Executor):
         the pool is known).
     timeout:
         Per-request timeout in seconds, forwarded to every
-        :class:`~repro.service.client.ServiceClient`.
+        :class:`~repro.service.client.ServiceClient`.  ``timeout`` and
+        ``max_shard`` are checked as their :class:`~repro.config.RemoteConfig`
+        fields are (:class:`~repro.errors.ConfigError` otherwise).
     max_shard:
         Optional ceiling on tasks per HTTP request.  A worker's shard is
         sub-chunked to this size, keeping requests under the workers'
@@ -147,11 +150,9 @@ class RemoteExecutor(Executor):
         pool=None,
         backoff_limit: float = 30.0,
     ) -> None:
-        if max_shard is not None and max_shard < 1:
-            raise AlgorithmError(f"max_shard must be >= 1, got {max_shard}")
         self.workers = [str(url).rstrip("/") for url in workers] if workers else None
-        self.timeout = float(timeout)
-        self.max_shard = max_shard
+        self.timeout = check_field(RemoteConfig, "timeout", timeout)
+        self.max_shard = check_field(RemoteConfig, "max_shard", max_shard)
         self.cost_fn = cost_fn
         self.pool = pool
         self.backoff_limit = float(backoff_limit)

@@ -104,7 +104,9 @@ class WeightedGraph:
         Setting an edge to its current weight is a no-op: the graph
         content is unchanged, so the cached :meth:`index` and
         :meth:`content_hash` stay valid and downstream result caches
-        keep serving their entries.
+        keep serving their entries.  Any other weight bumps the version
+        but carries the cached connectivity verdict across: a positive
+        reweight of an existing edge cannot connect or split the graph.
         """
         if weight <= 0:
             raise GraphError(f"edge weight must be positive, got {weight!r}")
@@ -114,7 +116,10 @@ class WeightedGraph:
             return
         self._adj[u][v] = weight
         self._adj[v][u] = weight
+        connected = self._connected_cache
         self._mutated()
+        if connected is not None and connected[0] == self._version - 1:
+            self._connected_cache = (self._version, connected[1])
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Delete the edge ``{u, v}``; raise :class:`GraphError` if absent."""
@@ -307,28 +312,40 @@ class WeightedGraph:
         produce); weights are canonicalised via ``repr(float(w))``,
         which round-trips exactly.
 
-        The digest is built in one pass over the adjacency map, with
-        each node's ``repr`` computed once: an edge is taken from the
-        endpoint with the smaller ``repr``, so it is seen exactly once
-        without a dedup set.  The canonical text — and so the digest —
-        is the same as it has always been, so existing result stores,
-        warm artifacts and the incremental digest in
+        The node reprs are sorted once; each node's rank in that order
+        stands in for its repr, so the edges sort as integer keys
+        ``rank(u) * n + rank(v)`` (equal reprs share a rank, which keeps
+        the order the repr triples had), and ``repr(float(w))`` is
+        computed once per distinct weight.  The canonical text — and so
+        the digest — is the same as it has always been, so existing
+        result stores, warm artifacts and the incremental digest in
         :mod:`repro.dynamic.incremental` keep hitting.
         """
         cached = self._hash_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        reprs = {u: repr(u) for u in self._adj}
+        adj = self._adj
+        reprs = {u: repr(u) for u in adj}
+        texts = sorted(reprs.values())
+        ranks = {text: rank for rank, text in enumerate(dict.fromkeys(texts))}
+        n = len(ranks)
+        rank_of = {u: ranks[text] for u, text in reprs.items()}
+        weight_texts: dict[float, str] = {}
         edges = []
-        for u, nbrs in self._adj.items():
-            ru = reprs[u]
+        for u, nbrs in adj.items():
+            ru = rank_of[u]
+            base = ru * n
+            ref = reprs[u]
             for v, w in nbrs.items():
-                rv = reprs[v]
+                rv = rank_of[v]
                 if ru < rv:
-                    edges.append((ru, rv, repr(float(w))))
+                    text = weight_texts.get(w)
+                    if text is None:
+                        text = weight_texts[w] = repr(float(w))
+                    edges.append((base + rv, f"e:{ref}|{reprs[v]}|{text}"))
         edges.sort()
-        lines = [f"n:{r}" for r in sorted(reprs.values())]
-        lines.extend(f"e:{a}|{b}|{w}" for a, b, w in edges)
+        lines = [f"n:{text}" for text in texts]
+        lines.extend([line for _key, line in edges])
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         self._hash_cache = (self._version, digest)
         return digest

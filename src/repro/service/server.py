@@ -18,8 +18,9 @@ Architecture — three layers, separable on purpose:
   arrive frozen (the ``remote`` backend's wire form).
 * One transport wraps the core: :class:`AsyncHTTPServer`, an asyncio
   event loop where idle keep-alive connections cost a coroutine, not
-  an OS thread, and dispatch runs on a bounded worker pool.  JSON over
-  HTTP, no new dependencies, optional access-log file, lifecycle
+  an OS thread; a ``/solve`` cache hit is answered on the loop and
+  everything else runs on a bounded worker pool.  JSON over HTTP, no
+  new dependencies, optional access-log file, lifecycle
   ``serve_forever`` / ``shutdown`` / ``server_close``.
 * :mod:`repro.service.client` speaks the same protocol back.
 
@@ -44,15 +45,21 @@ lines is 431, unknown paths 404, wrong verbs 405, and anything a
 solver raises on a validated instance is a 400 naming the library
 exception (``AlgorithmError``, ``DisconnectedGraphError``, ...).
 Backpressure is part of the contract too: past ``queue_depth``
-concurrently queued-or-running solver requests, the service answers a
+concurrently queued-or-running solves, the service answers a
 structured 429 whose body (and ``Retry-After`` header) carries the
 seconds to wait — bounded memory instead of unbounded thread growth.
 
-Concurrency model: the transport multiplexes connections, but solver
-work is serialised behind one lock — CPU-bound pure-Python solvers gain
-nothing from interleaving, and the shared cache's LRU bookkeeping is
-not thread-safe.  Parallelism belongs to the *backend* knob (a batch
-request fans out across processes) and to the pool of workers
+Concurrency model: the transport multiplexes connections, and solves
+are serialised behind one lock — CPU-bound pure-Python solvers gain
+nothing from interleaving.  A ``/solve`` is split in two
+(:meth:`ReproService.probe`): decode, parse, size check and cache
+lookup run on the event loop, so a hit is answered there and never
+meets the queue gate, the solve lock or the ``delay`` straggler; only
+a miss goes on to the pool, under the gate and the lock.  The shared
+:class:`~repro.exec.cache.ResultCache` has its own lock for that
+reason.  ``/solve_batch`` and ``/mutate`` take the gate and the lock
+whole, hits included.  Parallelism belongs to the *backend* knob (a
+batch request fans out across processes) and to the pool of workers
 (``/register``-discovered, consumed by the ``remote`` backend's
 streaming dispatch).  ``/healthz``, ``/workers`` and ``/register``
 bypass both the queue gate and the solver lock, so membership probing
@@ -72,11 +79,12 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from typing import Optional
 
 from ..api.engine import Engine
 from ..api.registry import SolverRegistry
-from ..config import ServeConfig
+from ..config import REQUEST_BACKENDS, ServeConfig
 from ..errors import ReproError, ServiceError
 from ..exec.cache import ResultCache
 from .protocol import (
@@ -90,10 +98,6 @@ from .protocol import (
     parse_solve_request,
 )
 
-
-#: Backend names a *request* may select for the server-side fan-out.
-#: Local executors only — see the 400 in ``_handle_batch`` for why.
-_REQUEST_BACKENDS = frozenset({"serial", "process"})
 
 #: Header lines one request head may carry before it is refused (431).
 _MAX_HEADERS = 100
@@ -173,7 +177,28 @@ class ReproService:
     # -- dispatch ------------------------------------------------------
 
     def dispatch(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
-        """Route one request; never raises — errors become 4xx/5xx bodies."""
+        """Route one request; never raises — errors become 4xx/5xx bodies.
+
+        The synchronous whole of :meth:`probe` and the rest it returns.
+        """
+        answer = self.probe(method, path, body)
+        return answer() if callable(answer) else answer
+
+    def probe(self, method: str, path: str, body: bytes):
+        """The part of one request that never waits for a solve.
+
+        Returns ``(status, payload)`` when that part answers it: a
+        ``POST /solve`` is decoded, parsed, size-checked, counted and
+        looked up in the cache here, so a hit (or a bad request) is
+        answered without the queue gate, the solve lock or the
+        ``delay`` straggler.  Otherwise returns a callable that does the
+        rest — a ``/solve`` miss's solve, or any other request whole —
+        and that blocks, so the transport runs it on its dispatch pool.
+        Neither this nor the callable raises.
+        """
+        return self._answer(self._route, method, path, body)
+
+    def _route(self, method: str, path: str, body: bytes):
         path = path.split("?", 1)[0].rstrip("/") or "/"
         routes = {
             "/healthz": ("GET", self._handle_health),
@@ -184,16 +209,25 @@ class ReproService:
             "/mutate": ("POST", self._handle_mutate),
             "/register": ("POST", self._handle_register),
         }
+        if path not in routes:
+            raise ServiceError(f"unknown path {path!r}", status=404)
+        expected, handler = routes[path]
+        if method != expected:
+            raise ServiceError(f"{path} expects {expected}, got {method}", status=405)
+
+        def run():
+            return handler(self._decode_body(body) if expected == "POST" else None)
+
+        if path == "/solve":  # the one route that starts on the event loop
+            return run()
+        return partial(self._answer, run)
+
+    def _answer(self, handler, *args):
+        """``handler(*args)`` as ``(status, payload)``, or the callable
+        it returned for the rest of the request."""
         try:
-            if path not in routes:
-                raise ServiceError(f"unknown path {path!r}", status=404)
-            expected, handler = routes[path]
-            if method != expected:
-                raise ServiceError(
-                    f"{path} expects {expected}, got {method}", status=405
-                )
-            payload = self._decode_body(body) if expected == "POST" else None
-            return 200, handler(payload)
+            payload = handler(*args)
+            return payload if callable(payload) else (200, payload)
         except ServiceError as exc:
             return self._error(exc, exc.status)
         except ReproError as exc:
@@ -228,10 +262,11 @@ class ReproService:
         The gate sits *before* the solver lock: requests past
         ``queue_depth`` are bounced immediately with ``retry_after``
         seconds in the body (and the ``Retry-After`` header), instead
-        of each parking a transport thread on the lock.  ``/healthz``,
-        ``/workers`` and ``/register`` never pass through here, so
-        health probing — the pool manager's livelihood — keeps working
-        while the solver path is saturated.
+        of each parking a transport thread on the lock.  ``/solve``
+        hits, ``/healthz``, ``/workers`` and ``/register`` never pass
+        through here, so health probing — the pool manager's
+        livelihood — and warm reads keep working while the solver path
+        is saturated.
         """
         slots = self._admit_slots
         if slots is None:
@@ -254,7 +289,8 @@ class ReproService:
             slots.release()
 
     def _straggle(self, units: int) -> None:
-        """The injected-straggler knob: ``delay`` seconds per task."""
+        """The injected-straggler knob: ``delay`` seconds per task solved
+        (``/solve`` misses, ``/solve_batch``)."""
         if self.config.delay > 0:
             time.sleep(self.config.delay * units)
 
@@ -269,22 +305,29 @@ class ReproService:
                 status=413,
             )
 
-    def _handle_solve(self, body: object) -> dict:
+    def _handle_solve(self, body: object):
+        """A hit's answer, or the solve stage of a miss (see :meth:`probe`)."""
         request = parse_solve_request(body)
         graph = request["graph"]
         self._check_size(graph)
         self._count("solve")
+        lookup = self.engine.lookup(
+            graph,
+            request["solver"],
+            epsilon=request["epsilon"],
+            mode=request["mode"],
+            seed=request["seed"],
+            budget=request["budget"],
+            **request["options"],
+        )
+        if lookup.result is not None:
+            return {"result": cut_result_to_json(lookup.result)}
+        return partial(self._answer, self._solve_missed, lookup)
+
+    def _solve_missed(self, lookup) -> dict:
         with self._admit(), self._solve_lock:
             self._straggle(1)
-            result = self.engine.solve(
-                graph,
-                request["solver"],
-                epsilon=request["epsilon"],
-                mode=request["mode"],
-                seed=request["seed"],
-                budget=request["budget"],
-                **request["options"],
-            )
+            result = self.engine.finish(lookup)
         return {"result": cut_result_to_json(result)}
 
     def _handle_batch(self, body: object) -> dict:
@@ -301,15 +344,12 @@ class ReproService:
             self._check_size(graph, label=f"graph #{position}")
         self._count("solve_batch")
         backend = request["backend"]
-        if backend is not None and backend not in _REQUEST_BACKENDS:
-            # The per-request knob selects how *this worker* fans out.
-            # Distribution-class backends ("remote") are refused: a
-            # request must not be able to turn a worker into an HTTP
-            # client of other machines (or of itself, deadlocking on
-            # the solve lock) — that topology is the operator's call,
-            # via the server-side default.
+        if backend is not None and backend not in REQUEST_BACKENDS:
+            # The per-request knob selects how *this worker* fans out;
+            # "remote" would make it an HTTP client of other machines
+            # (or of itself, deadlocking on the solve lock).
             raise ServiceError(
-                f"'backend' must be one of {sorted(_REQUEST_BACKENDS)} "
+                f"'backend' must be one of {sorted(REQUEST_BACKENDS)} "
                 f"(or null for the server default), got {backend!r}"
             )
         with self._admit(), self._solve_lock:
@@ -514,15 +554,20 @@ class AsyncHTTPServer:
     another thread, and ``server_close()`` releases the socket, the
     dispatch pool and the access log.
 
-    Why asyncio when solver work is lock-serialised anyway: keep-alive
-    clients (every :class:`~repro.service.client.ServiceClient`) hold
-    their connection open between requests.  A thread-per-connection
-    server would pin an OS thread for each of those idle connections;
-    here one costs a parked coroutine, and actual dispatch
-    work runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-    sized just above the service's ``queue_depth`` — so memory stays
-    flat no matter how many clients connect, and the queue gate (429 +
-    ``Retry-After``) is what says no, not thread exhaustion.
+    Why asyncio: keep-alive clients (every
+    :class:`~repro.service.client.ServiceClient`) hold their connection
+    open between requests.  A thread-per-connection server would pin an
+    OS thread for each of those idle connections; here one costs a
+    parked coroutine.  The loop also answers ``/solve`` cache hits
+    itself (:meth:`ReproService.probe`): a hit never runs a solver, so
+    it neither crosses to a thread nor waits behind a solve, and while
+    a CPU-bound solve runs it is bounded by the interpreter's thread
+    switching, not by the solve.  Everything that may solve, and every
+    other route, runs on a bounded
+    :class:`~concurrent.futures.ThreadPoolExecutor` sized just above
+    the service's ``queue_depth`` — so memory stays flat no matter how
+    many clients connect, and the queue gate (429 + ``Retry-After``)
+    is what says no, not thread exhaustion.
 
     Every read is bounded in time: ``idle_timeout`` seconds for the
     next request line of a keep-alive connection, then
@@ -644,7 +689,11 @@ class AsyncHTTPServer:
                 pass
 
     async def _handle_one(self, reader, writer) -> bool:
-        """Read one request, dispatch off-loop, write one response.
+        """Read one request, answer it, write one response.
+
+        A ``/solve`` hit is answered on the loop (:meth:`ReproService.
+        probe`); whatever may solve, or is not ``/solve``, runs on the
+        dispatch pool.
 
         Returns True to keep the connection for another request.
         """
@@ -703,9 +752,12 @@ class AsyncHTTPServer:
             body = await asyncio.wait_for(
                 reader.readexactly(length), timeout=_BODY_TIMEOUT
             )
-        status, payload = await asyncio.get_running_loop().run_in_executor(
-            self._pool, self.service.dispatch, method, target, body
-        )
+        answer = self.service.probe(method, target, body)
+        if callable(answer):  # a solve, or a request that is not /solve
+            answer = await asyncio.get_running_loop().run_in_executor(
+                self._pool, answer
+            )
+        status, payload = answer
         await self._write_response(writer, status, payload, keep, request_repr)
         return keep
 

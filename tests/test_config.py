@@ -603,6 +603,37 @@ class TestFiniteNonNegative:
             load_config(None)
 
 
+class TestKeywordChecks:
+    """``Engine`` and ``RemoteExecutor`` keywords meet their fields' checkers."""
+
+    @pytest.mark.parametrize(
+        "knob,bad",
+        [
+            ("backend", "gpu"),
+            ("solver", ""),
+            ("epsilon", float("nan")),
+            ("mode", "fast"),
+            ("seed", 1.5),
+            ("budget", -1),
+        ],
+    )
+    def test_engine_keyword(self, knob, bad):
+        with pytest.raises(ConfigError, match=rf"^engine\.{knob} must be"):
+            Engine(**{knob: bad})
+
+    @pytest.mark.parametrize(
+        "knob,bad", [("timeout", float("nan")), ("max_shard", 0)]
+    )
+    def test_remote_executor_keyword(self, knob, bad):
+        with pytest.raises(ConfigError, match=rf"^remote\.{knob} must be"):
+            RemoteExecutor(["http://127.0.0.1:9"], **{knob: bad})
+
+    def test_good_keywords_are_normalised_as_the_schema_does(self):
+        engine = Engine(backend="process", epsilon=1, budget=5)
+        assert (engine.backend, engine.epsilon, engine.budget) == ("process", 1.0, 5)
+        assert RemoteExecutor(timeout=2).timeout == 2.0
+
+
 class TestSweepPrecedence:
     """``sweep``'s solver knobs follow flag > file > default too."""
 

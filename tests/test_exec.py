@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.api import SolverRegistry, solve, solve_all, solve_batch
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, ConfigError
 from repro.exec import (
     BACKENDS,
     ProcessExecutor,
@@ -63,6 +63,13 @@ class TestBackendResolution:
             match=r"unknown execution backend 'thread'; choose one of "
                   r"process, remote, serial",
         ):
+            resolve_backend("thread")
+        # A keyword backend is checked when the engine is built.
+        with pytest.raises(
+            ConfigError,
+            match=r"engine\.backend must be one of 'serial', 'process', "
+                  r"'remote', got 'thread'",
+        ):
             solve_batch(_graphs(1, family="cycle", n=6), backend="thread")
 
     def test_unknown_env_backend_raises(self, monkeypatch):
@@ -80,7 +87,7 @@ class TestBackendResolution:
         cache = ResultCache()
         graphs = _graphs(2, family="cycle", n=6)
         solve_batch(graphs, "stoer_wagner", cache=cache)
-        with pytest.raises(AlgorithmError, match="unknown execution backend"):
+        with pytest.raises(ConfigError, match=r"engine\.backend must be one of"):
             solve_batch(graphs, "stoer_wagner", cache=cache, backend="gpu")
 
 

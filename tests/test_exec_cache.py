@@ -1,5 +1,8 @@
 """Result cache: keys, LRU behaviour, persistence, façade integration."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import CutResult, SolverRegistry, solve, solve_batch
@@ -101,6 +104,73 @@ class TestResultCacheCore:
         cache.clear()
         assert cache.stats()["hits"] == 0
         assert len(cache) == 0
+
+
+    def test_peek_counts_nothing(self):
+        cache = ResultCache(maxsize=2)
+        keys = [CacheKey.for_solve(_grid(), "exact", seed=s) for s in range(3)]
+        result = CutResult(value=1.0, side=frozenset({0}))
+        assert cache.peek(keys[0]) is None
+        cache.put(keys[0], result)
+        cache.put(keys[1], result)
+        assert cache.peek(keys[0]) is result  # no recency touch: 0 stays LRU
+        cache.put(keys[2], result)
+        assert keys[0] not in cache
+        assert (cache.hits, cache.misses) == (0, 0)
+
+
+class TestResultCacheThreads:
+    """Hits on one thread while others put and flush (the service's split)."""
+
+    def test_concurrent_gets_puts_and_flushes_lose_nothing(self, tmp_path):
+        cache = ResultCache(maxsize=4096, path=tmp_path / "store")
+        graph = _grid()
+        result = CutResult(value=1.0, side=frozenset({0}))
+        warm = [CacheKey.for_solve(graph, "exact", seed=s) for s in range(50)]
+        for key in warm:
+            cache.put(key, result, flush=False)
+        cache.flush()
+        rounds, readers, writers = 1000, 4, 4
+        errors = []
+
+        def read():
+            try:
+                for i in range(rounds):
+                    assert cache.get(warm[i % len(warm)]) is not None
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def write(offset):
+            try:
+                for i in range(rounds):
+                    key = CacheKey.for_solve(graph, "exact", seed=1000 + offset + i)
+                    cache.put(key, result, flush=i % 3 == 0)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        threads += [
+            threading.Thread(target=write, args=(k * rounds,)) for k in range(writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert (cache.hits, cache.misses) == (readers * rounds, 0)
+        cache.flush()
+        assert len(cache.store) == len(warm) + writers * rounds
+        # The store's in-memory view agrees with the files it wrote.
+        ours, disk = cache.store.stats(), SegmentStore(tmp_path / "store").stats()
+        for name in ("live_entries", "dead_records", "store_bytes"):
+            assert ours[name] == disk[name], name
+        assert ours["appended_records"] == disk["live_entries"] + disk["dead_records"]
 
 
 class TestFacadeIntegration:

@@ -1,6 +1,10 @@
 """Unit tests for the WeightedGraph substrate."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DisconnectedGraphError, GraphError
 from repro.graphs import WeightedGraph, edge_key
@@ -223,6 +227,16 @@ class TestConnectivity:
         assert g.is_connected()
 
 
+class _CountingAdjacency(dict):
+    """An adjacency map that counts the neighbour lookups made on it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 class TestConnectivityCache:
     """One traversal per graph version; every content change re-checks."""
 
@@ -268,6 +282,42 @@ class TestConnectivityCache:
         assert path.is_connected()
         path.set_edge_weight(0, 1, 5.0)  # a real reweight: still connected
         assert path.is_connected()
+
+    def test_reweight_carries_the_verdict(self, path):
+        assert path.is_connected()
+        path.set_edge_weight(1, 2, 7.5)
+        assert path._connected_cache == (path._version, True)
+        path._adj = _CountingAdjacency(path._adj)
+        assert path.is_connected()
+        assert path._adj.reads == 0  # no traversal followed the reweight
+
+    def test_reweight_carries_a_disconnected_verdict(self):
+        g = WeightedGraph([(0, 1), (2, 3)])
+        assert not g.is_connected()
+        g.set_edge_weight(2, 3, 0.5)
+        assert g._connected_cache == (g._version, False)
+        with pytest.raises(DisconnectedGraphError):
+            g.require_connected()
+
+    def test_reweight_without_a_verdict_carries_none(self, path):
+        path.set_edge_weight(0, 1, 3.0)
+        assert path._connected_cache is None
+        assert path.is_connected()
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda g: g.remove_edge(1, 2),
+            lambda g: g.add_edge(0, 3),
+            lambda g: g.add_node(9),
+            lambda g: g.remove_node(3),
+        ],
+        ids=["remove_edge", "add_edge", "add_node", "remove_node"],
+    )
+    def test_structural_ops_invalidate_the_verdict(self, path, op):
+        assert path.is_connected()
+        op(path)
+        assert path._connected_cache[0] != path._version
 
     def test_pickle_resets_the_cache(self, path):
         import pickle
@@ -337,3 +387,88 @@ class TestContentHash:
         a = WeightedGraph([(0, 1, 1), (1, 2, 3)])
         b = WeightedGraph([(0, 1, 1.0), (1, 2, 3.0)])
         assert a.content_hash() == b.content_hash()
+
+
+def _reference_content_hash(graph: WeightedGraph) -> str:
+    """The digest as computed before the rank-keyed rewrite: repr triples
+    sorted as strings.  Kept as the reference the digest must match."""
+    reprs = {u: repr(u) for u in graph._adj}
+    edges = []
+    for u, nbrs in graph._adj.items():
+        ru = reprs[u]
+        for v, w in nbrs.items():
+            rv = reprs[v]
+            if ru < rv:
+                edges.append((ru, rv, repr(float(w))))
+    edges.sort()
+    lines = [f"n:{r}" for r in sorted(reprs.values())]
+    lines.extend(f"e:{a}|{b}|{w}" for a, b, w in edges)
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _pinned_graphs() -> dict:
+    isolated = WeightedGraph([(5, 6, 1.5)])
+    isolated.add_node(-1)
+    isolated.add_node("z")
+    return {
+        "ints": WeightedGraph(
+            [(0, 1, 1.0), (1, 2, 2.5), (2, 0, 3.0), (2, 3, 1.0), (3, 10, 4.0)]
+        ),
+        "strs": WeightedGraph(
+            [("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 0.5), ("c", "d'q", 7.0)]
+        ),
+        "mixed": WeightedGraph(
+            [(0, "0", 1.0), ("0", 1, 2.0), (1, "x", 3.0), (10, 2, 1.0), (2, "x", 5.0)]
+        ),
+        "merged": WeightedGraph(
+            [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 0.5), (2, 1, 0.25), (0, 2, 1)]
+        ),
+        "fractions": WeightedGraph(
+            [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.1 + 0.2), (2, 3, 1 / 3), (3, 0, 2)]
+        ),
+        "isolated": isolated,
+        "empty": WeightedGraph(),
+    }
+
+
+class TestContentHashPinned:
+    """Literal digests: a changed digest turns every existing store cold,
+    which a suite that builds its stores with the same code cannot see."""
+
+    PINNED = {
+        "ints": "aaf770f1f077eda89bced461a895e12cdd262bce84d549ee1f53d398854501b7",
+        "strs": "899afe020e1713729288dba81ef42fa8528e2ec6b9bc26871f91788c117ee88d",
+        "mixed": "67c614f68d5577fb94155ed15fc63fb750b9822f3a351deaea905baebb506eb3",
+        "merged": "39b1f93dc08fbda6809b7c2d32434df052f3b919ab817e4015bf76e09d5abf62",
+        "fractions": "2b9d74f94339e4f81275d40da1b9a681eb76bcfdae02bfd1fc728558eea2ee0d",
+        "isolated": "8aaf7e0e3454a4dae9822724196864d9583d2204d87bd856557d2982d168c0c0",
+        "empty": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_literal_digest(self, name):
+        graph = _pinned_graphs()[name]
+        assert graph.content_hash() == self.PINNED[name]
+        assert _reference_content_hash(graph) == self.PINNED[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-30, 30), st.text(max_size=3)),
+                st.one_of(st.integers(-30, 30), st.text(max_size=3)),
+                st.one_of(
+                    st.integers(1, 9),
+                    st.floats(min_value=1e-9, max_value=1e9, allow_nan=False),
+                    st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 2 / 3]),
+                ),
+            ).filter(lambda edge: edge[0] != edge[1]),
+            max_size=40,
+        ),
+        st.lists(st.one_of(st.integers(-30, 30), st.text(max_size=3)), max_size=4),
+    )
+    def test_matches_the_reference_digest(self, edges, isolated):
+        graph = WeightedGraph(edges)
+        for node in isolated:
+            graph.add_node(node)
+        assert graph.content_hash() == _reference_content_hash(graph)

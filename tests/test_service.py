@@ -234,6 +234,69 @@ class TestDispatch:
         assert status == 200
         assert [r["value"] for r in payload["results"]] == [2.0, 2.0]
 
+    def test_batch_accepts_every_backend_the_client_offers(self):
+        from repro.cli import build_parser
+        from repro.config import REQUEST_BACKENDS
+
+        parser = build_parser()
+        graphs = [graph_to_json(small_graph())]
+        for name in REQUEST_BACKENDS:
+            args = parser.parse_args(
+                ["client", "batch", "--url", "http://127.0.0.1:1", "--backend", name]
+            )
+            status, payload = post(
+                ReproService(), "/solve_batch",
+                {"graphs": graphs, "solver": "stoer_wagner", "backend": args.backend},
+            )
+            assert status == 200, payload
+            assert payload["results"][0]["value"] == 2.0
+        with pytest.raises(SystemExit):  # what the server refuses is not offered
+            parser.parse_args(
+                ["client", "batch", "--url", "http://127.0.0.1:1", "--backend", "remote"]
+            )
+
+    def test_hit_skips_the_queue_gate_and_the_straggler_delay(self):
+        service = ReproService(config=ServeConfig(queue_depth=1, delay=5.0))
+        warm = {"graph": graph_to_json(small_graph())}
+        service.engine.solve(small_graph())  # warm the cache without the delay
+        service._admit_slots.acquire()  # a solve holds the only slot
+        try:
+            started = time.monotonic()
+            status, payload = post(service, "/solve", warm)
+            assert time.monotonic() - started < 2.0  # no 5 s delay
+            assert status == 200
+            assert payload["result"]["extras"]["cache"]["hit"] is True
+            cold = {"graph": graph_to_json(planted_cut_graph((5, 5), 2, seed=9))}
+            status, payload = post(service, "/solve", cold)
+            assert status == 429  # a miss still meets the gate
+        finally:
+            service._admit_slots.release()
+        health = service.dispatch("GET", "/healthz", b"")[1]
+        assert health["requests"]["solve"] == 2
+        assert health["requests"]["throttled"] == 1
+        # One miss warming the cache, the hit, and the throttled miss.
+        assert (health["cache"]["hits"], health["cache"]["misses"]) == (1, 2)
+
+    def test_probe_answers_hits_and_hands_misses_on(self):
+        service = ReproService()
+        body = json.dumps({"graph": graph_to_json(small_graph())}).encode()
+        rest = service.probe("POST", "/solve", body)
+        assert callable(rest)  # a miss: the solve stage is left to the caller
+        assert service.cache.stats()["misses"] == 1
+        status, first = rest()
+        assert status == 200
+        assert first["result"]["extras"]["cache"] == {
+            "hit": False, "hits": 0, "misses": 1,
+        }
+        status, second = service.probe("POST", "/solve", body)  # answered
+        assert status == 200
+        assert second["result"]["extras"]["cache"] == {
+            "hit": True, "hits": 1, "misses": 1,
+        }
+        assert service.probe("POST", "/solve", b"{no")[0] == 400
+        assert callable(service.probe("GET", "/healthz", b""))
+        assert service.counters["solve"] == 2
+
     def test_batch_with_thread_backend_is_structured_400(self):
         graphs = [graph_to_json(small_graph())]
         # Named by the request: refused against the local backends.

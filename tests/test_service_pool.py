@@ -275,11 +275,15 @@ class TestBackpressure:
             stop = threading.Event()
 
             def contend():
-                graph = build_family("gnp", 12, seed=99)
+                # Fresh graphs: a repeated one would be an ungated hit.
+                seeds = iter(range(99, 10_000))
                 with ServiceClient(server.url) as client:
                     while not stop.is_set():
                         try:
-                            client.solve(graph)
+                            client.solve(
+                                build_family("gnp", 20, seed=next(seeds)),
+                                "stoer_wagner",
+                            )
                         except ServiceError:
                             time.sleep(0.01)
 
@@ -294,6 +298,8 @@ class TestBackpressure:
                 stop.set()
                 contender.join()
             assert _identity(remote) == _identity(serial)
+            with ServiceClient(server.url, keep_alive=False) as client:
+                assert client.health()["requests"]["throttled"] >= 1
         finally:
             stop_server(server)
 
@@ -321,6 +327,84 @@ class TestBackpressure:
             executor._post_throttled(always_throttled)
         assert excinfo.value.status == 429
         assert len(calls) >= 3  # retried several times before giving up
+
+
+class TestHitPath:
+    """A warm ``/solve`` is answered on the event loop, never behind a solve."""
+
+    def test_hit_is_answered_while_a_miss_holds_the_solve_lock(self):
+        server = start_server(delay=1.5)
+        try:
+            warm = build_family("gnp", 20, seed=1)
+            server.service.engine.solve(warm)  # cached without the delay
+            finished = []
+
+            def miss():
+                with ServiceClient(server.url, keep_alive=False) as client:
+                    client.solve(build_family("gnp", 20, seed=2))
+                finished.append(time.monotonic())
+
+            holder = threading.Thread(target=miss, daemon=True)
+            holder.start()
+            deadline = time.monotonic() + 10.0
+            while not server.service._solve_lock.locked():
+                assert time.monotonic() < deadline, "the miss never took the lock"
+                time.sleep(0.005)
+            started = time.monotonic()
+            with ServiceClient(server.url, keep_alive=False) as client:
+                result = client.solve(warm)
+            answered = time.monotonic()
+            assert result.extras["cache"]["hit"] is True
+            assert not finished  # the miss is still sleeping in its solve
+            assert answered - started < 1.0
+            holder.join(timeout=30)
+            assert finished and finished[0] > answered
+        finally:
+            stop_server(server)
+
+    def test_a_duplicate_miss_reads_the_result_solved_while_it_waited(self):
+        server = start_server(delay=0.5)
+        try:
+            graph = build_family("gnp", 20, seed=4)
+            results = []
+
+            def cold():
+                with ServiceClient(server.url, keep_alive=False) as client:
+                    results.append(client.solve(graph))
+
+            first = threading.Thread(target=cold, daemon=True)
+            first.start()
+            deadline = time.monotonic() + 10.0
+            while not server.service._solve_lock.locked():
+                assert time.monotonic() < deadline, "the miss never took the lock"
+                time.sleep(0.005)
+            second = threading.Thread(target=cold, daemon=True)
+            second.start()  # probes a miss, then waits for the lock
+            first.join(timeout=30)
+            second.join(timeout=30)
+            assert sorted(r.extras["cache"]["hit"] for r in results) == [False, True]
+            assert results[0].value == results[1].value
+            with ServiceClient(server.url, keep_alive=False) as client:
+                cache = client.health()["cache"]
+            assert (cache["hits"], cache["misses"]) == (0, 2)  # one count each
+        finally:
+            stop_server(server)
+
+    def test_each_request_is_counted_once(self):
+        server = start_server()
+        try:
+            graph = build_family("gnp", 12, seed=3)
+            with ServiceClient(server.url) as client:
+                cold = client.solve(graph)
+                warm = client.solve(graph)
+                health = client.health()
+            assert cold.extras["cache"] == {"hit": False, "hits": 0, "misses": 1}
+            assert warm.extras["cache"] == {"hit": True, "hits": 1, "misses": 1}
+            assert health["requests"]["solve"] == 2
+            assert health["requests"]["errors"] == 0
+            assert (health["cache"]["hits"], health["cache"]["misses"]) == (1, 1)
+        finally:
+            stop_server(server)
 
 
 class TestStreamingChurn:
