@@ -14,8 +14,7 @@ Public API highlights
   a versioned, mergeable on-disk tier (``python -m repro cache``).
 * :mod:`repro.service` — the façade served over JSON-per-request HTTP
   (``python -m repro serve`` / :class:`repro.service.ServiceClient`),
-  one shared result cache across connections.  Imported lazily — the
-  core library never pays for the HTTP machinery.
+  one shared result cache across connections.
 * :class:`repro.graphs.WeightedGraph`, :class:`repro.graphs.RootedTree`
   and the generator families.
 * :class:`repro.congest.CongestNetwork` — the CONGEST simulator.
@@ -24,60 +23,33 @@ Public API highlights
   algorithms.
 * :mod:`repro.baselines` — Stoer–Wagner, Karger(-Stein), Matula (2+ε),
   brute force, bridges, Nagamochi–Ibaraki.
+
+Every package, this one included, is imported lazily: its names
+resolve on first use (:mod:`repro._lazy`), so ``import repro`` loads
+no algorithm, and a process imports only the modules its work touches
+— a ``repro serve`` worker answering cache hits never loads the
+paper's pipeline, the baselines or the process pool.
 """
 
-from .api import (
-    CutResult,
-    Engine,
-    SolverRegistry,
-    SolverSpec,
-    default_engine,
-    default_registry,
-    register_solver,
-    solve,
-    solve_all,
-    solve_batch,
-)
-from .errors import (
-    AlgorithmError,
-    BandwidthExceededError,
-    CongestError,
-    DisconnectedGraphError,
-    GraphError,
-    ProtocolError,
-    ReproError,
-    RoundLimitExceededError,
-    TreeError,
-)
-from .exec import CacheKey, ResultCache, resolve_backend
-from .graphs import RootedTree, WeightedGraph
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlgorithmError",
-    "BandwidthExceededError",
-    "CongestError",
-    "DisconnectedGraphError",
-    "GraphError",
-    "ProtocolError",
-    "ReproError",
-    "RoundLimitExceededError",
-    "TreeError",
-    "RootedTree",
-    "WeightedGraph",
-    "CacheKey",
-    "CutResult",
-    "Engine",
-    "ResultCache",
-    "resolve_backend",
-    "SolverRegistry",
-    "SolverSpec",
-    "default_engine",
-    "default_registry",
-    "register_solver",
-    "solve",
-    "solve_all",
-    "solve_batch",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".errors": (
+        "AlgorithmError", "BandwidthExceededError", "CongestError",
+        "DisconnectedGraphError", "GraphError", "ProtocolError", "ReproError",
+        "RoundLimitExceededError", "TreeError",
+    ),
+    ".graphs.graph": ("WeightedGraph",),
+    ".graphs.trees": ("RootedTree",),
+    ".exec.cache": ("CacheKey", "ResultCache"),
+    ".exec.backends": ("resolve_backend",),
+    ".api.result": ("CutResult",),
+    ".api.engine": ("Engine", "default_engine"),
+    ".api.registry": (
+        "SolverRegistry", "SolverSpec", "default_registry", "register_solver",
+    ),
+    ".api.facade": ("solve", "solve_all", "solve_batch"),
+})
+__all__.append("__version__")

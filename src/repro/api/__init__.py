@@ -19,9 +19,8 @@ Modules
     :class:`SolverRegistry` / :class:`SolverSpec` / ``@register_solver``
     — capability metadata (kind, guarantee, congest support, …).
 :mod:`~repro.api.solvers`
-    The built-in adapters (imported lazily via
-    :func:`default_registry` to avoid import cycles with the algorithm
-    modules).
+    The built-in adapters, registered by :func:`default_registry`;
+    each imports its algorithm module on its first call.
 :mod:`~repro.api.engine`
     :class:`Engine` — the configurable session object owning registry,
     backend, cache and budget policy, with ``solve``/``solve_all``/
@@ -34,33 +33,14 @@ Modules
     names.
 """
 
-from .engine import Engine, default_engine
-from .facade import solve, solve_all, solve_batch
-from .registry import (
-    DEFAULT_REGISTRY,
-    GUARANTEE_RANK,
-    SOLVER_KINDS,
-    SolverRegistry,
-    SolverSpec,
-    default_registry,
-    has_integer_weights,
-    register_solver,
-)
-from .result import CutResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CutResult",
-    "DEFAULT_REGISTRY",
-    "Engine",
-    "default_engine",
-    "GUARANTEE_RANK",
-    "SOLVER_KINDS",
-    "SolverRegistry",
-    "SolverSpec",
-    "default_registry",
-    "has_integer_weights",
-    "register_solver",
-    "solve",
-    "solve_all",
-    "solve_batch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("Engine", "default_engine"),
+    ".facade": ("solve", "solve_all", "solve_batch"),
+    ".registry": (
+        "DEFAULT_REGISTRY", "GUARANTEE_RANK", "SOLVER_KINDS", "SolverRegistry",
+        "SolverSpec", "default_registry", "has_integer_weights", "register_solver",
+    ),
+    ".result": ("CutResult",),
+})

@@ -8,15 +8,18 @@ CLI and the comparison tables all iterate the registry instead of
 hard-coding algorithm lists, so registering a new solver is the single
 step needed to surface it everywhere.
 
-The default registry is populated lazily: the built-in adapters in
-:mod:`repro.api.solvers` import the heavy algorithm modules, and those
-modules in turn import :mod:`repro.api.result`, so eager registration
-at package-import time would be circular.  Call :func:`default_registry`
-(the façade does) to get the fully populated instance.
+Registration is cheap: a spec names its algorithm by ``entry_point``
+(``"module:function"``) and the built-in adapters in
+:mod:`repro.api.solvers` import their algorithm on first call, so
+populating the registry imports no algorithm module — a process pays
+for the solvers it runs, not for all fourteen.  Call
+:func:`default_registry` (the façade does) to get the fully populated
+instance.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
@@ -43,8 +46,9 @@ class SolverSpec:
     ``run`` has the uniform adapter signature
     ``run(graph, *, epsilon, mode, seed, budget, **options)`` and
     returns a :class:`~repro.api.result.CutResult` (provenance fields
-    are stamped by the façade).  ``implementation`` points back at the
-    underlying algorithm entry point so completeness can be audited.
+    are stamped by the façade).  ``entry_point`` (``"module:function"``)
+    names the underlying algorithm, which :attr:`implementation`
+    imports when read, so completeness can be audited.
     """
 
     name: str
@@ -52,7 +56,7 @@ class SolverSpec:
     kind: str
     guarantee: str
     display: str
-    implementation: Optional[Callable[..., Any]] = None
+    entry_point: Optional[str] = None
     summary: str = ""
     supports_congest: bool = False
     requires_integer_weights: bool = False
@@ -68,6 +72,14 @@ class SolverSpec:
     #: only meaningful relative to other registered models; the auto
     #: policy compares them against the caller's ``budget`` ceiling.
     cost_model: Optional[Callable[[int, int], float]] = None
+
+    @property
+    def implementation(self) -> Optional[Callable[..., Any]]:
+        """The algorithm :attr:`entry_point` names, imported when read."""
+        if self.entry_point is None:
+            return None
+        module, _, function = self.entry_point.partition(":")
+        return getattr(importlib.import_module(module), function)
 
     def expected_cost(self, graph: WeightedGraph) -> Optional[float]:
         """Estimated cost of running this solver on ``graph`` (in cost

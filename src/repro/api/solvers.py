@@ -1,8 +1,9 @@
 """Built-in solver adapters — every min-cut entry point behind one signature.
 
 Importing this module registers the paper's algorithms and all
-baselines into :data:`repro.api.registry.DEFAULT_REGISTRY`.  Each
-adapter has the uniform signature
+baselines into :data:`repro.api.registry.DEFAULT_REGISTRY`, and
+imports none of them: each adapter imports its algorithm on its first
+call.  Each adapter has the uniform signature
 
     adapter(graph, *, epsilon=None, mode="reference", seed=0,
             budget=None, **options) -> CutResult
@@ -19,26 +20,62 @@ are stamped by the façade, not here.
 
 from __future__ import annotations
 
+import importlib
 import math
-from typing import Optional
+from typing import Any, Optional
 
-from ..baselines.bridges import bridge_component, find_bridges
-from ..baselines.brute_force import MAX_BRUTE_FORCE_NODES, brute_force_min_cut
-from ..baselines.contraction import karger_min_cut, karger_stein_min_cut
-from ..baselines.gomory_hu import gomory_hu_min_cut
-from ..baselines.matula import matula_approx_min_cut
-from ..baselines.nagamochi_ibaraki import sparse_certificate
-from ..baselines.stoer_wagner import stoer_wagner_min_cut
-from ..baselines.su_congest import su_minimum_cut_congest
-from ..baselines.su_sampling import su_approx_min_cut
-from ..core.two_respect import minimum_cut_exact_two_respect
 from ..errors import AlgorithmError
-from ..graphs.properties import min_weighted_degree
-from ..mincut.approx import minimum_cut_approx
-from ..mincut.exact import minimum_cut_exact
-from ..mincut.exact_distributed import minimum_cut_exact_congest_full
 from .registry import register_solver
 from .result import CutResult
+
+#: Where each algorithm an adapter calls is defined.  Registering the
+#: adapters imports none of them: an adapter fetches its algorithms
+#: with :func:`_algorithm` on its first call, which keeps each as an
+#: attribute of this module, so ``repro.api.solvers.<name>`` is the
+#: function the adapters run.
+_ALGORITHMS = {
+    "bridge_component": "repro.baselines.bridges",
+    "find_bridges": "repro.baselines.bridges",
+    "brute_force_min_cut": "repro.baselines.brute_force",
+    "karger_min_cut": "repro.baselines.contraction",
+    "karger_stein_min_cut": "repro.baselines.contraction",
+    "gomory_hu_min_cut": "repro.baselines.gomory_hu",
+    "matula_approx_min_cut": "repro.baselines.matula",
+    "sparse_certificate": "repro.baselines.nagamochi_ibaraki",
+    "stoer_wagner_min_cut": "repro.baselines.stoer_wagner",
+    "su_minimum_cut_congest": "repro.baselines.su_congest",
+    "su_approx_min_cut": "repro.baselines.su_sampling",
+    "minimum_cut_exact_two_respect": "repro.core.two_respect",
+    "min_weighted_degree": "repro.graphs.properties",
+    "minimum_cut_approx": "repro.mincut.approx",
+    "minimum_cut_exact": "repro.mincut.exact",
+    "minimum_cut_exact_congest_full": "repro.mincut.exact_distributed",
+}
+
+#: ``brute_force``'s node limit: registry metadata, declared here so
+#: that registering needs no algorithm; the algorithm enforces it too.
+MAX_BRUTE_FORCE_NODES = 18
+
+
+def __getattr__(name: str) -> Any:
+    """PEP 562: an algorithm of :data:`_ALGORITHMS`, imported on first use."""
+    module = _ALGORITHMS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def _algorithm(name: str) -> Any:
+    """The algorithm ``name`` as this module holds it (see :data:`_ALGORITHMS`)."""
+    found = globals().get(name)
+    return found if found is not None else __getattr__(name)
+
+
+def _entry_point(name: str) -> str:
+    """``SolverSpec.entry_point`` of the algorithm ``name``."""
+    return f"{_ALGORITHMS[name]}:{name}"
+
 
 DEFAULT_EPSILON = 0.5
 
@@ -125,7 +162,7 @@ def _cost_bridges(n: int, m: int) -> float:
     kind="exact",
     guarantee="exact",
     display="this paper, exact",
-    implementation=minimum_cut_exact,
+    entry_point=_entry_point("minimum_cut_exact"),
     summary="Thorup tree packing + per-tree 1-respecting cuts (Theorem 2.1)",
     supports_congest=True,
     cost_model=_cost_packing,
@@ -133,7 +170,7 @@ def _cost_bridges(n: int, m: int) -> float:
 )
 def _solve_exact(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
                  tree_count=None, **options):
-    result = minimum_cut_exact(
+    result = _algorithm("minimum_cut_exact")(
         graph, mode=mode, tree_count=tree_count, max_trees=budget, **options
     )
     return _packing_result(result)
@@ -144,7 +181,7 @@ def _solve_exact(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
     kind="exact",
     guarantee="exact",
     display="this paper, fully distributed",
-    implementation=minimum_cut_exact_congest_full,
+    entry_point=_entry_point("minimum_cut_exact_congest_full"),
     summary="all-measured pipeline: Boruvka packing + Theorem 2.1, no charged rounds",
     supports_congest=True,
     heavy=True,
@@ -155,7 +192,9 @@ def _solve_exact_congest_full(graph, *, epsilon=None, mode="reference", seed=0,
                               budget=None, tree_count=None, **options):
     if budget is not None:
         options.setdefault("max_trees", budget)
-    result = minimum_cut_exact_congest_full(graph, tree_count=tree_count, **options)
+    result = _algorithm("minimum_cut_exact_congest_full")(
+        graph, tree_count=tree_count, **options
+    )
     return _packing_result(result)
 
 
@@ -164,7 +203,7 @@ def _solve_exact_congest_full(graph, *, epsilon=None, mode="reference", seed=0,
     kind="approx",
     guarantee="1+eps",
     display="this paper, (1+eps)",
-    implementation=minimum_cut_approx,
+    entry_point=_entry_point("minimum_cut_approx"),
     summary="Karger skeleton sampling + exact solve of the skeleton",
     supports_congest=True,
     requires_integer_weights=True,
@@ -176,7 +215,9 @@ def _solve_exact_congest_full(graph, *, epsilon=None, mode="reference", seed=0,
 def _solve_approx(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
                   **options):
     _reject_options("approx", options)
-    result = minimum_cut_approx(graph, epsilon=_eps(epsilon), seed=seed, mode=mode)
+    result = _algorithm("minimum_cut_approx")(
+        graph, epsilon=_eps(epsilon), seed=seed, mode=mode
+    )
     return CutResult(
         value=result.value,
         side=result.side,
@@ -195,7 +236,7 @@ def _solve_approx(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
     kind="exact",
     guarantee="exact",
     display="2-respecting packing (Karger)",
-    implementation=minimum_cut_exact_two_respect,
+    entry_point=_entry_point("minimum_cut_exact_two_respect"),
     summary="greedy packing + per-tree 2-respecting minimisation; budget = tree cap",
     cost_model=_cost_two_respect,
     priority=70,
@@ -204,7 +245,9 @@ def _solve_two_respect(graph, *, epsilon=None, mode="reference", seed=0,
                        budget=None, tree_count=None, **options):
     if budget is not None:
         options.setdefault("max_trees", budget)
-    result = minimum_cut_exact_two_respect(graph, tree_count=tree_count, **options)
+    result = _algorithm("minimum_cut_exact_two_respect")(
+        graph, tree_count=tree_count, **options
+    )
     return CutResult(
         value=result.best_value,
         side=result.side,
@@ -225,7 +268,7 @@ def _solve_two_respect(graph, *, epsilon=None, mode="reference", seed=0,
     kind="exact",
     guarantee="exact",
     display="Stoer-Wagner",
-    implementation=stoer_wagner_min_cut,
+    entry_point=_entry_point("stoer_wagner_min_cut"),
     summary="min-degree bound + MA-scan contraction; the ground-truth oracle",
     ground_truth=True,
     cost_model=_cost_stoer_wagner,
@@ -234,7 +277,7 @@ def _solve_two_respect(graph, *, epsilon=None, mode="reference", seed=0,
 def _solve_stoer_wagner(graph, *, epsilon=None, mode="reference", seed=0,
                         budget=None, **options):
     _reject_options("stoer_wagner", options)
-    return CutResult(**_value_side(stoer_wagner_min_cut(graph)))
+    return CutResult(**_value_side(_algorithm("stoer_wagner_min_cut")(graph)))
 
 
 @register_solver(
@@ -242,7 +285,7 @@ def _solve_stoer_wagner(graph, *, epsilon=None, mode="reference", seed=0,
     kind="exact",
     guarantee="exact",
     display="brute force",
-    implementation=brute_force_min_cut,
+    entry_point=_entry_point("brute_force_min_cut"),
     summary=f"enumerate every cut (n <= {MAX_BRUTE_FORCE_NODES})",
     max_nodes=MAX_BRUTE_FORCE_NODES,
     cost_model=_cost_brute_force,
@@ -251,7 +294,7 @@ def _solve_stoer_wagner(graph, *, epsilon=None, mode="reference", seed=0,
 def _solve_brute_force(graph, *, epsilon=None, mode="reference", seed=0,
                        budget=None, **options):
     _reject_options("brute_force", options)
-    return CutResult(**_value_side(brute_force_min_cut(graph)))
+    return CutResult(**_value_side(_algorithm("brute_force_min_cut")(graph)))
 
 
 @register_solver(
@@ -259,7 +302,7 @@ def _solve_brute_force(graph, *, epsilon=None, mode="reference", seed=0,
     kind="exact",
     guarantee="exact",
     display="Nagamochi-Ibaraki + SW",
-    implementation=sparse_certificate,
+    entry_point=_entry_point("sparse_certificate"),
     summary="sparse k-certificate (k = min degree + 1), then Stoer-Wagner on it",
     cost_model=_cost_nagamochi,
     priority=50,
@@ -270,9 +313,9 @@ def _solve_nagamochi_ibaraki(graph, *, epsilon=None, mode="reference", seed=0,
     # λ ≤ min weighted degree < k, so the certificate preserves every
     # cut of value below k exactly and its minimum cut is a minimum cut
     # of the original graph.
-    k = min_weighted_degree(graph) + 1.0
-    certificate = sparse_certificate(graph, k)
-    witness = stoer_wagner_min_cut(certificate)
+    k = _algorithm("min_weighted_degree")(graph) + 1.0
+    certificate = _algorithm("sparse_certificate")(graph, k)
+    witness = _algorithm("stoer_wagner_min_cut")(certificate)
     value = graph.cut_value(witness.side)
     return CutResult(
         value=value,
@@ -290,7 +333,7 @@ def _solve_nagamochi_ibaraki(graph, *, epsilon=None, mode="reference", seed=0,
     kind="exact",
     guarantee="exact",
     display="Gomory-Hu tree",
-    implementation=gomory_hu_min_cut,
+    entry_point=_entry_point("gomory_hu_min_cut"),
     summary="cut tree from n-1 max flows; lightest tree edge is the min cut",
     cost_model=_cost_gomory_hu,
     priority=40,
@@ -298,7 +341,7 @@ def _solve_nagamochi_ibaraki(graph, *, epsilon=None, mode="reference", seed=0,
 def _solve_gomory_hu(graph, *, epsilon=None, mode="reference", seed=0,
                      budget=None, **options):
     _reject_options("gomory_hu", options)
-    return CutResult(**_value_side(gomory_hu_min_cut(graph)))
+    return CutResult(**_value_side(_algorithm("gomory_hu_min_cut")(graph)))
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +354,7 @@ def _solve_gomory_hu(graph, *, epsilon=None, mode="reference", seed=0,
     kind="exact",
     guarantee="exact (whp)",
     display="Karger contraction",
-    implementation=karger_min_cut,
+    entry_point=_entry_point("karger_min_cut"),
     summary="random contraction; budget = repetitions (default capped for speed)",
     randomized=True,
     cost_model=_cost_karger,
@@ -324,7 +367,7 @@ def _solve_karger(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
     # The theoretical O(n^2 log n) repetition default is far too slow for
     # interactive use; cap it and let ``budget`` override.
     repetitions = budget if budget is not None else max(32, min(256, 4 * n))
-    result = karger_min_cut(graph, repetitions=repetitions, seed=seed)
+    result = _algorithm("karger_min_cut")(graph, repetitions=repetitions, seed=seed)
     return CutResult(
         **_value_side(result), extras={"repetitions": repetitions}
     )
@@ -335,7 +378,7 @@ def _solve_karger(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
     kind="exact",
     guarantee="exact (whp)",
     display="Karger-Stein",
-    implementation=karger_stein_min_cut,
+    entry_point=_entry_point("karger_stein_min_cut"),
     summary="recursive contraction; budget = repetitions",
     randomized=True,
     cost_model=_cost_karger_stein,
@@ -350,7 +393,7 @@ def _solve_karger_stein(graph, *, epsilon=None, mode="reference", seed=0,
         if budget is not None
         else max(1, int(math.ceil(math.log2(max(2, n)) ** 2)))
     )
-    result = karger_stein_min_cut(graph, repetitions=repetitions, seed=seed)
+    result = _algorithm("karger_stein_min_cut")(graph, repetitions=repetitions, seed=seed)
     return CutResult(**_value_side(result), extras={"repetitions": repetitions})
 
 
@@ -364,7 +407,7 @@ def _solve_karger_stein(graph, *, epsilon=None, mode="reference", seed=0,
     kind="approx",
     guarantee="2+eps",
     display="Matula (2+eps) [GK13 analog]",
-    implementation=matula_approx_min_cut,
+    entry_point=_entry_point("matula_approx_min_cut"),
     summary="NI-certificate contraction; centralized Ghaffari-Kuhn analog",
     cost_model=_cost_matula,
     priority=50,
@@ -372,7 +415,8 @@ def _solve_karger_stein(graph, *, epsilon=None, mode="reference", seed=0,
 def _solve_matula(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
                   **options):
     _reject_options("matula", options)
-    return CutResult(**_value_side(matula_approx_min_cut(graph, epsilon=_eps(epsilon))))
+    result = _algorithm("matula_approx_min_cut")(graph, epsilon=_eps(epsilon))
+    return CutResult(**_value_side(result))
 
 
 @register_solver(
@@ -380,7 +424,7 @@ def _solve_matula(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
     kind="approx",
     guarantee="1+eps (whp)",
     display="Su (sampling+bridges)",
-    implementation=su_approx_min_cut,
+    entry_point=_entry_point("su_approx_min_cut"),
     summary="sampling + bridge finding (SPAA 2014 concurrent result); budget = rate steps",
     requires_integer_weights=True,
     randomized=True,
@@ -391,7 +435,8 @@ def _solve_su(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
               **options):
     if budget is not None:
         options.setdefault("rate_steps", budget)
-    return CutResult(**_value_side(su_approx_min_cut(graph, seed=seed, **options)))
+    result = _algorithm("su_approx_min_cut")(graph, seed=seed, **options)
+    return CutResult(**_value_side(result))
 
 
 @register_solver(
@@ -399,7 +444,7 @@ def _solve_su(graph, *, epsilon=None, mode="reference", seed=0, budget=None,
     kind="approx",
     guarantee="1+eps (whp)",
     display="Su, fully distributed",
-    implementation=su_minimum_cut_congest,
+    entry_point=_entry_point("su_minimum_cut_congest"),
     summary="distributed Su pipeline: sampling + skeleton BFS + Theorem 2.1; budget = rate steps",
     supports_congest=True,
     requires_integer_weights=True,
@@ -412,7 +457,7 @@ def _solve_su_congest(graph, *, epsilon=None, mode="reference", seed=0,
                       budget=None, **options):
     if budget is not None:
         options.setdefault("rate_steps", budget)
-    result = su_minimum_cut_congest(graph, seed=seed, **options)
+    result = _algorithm("su_minimum_cut_congest")(graph, seed=seed, **options)
     return CutResult(
         value=result.value,
         side=result.side,
@@ -429,7 +474,7 @@ def _solve_su_congest(graph, *, epsilon=None, mode="reference", seed=0,
     kind="bound",
     guarantee="upper bound",
     display="bridges (upper bound)",
-    implementation=find_bridges,
+    entry_point=_entry_point("find_bridges"),
     summary="best bridge cut if any, else lightest singleton — a certified upper bound",
     cost_model=_cost_bridges,
     priority=0,
@@ -441,7 +486,8 @@ def _solve_bridges(graph, *, epsilon=None, mode="reference", seed=0, budget=None
     best_value = graph.weighted_degree(node)
     best_side = frozenset({node})
     bridge_count = 0
-    for bridge in find_bridges(graph):
+    bridge_component = _algorithm("bridge_component")
+    for bridge in _algorithm("find_bridges")(graph):
         bridge_count += 1
         side = frozenset(bridge_component(graph, bridge))
         value = graph.cut_value(side)
@@ -481,4 +527,4 @@ def _reject_options(name: str, options: dict) -> None:
         )
 
 
-__all__ = ["DEFAULT_EPSILON"]
+__all__ = ["DEFAULT_EPSILON", "MAX_BRUTE_FORCE_NODES"]

@@ -12,37 +12,17 @@ returns the canonical :class:`repro.api.CutResult`; the functions
 called directly return it too.
 """
 
-from .stoer_wagner import stoer_wagner_min_cut
-from .brute_force import MAX_BRUTE_FORCE_NODES, brute_force_min_cut
-from .contraction import karger_min_cut, karger_stein_min_cut
-from .bridges import bridge_component, find_bridges
-from .nagamochi_ibaraki import contractible_edges, scan_intervals, sparse_certificate
-from .matula import matula_approx_min_cut
-from .su_sampling import su_approx_min_cut
-from .su_congest import SuCongestResult, su_minimum_cut_congest
-from .maxflow import FlowResult, max_flow_min_cut, minimum_st_cut_value
-from .gomory_hu import GomoryHuTree, gomory_hu_min_cut, gomory_hu_tree
+from .._lazy import lazy_exports
 
-
-__all__ = [
-    "stoer_wagner_min_cut",
-    "MAX_BRUTE_FORCE_NODES",
-    "brute_force_min_cut",
-    "karger_min_cut",
-    "karger_stein_min_cut",
-    "bridge_component",
-    "find_bridges",
-    "contractible_edges",
-    "scan_intervals",
-    "sparse_certificate",
-    "matula_approx_min_cut",
-    "su_approx_min_cut",
-    "SuCongestResult",
-    "su_minimum_cut_congest",
-    "FlowResult",
-    "max_flow_min_cut",
-    "minimum_st_cut_value",
-    "GomoryHuTree",
-    "gomory_hu_min_cut",
-    "gomory_hu_tree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".stoer_wagner": ("stoer_wagner_min_cut",),
+    ".brute_force": ("MAX_BRUTE_FORCE_NODES", "brute_force_min_cut"),
+    ".contraction": ("karger_min_cut", "karger_stein_min_cut"),
+    ".bridges": ("bridge_component", "find_bridges"),
+    ".nagamochi_ibaraki": ("contractible_edges", "scan_intervals", "sparse_certificate"),
+    ".matula": ("matula_approx_min_cut",),
+    ".su_sampling": ("su_approx_min_cut",),
+    ".su_congest": ("SuCongestResult", "su_minimum_cut_congest"),
+    ".maxflow": ("FlowResult", "max_flow_min_cut", "minimum_st_cut_value"),
+    ".gomory_hu": ("GomoryHuTree", "gomory_hu_min_cut", "gomory_hu_tree"),
+})

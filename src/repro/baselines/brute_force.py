@@ -7,10 +7,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..api.result import CutResult
+from ..api.solvers import MAX_BRUTE_FORCE_NODES
 from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph
-
-MAX_BRUTE_FORCE_NODES = 18
 
 
 def brute_force_min_cut(graph: WeightedGraph) -> CutResult:

@@ -85,8 +85,10 @@ import time
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .analysis import fit_power_law, format_cut_results, format_table
-from .api import CutResult, Engine, default_registry, solve
+from .api.engine import Engine
+from .api.facade import solve
+from .api.registry import default_registry
+from .api.result import CutResult
 from .config import (
     BACKENDS,
     MODES,
@@ -95,18 +97,17 @@ from .config import (
     ServeConfig,
     load_config,
 )
-from .core import one_respecting_min_cut_congest
 from .errors import ReproError
-from .exec import Executor, ResultCache, load_cache_file, resolve_backend
-from .exec.cache import CACHE_SCHEMA_VERSION
-from .graphs import (
-    WeightedGraph,
-    build_family,
-    diameter,
-    random_spanning_tree,
-    read_edge_list,
-    FAMILY_BUILDERS,
-)
+from .exec.backends import Executor, resolve_backend
+from .exec.cache import CACHE_SCHEMA_VERSION, ResultCache, load_cache_file
+from .graphs.generators import FAMILY_BUILDERS, build_family, random_spanning_tree
+from .graphs.graph import WeightedGraph
+from .graphs.io import read_edge_list
+from .graphs.properties import diameter
+
+# A command imports what only it runs (analysis, core, store, dynamic,
+# service) in its handler, so ``repro exact`` never loads the service
+# and ``repro serve`` never loads the paper's pipeline.
 
 
 def _load_graph(args: argparse.Namespace) -> WeightedGraph:
@@ -284,6 +285,10 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_rounds(args: argparse.Namespace) -> int:
+    from .analysis.rounds import fit_power_law
+    from .analysis.tables import format_table
+    from .core.one_respect_congest import one_respecting_min_cut_congest
+
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = []
     xs, ys = [], []
@@ -317,6 +322,8 @@ def _cmd_rounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis.tables import format_cut_results
+
     graph = _load_graph(args)
     # One session object owns backend + cache for the whole compare
     # fan-out; `Engine.compare` guarantees the ground-truth row.
@@ -350,6 +357,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_stream(args: argparse.Namespace, engine: Engine) -> int:
+    from .analysis.tables import format_table
     from .dynamic import parse_stream
 
     graph = build_family(args.family, args.n, seed=args.seed)
@@ -441,6 +449,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.stream:
         return _cmd_sweep_stream(args, engine)
+    from .analysis.tables import format_table
+
     graphs = [
         build_family(args.family, args.n, seed=args.seed + i)
         for i in range(args.count)
@@ -497,6 +507,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_solvers(args: argparse.Namespace) -> int:
+    from .analysis.tables import format_table
+
     registry = default_registry()
     if args.json:
         solvers = [
@@ -599,6 +611,7 @@ def _cmd_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
+    from .analysis.tables import format_table
     from .service import ServiceClient
 
     client = ServiceClient(args.url, timeout=args.timeout)
@@ -687,6 +700,7 @@ def _print_compaction(report, *, header: str) -> None:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from .analysis.tables import format_table
     from .store import STORE_SCHEMA_VERSION, SegmentStore
 
     if args.action == "merge":

@@ -6,31 +6,12 @@ word audit), persistent node memory across phases, and round/message
 metrics distinguishing *measured* from *charged* costs.
 """
 
-from .message import Message, check_message_size, payload_words
-from .metrics import PhaseMetrics, RunMetrics
-from .network import (
-    CongestNetwork,
-    PhaseResult,
-    DEFAULT_MAX_WORDS,
-)
-from .node import Inbox, NodeContext, NodeProgram, single_message
-from .trace import MessageTracer, TraceEvent, kind_filter, node_filter
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Message",
-    "check_message_size",
-    "payload_words",
-    "PhaseMetrics",
-    "RunMetrics",
-    "CongestNetwork",
-    "PhaseResult",
-    "DEFAULT_MAX_WORDS",
-    "Inbox",
-    "NodeContext",
-    "NodeProgram",
-    "single_message",
-    "MessageTracer",
-    "TraceEvent",
-    "kind_filter",
-    "node_filter",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".message": ("Message", "check_message_size", "payload_words"),
+    ".metrics": ("PhaseMetrics", "RunMetrics"),
+    ".network": ("CongestNetwork", "PhaseResult", "DEFAULT_MAX_WORDS"),
+    ".node": ("Inbox", "NodeContext", "NodeProgram", "single_message"),
+    ".trace": ("MessageTracer", "TraceEvent", "kind_filter", "node_filter"),
+})

@@ -7,39 +7,21 @@
   :mod:`repro.core.mincut_approx`).
 """
 
-from .karger_lemma import (
-    KargerQuantities,
-    compute_karger_quantities,
-    lca_weights,
-    subtree_sums,
-    weighted_degrees,
-)
-from .one_respect_reference import OneRespectResult, one_respecting_min_cut_reference
-from .one_respect_congest import (
-    DistributedOneRespectResult,
-    install_partition_knowledge,
-    one_respecting_min_cut_congest,
-)
-from .structures import StructuresReference
-from .two_respect import (
-    TwoRespectResult,
-    minimum_cut_exact_two_respect,
-    two_respecting_min_cut_reference,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TwoRespectResult",
-    "minimum_cut_exact_two_respect",
-    "two_respecting_min_cut_reference",
-    "KargerQuantities",
-    "compute_karger_quantities",
-    "lca_weights",
-    "subtree_sums",
-    "weighted_degrees",
-    "OneRespectResult",
-    "one_respecting_min_cut_reference",
-    "DistributedOneRespectResult",
-    "install_partition_knowledge",
-    "one_respecting_min_cut_congest",
-    "StructuresReference",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".karger_lemma": (
+        "KargerQuantities", "compute_karger_quantities", "lca_weights", "subtree_sums",
+        "weighted_degrees",
+    ),
+    ".one_respect_reference": ("OneRespectResult", "one_respecting_min_cut_reference"),
+    ".one_respect_congest": (
+        "DistributedOneRespectResult", "install_partition_knowledge",
+        "one_respecting_min_cut_congest",
+    ),
+    ".structures": ("StructuresReference",),
+    ".two_respect": (
+        "TwoRespectResult", "minimum_cut_exact_two_respect",
+        "two_respecting_min_cut_reference",
+    ),
+})

@@ -16,42 +16,14 @@ scratch.  This package turns the engine into a dynamic-graph solver:
 Entry point: :meth:`repro.api.Engine.dynamic_session`.
 """
 
-from .incremental import DigestState, IncrementalIndexer, index_equal
-from .ops import (
-    AddEdge,
-    AddNode,
-    Effect,
-    MutationLog,
-    MutationOp,
-    RemoveEdge,
-    RemoveNode,
-    Reweight,
-    apply_op,
-    op_from_json,
-    op_from_text,
-    parse_stream,
-    revert,
-)
-from .session import CERTIFICATE_KINDS, DynamicSession, certify_effect
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddEdge",
-    "AddNode",
-    "CERTIFICATE_KINDS",
-    "DigestState",
-    "DynamicSession",
-    "Effect",
-    "IncrementalIndexer",
-    "MutationLog",
-    "MutationOp",
-    "RemoveEdge",
-    "RemoveNode",
-    "Reweight",
-    "apply_op",
-    "certify_effect",
-    "index_equal",
-    "op_from_json",
-    "op_from_text",
-    "parse_stream",
-    "revert",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".incremental": ("DigestState", "IncrementalIndexer", "index_equal"),
+    ".ops": (
+        "AddEdge", "AddNode", "Effect", "MutationLog", "MutationOp", "RemoveEdge",
+        "RemoveNode", "Reweight", "apply_op", "op_from_json", "op_from_text",
+        "parse_stream", "revert",
+    ),
+    ".session": ("CERTIFICATE_KINDS", "DynamicSession", "certify_effect"),
+})

@@ -40,39 +40,17 @@ Usage::
     again = solve_batch(graphs, backend="process", cache=cache)  # all hits
 """
 
-from .backends import (
-    BACKENDS,
-    Executor,
-    ProcessExecutor,
-    REPRO_BACKEND_ENV,
-    SerialExecutor,
-    resolve_backend,
-)
-from .cache import (
-    CACHE_SCHEMA_VERSION,
-    CacheKey,
-    MergeCounts,
-    ResultCache,
-    load_cache_file,
-)
-from .plan import PackPlan, pack_tasks
-from .task import SolveTask, run_task, run_task_captured
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "CACHE_SCHEMA_VERSION",
-    "CacheKey",
-    "Executor",
-    "MergeCounts",
-    "PackPlan",
-    "ProcessExecutor",
-    "REPRO_BACKEND_ENV",
-    "ResultCache",
-    "SerialExecutor",
-    "SolveTask",
-    "load_cache_file",
-    "pack_tasks",
-    "resolve_backend",
-    "run_task",
-    "run_task_captured",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backends": (
+        "BACKENDS", "Executor", "ProcessExecutor", "REPRO_BACKEND_ENV",
+        "SerialExecutor", "resolve_backend",
+    ),
+    ".cache": (
+        "CACHE_SCHEMA_VERSION", "CacheKey", "MergeCounts", "ResultCache",
+        "load_cache_file",
+    ),
+    ".plan": ("PackPlan", "pack_tasks"),
+    ".task": ("SolveTask", "run_task", "run_task_captured"),
+})

@@ -13,7 +13,10 @@ The backends are a closed set, :data:`repro.config.BACKENDS`:
 ``serial`` / ``process`` (this module) and ``remote``
 (:class:`repro.exec.remote.RemoteExecutor` — a sharded fan-out over a
 pool of ``repro serve`` workers, imported only when picked, so the
-core engine never loads the service client unless asked to).
+core engine never loads the service client unless asked to).  The
+process pool is imported on first use too — when a ``process``
+executor first runs a batch — so a process that never fans out never
+loads :mod:`multiprocessing`.
 :func:`resolve_backend` maps a name onto its executor; an
 :class:`Executor` *instance* (custom pool sizing, or a backend of your
 own) passes through it untouched.
@@ -35,7 +38,6 @@ registries.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence, Union
 
 from ..config import BACKENDS, REPRO_BACKEND_ENV
@@ -161,6 +163,10 @@ class ProcessExecutor(Executor):
         chunk_order = sorted(
             range(chunk_count), key=lambda b: (-pack.loads[b], b)
         )
+        # Imported here, not at module level: it loads multiprocessing,
+        # which no process that never runs a ``process`` batch needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         outcomes: list = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

@@ -45,12 +45,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from ..api.result import CutResult
 from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph
-from ..store import SegmentStore
+
+if TYPE_CHECKING:
+    from ..store.store import SegmentStore
 
 #: Pending disk-tier hit counts are appended to a store-backed cache
 #: once this many accumulate, so a stream of single solves that all hit
@@ -190,6 +192,8 @@ class ResultCache:
         self.misses = 0
         self.lock = threading.RLock()
         if self.path is not None:
+            from ..store.store import SegmentStore
+
             self.store = SegmentStore(self.path)
 
     # -- lookup / store ------------------------------------------------
@@ -420,6 +424,8 @@ def load_cache_file(path: Union[str, Path]) -> dict[str, dict]:
     """
     path = Path(path)
     if path.is_dir():
+        from ..store.store import SegmentStore
+
         return SegmentStore(path, create=False).entries()
     try:
         loaded = json.loads(path.read_text(encoding="utf-8"))

@@ -5,11 +5,9 @@ fragments of O(√n) diameter, both centrally (the default substrate) and
 as a distributed bottom-up protocol on the CONGEST simulator.
 """
 
-from .partition import FragmentDecomposition, partition_tree
-from .distributed import run_distributed_partition
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FragmentDecomposition",
-    "partition_tree",
-    "run_distributed_partition",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".partition": ("FragmentDecomposition", "partition_tree"),
+    ".distributed": ("run_distributed_partition",),
+})

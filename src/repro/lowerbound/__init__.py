@@ -1,5 +1,7 @@
 """Das Sarma et al. lower-bound instance family (system S11)."""
 
-from .das_sarma import HardInstance, das_sarma_instance, square_instance
+from .._lazy import lazy_exports
 
-__all__ = ["HardInstance", "das_sarma_instance", "square_instance"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".das_sarma": ("HardInstance", "das_sarma_instance", "square_instance"),
+})

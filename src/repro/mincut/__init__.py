@@ -9,16 +9,10 @@ each of these algorithms is registered (as ``"exact"``,
 ``"exact_congest_full"`` and ``"approx"``).
 """
 
-from .exact import ExactMinCut, default_tree_schedule, minimum_cut_exact
-from .exact_distributed import FullyDistributedExact, minimum_cut_exact_congest_full
-from .approx import ApproxMinCut, minimum_cut_approx
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExactMinCut",
-    "default_tree_schedule",
-    "minimum_cut_exact",
-    "FullyDistributedExact",
-    "minimum_cut_exact_congest_full",
-    "ApproxMinCut",
-    "minimum_cut_approx",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".exact": ("ExactMinCut", "default_tree_schedule", "minimum_cut_exact"),
+    ".exact_distributed": ("FullyDistributedExact", "minimum_cut_exact_congest_full"),
+    ".approx": ("ApproxMinCut", "minimum_cut_approx"),
+})

@@ -1,19 +1,12 @@
 """Minimum spanning tree substrate (system S5 of DESIGN.md)."""
 
-from .kruskal import DisjointSets, edge_total_order, minimum_spanning_tree, tree_weight
-from .prim import minimum_spanning_tree_prim
-from .boruvka_congest import boruvka_mst, COMPONENT_TREE
-from .kutten_peleg import kutten_peleg_mst, kutten_peleg_round_cost, log_star
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DisjointSets",
-    "edge_total_order",
-    "minimum_spanning_tree",
-    "tree_weight",
-    "minimum_spanning_tree_prim",
-    "boruvka_mst",
-    "COMPONENT_TREE",
-    "kutten_peleg_mst",
-    "kutten_peleg_round_cost",
-    "log_star",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".kruskal": (
+        "DisjointSets", "edge_total_order", "minimum_spanning_tree", "tree_weight",
+    ),
+    ".prim": ("minimum_spanning_tree_prim",),
+    ".boruvka_congest": ("boruvka_mst", "COMPONENT_TREE"),
+    ".kutten_peleg": ("kutten_peleg_mst", "kutten_peleg_round_cost", "log_star"),
+})

@@ -7,32 +7,15 @@
   rounds via monotone streaming (the Step 5 workhorse).
 """
 
-from .bfs import BFSTreeBuild, build_bfs_tree
-from .convergecast import Convergecast, add, min_pair
-from .dissemination import DowncastItems, UpcastUnion, gossip_items
-from .keyed_sums import BlockingKeyedSum, PipelinedKeyedSum
-from .treespec import (
-    BFS_TREE,
-    FRAGMENT_TREE,
-    SPANNING_TREE,
-    TreeSpec,
-    load_tree_into_memory,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BFSTreeBuild",
-    "build_bfs_tree",
-    "Convergecast",
-    "add",
-    "min_pair",
-    "DowncastItems",
-    "UpcastUnion",
-    "gossip_items",
-    "BlockingKeyedSum",
-    "PipelinedKeyedSum",
-    "BFS_TREE",
-    "FRAGMENT_TREE",
-    "SPANNING_TREE",
-    "TreeSpec",
-    "load_tree_into_memory",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bfs": ("BFSTreeBuild", "build_bfs_tree"),
+    ".convergecast": ("Convergecast", "add", "min_pair"),
+    ".dissemination": ("DowncastItems", "UpcastUnion", "gossip_items"),
+    ".keyed_sums": ("BlockingKeyedSum", "PipelinedKeyedSum"),
+    ".treespec": (
+        "BFS_TREE", "FRAGMENT_TREE", "SPANNING_TREE", "TreeSpec",
+        "load_tree_into_memory",
+    ),
+})

@@ -24,38 +24,15 @@ Run one with ``python -m repro serve`` and talk to it with
 endpoint tour.
 """
 
-from .client import RemoteDynamicSession, ServiceClient
-from .pool import Heartbeat, WorkerPool
-from .protocol import (
-    PROTOCOL_VERSION,
-    cut_result_from_json,
-    cut_result_to_json,
-    parse_batch_request,
-    parse_graph,
-    parse_mutate_request,
-    parse_register_request,
-    parse_solve_request,
-)
-from .server import (
-    AsyncHTTPServer,
-    ReproService,
-    create_server,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncHTTPServer",
-    "Heartbeat",
-    "PROTOCOL_VERSION",
-    "RemoteDynamicSession",
-    "ReproService",
-    "ServiceClient",
-    "WorkerPool",
-    "create_server",
-    "cut_result_from_json",
-    "cut_result_to_json",
-    "parse_batch_request",
-    "parse_graph",
-    "parse_mutate_request",
-    "parse_register_request",
-    "parse_solve_request",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".client": ("RemoteDynamicSession", "ServiceClient"),
+    ".pool": ("Heartbeat", "WorkerPool"),
+    ".protocol": (
+        "PROTOCOL_VERSION", "cut_result_from_json", "cut_result_to_json",
+        "parse_batch_request", "parse_graph", "parse_mutate_request",
+        "parse_register_request", "parse_solve_request",
+    ),
+    ".server": ("AsyncHTTPServer", "ReproService", "create_server"),
+})

@@ -55,7 +55,9 @@ nothing from interleaving.  A ``/solve`` is split in two
 (:meth:`ReproService.probe`): decode, parse, size check and cache
 lookup run on the event loop, so a hit is answered there and never
 meets the queue gate, the solve lock or the ``delay`` straggler; only
-a miss goes on to the pool, under the gate and the lock.  The shared
+a miss goes on to the pool, under the gate and the lock.  A body over
+``_LOOP_SOLVE_BYTES`` goes to the pool whole, hit or miss: its decode
+and hash would stall every other connection on the loop.  The shared
 :class:`~repro.exec.cache.ResultCache` has its own lock for that
 reason.  ``/solve_batch`` and ``/mutate`` take the gate and the lock
 whole, hits included.  Parallelism belongs to the *backend* knob (a
@@ -107,6 +109,13 @@ _HEAD_TIMEOUT = 10.0
 
 #: Seconds a request's body may take to arrive once its head is read.
 _BODY_TIMEOUT = 30.0
+
+#: Largest ``/solve`` body decoded, parsed and looked up on the event
+#: loop; a bigger one goes to the dispatch pool whole.  A warm solve of
+#: a gnp n=60 graph is 7.5-9.0 KB; decoding, parsing and hashing an
+#: 835 KB one takes tens of milliseconds, which the loop would owe every
+#: other connection.
+_LOOP_SOLVE_BYTES = 64 * 1024
 
 
 def _retry_after_header(payload: object) -> Optional[str]:
@@ -181,20 +190,20 @@ class ReproService:
 
         The synchronous whole of :meth:`probe` and the rest it returns.
         """
-        answer = self.probe(method, path, body)
-        return answer() if callable(answer) else answer
+        return self._settle(self._route, method, path, body)
 
     def probe(self, method: str, path: str, body: bytes):
         """The part of one request that never waits for a solve.
 
         Returns ``(status, payload)`` when that part answers it: a
-        ``POST /solve`` is decoded, parsed, size-checked, counted and
-        looked up in the cache here, so a hit (or a bad request) is
-        answered without the queue gate, the solve lock or the
-        ``delay`` straggler.  Otherwise returns a callable that does the
-        rest — a ``/solve`` miss's solve, or any other request whole —
-        and that blocks, so the transport runs it on its dispatch pool.
-        Neither this nor the callable raises.
+        ``POST /solve`` with a body of at most ``_LOOP_SOLVE_BYTES``
+        is decoded, parsed, size-checked, counted and looked up in the
+        cache here, so a hit (or a bad request) is answered without the
+        queue gate, the solve lock or the ``delay`` straggler.
+        Otherwise returns a callable that does the rest — a ``/solve``
+        miss's solve, or any other request whole, a bigger ``/solve``
+        included — and that blocks, so the transport runs it on its
+        dispatch pool.  Neither this nor the callable raises.
         """
         return self._answer(self._route, method, path, body)
 
@@ -218,9 +227,14 @@ class ReproService:
         def run():
             return handler(self._decode_body(body) if expected == "POST" else None)
 
-        if path == "/solve":  # the one route that starts on the event loop
-            return run()
-        return partial(self._answer, run)
+        if path == "/solve" and len(body) <= _LOOP_SOLVE_BYTES:
+            return run()  # the one route that starts on the event loop
+        return partial(self._settle, run)
+
+    def _settle(self, handler, *args) -> tuple[int, dict]:
+        """``handler(*args)`` answered whole: the stage it may return runs too."""
+        answer = self._answer(handler, *args)
+        return answer() if callable(answer) else answer
 
     def _answer(self, handler, *args):
         """``handler(*args)`` as ``(status, payload)``, or the callable
@@ -558,9 +572,10 @@ class AsyncHTTPServer:
     :class:`~repro.service.client.ServiceClient`) hold their connection
     open between requests.  A thread-per-connection server would pin an
     OS thread for each of those idle connections; here one costs a
-    parked coroutine.  The loop also answers ``/solve`` cache hits
-    itself (:meth:`ReproService.probe`): a hit never runs a solver, so
-    it neither crosses to a thread nor waits behind a solve, and while
+    parked coroutine.  The loop also answers ``/solve`` cache hits of
+    up to ``_LOOP_SOLVE_BYTES`` itself (:meth:`ReproService.probe`): a
+    hit never runs a solver, so it neither crosses to a thread nor
+    waits behind a solve, and while
     a CPU-bound solve runs it is bounded by the interpreter's thread
     switching, not by the solve.  Everything that may solve, and every
     other route, runs on a bounded
@@ -692,8 +707,8 @@ class AsyncHTTPServer:
         """Read one request, answer it, write one response.
 
         A ``/solve`` hit is answered on the loop (:meth:`ReproService.
-        probe`); whatever may solve, or is not ``/solve``, runs on the
-        dispatch pool.
+        probe`); whatever may solve, is not ``/solve`` or has a body over
+        ``_LOOP_SOLVE_BYTES``, runs on the dispatch pool.
 
         Returns True to keep the connection for another request.
         """

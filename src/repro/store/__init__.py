@@ -24,22 +24,12 @@ Usage::
     store.compact(CacheConfig(max_entries=10_000))
 """
 
-from .segment import ACTIVE_SEGMENT, SEGMENT_SUFFIX, read_segment
-from .store import (
-    MANIFEST_NAME,
-    STORE_KIND,
-    STORE_SCHEMA_VERSION,
-    CompactionReport,
-    SegmentStore,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACTIVE_SEGMENT",
-    "CompactionReport",
-    "MANIFEST_NAME",
-    "SEGMENT_SUFFIX",
-    "STORE_KIND",
-    "STORE_SCHEMA_VERSION",
-    "SegmentStore",
-    "read_segment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".segment": ("ACTIVE_SEGMENT", "SEGMENT_SUFFIX", "read_segment"),
+    ".store": (
+        "CompactionReport", "MANIFEST_NAME", "STORE_KIND", "STORE_SCHEMA_VERSION",
+        "SegmentStore",
+    ),
+})

@@ -1,5 +1,8 @@
 """Public API surface tests: exports, error hierarchy, version."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -131,3 +134,60 @@ class TestTopLevelExports:
                 continue  # importing it runs the CLI
             module = importlib.import_module(info.name)
             assert module.__doc__, f"{info.name} lacks a module docstring"
+
+
+#: ``repro`` and every package under it.
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
+)
+
+
+def _modules_of(package: str) -> list:
+    """``package`` and every module under it, imported."""
+    root = importlib.import_module(package)
+    return [root] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(root.__path__, prefix=package + ".")
+        if not info.name.endswith("__main__")  # importing it runs the CLI
+    ]
+
+
+class TestLazyExports:
+    """Every package resolves its ``__all__`` on first use; these catch
+    drift between a package's export table and its submodules."""
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_export_is_its_definition(self, package):
+        module = importlib.import_module(package)
+        listed = dir(module)
+        holders = _modules_of(package)
+        assert len(set(module.__all__)) == len(module.__all__)
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert name in listed, f"{package}.{name} missing from dir()"
+            home = getattr(value, "__module__", None)
+            if hasattr(value, "__qualname__") and str(home).startswith("repro"):
+                # a function or a class: its defining module holds it
+                home = importlib.import_module(home)
+                assert getattr(home, value.__qualname__) is value, f"{package}.{name}"
+            else:  # a constant or an alias: a module under the package holds it
+                assert any(
+                    vars(holder).get(name) is value for holder in holders
+                ), f"{package}.{name} is not the object its submodule holds"
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_unknown_names_still_raise(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError):
+            module.no_such_name
+        assert not hasattr(module, "__no_such_dunder__")
+
+    def test_submodules_resolve_as_attributes(self):
+        import repro.graphs
+
+        assert repro.graphs.generators is importlib.import_module(
+            "repro.graphs.generators"
+        )
+        assert repro.mincut is importlib.import_module("repro.mincut")

@@ -297,6 +297,47 @@ class TestDispatch:
         assert callable(service.probe("GET", "/healthz", b""))
         assert service.counters["solve"] == 2
 
+    def test_probe_leaves_an_over_bound_solve_body_to_the_pool(self):
+        from repro.graphs import build_family
+        from repro.service import server as server_module
+
+        bound = server_module._LOOP_SOLVE_BYTES
+        service = ReproService()
+        # A serve-warm-sized hit (a gnp n=60 body) is answered by probe.
+        warm_graph = build_family("gnp", 60, seed=1)
+        service.engine.solve(warm_graph)
+        warm = json.dumps({"graph": graph_to_json(warm_graph)}).encode()
+        assert 4096 < len(warm) <= bound
+        status, payload = service.probe("POST", "/solve", warm)
+        assert status == 200
+        assert payload["result"]["extras"]["cache"]["hit"] is True
+        # The same hit padded past the bound is left whole to the pool:
+        # probe decodes, parses and looks up nothing of it.
+        graph = small_graph()
+        service.engine.solve(graph)
+        small = json.dumps({"graph": graph_to_json(graph)}).encode()
+        status, on_loop = service.probe("POST", "/solve", small)
+        assert status == 200
+        big = small + b" " * bound
+        before = service.cache.stats()["hits"]
+        rest = service.probe("POST", "/solve", big)
+        assert callable(rest)
+        assert service.cache.stats()["hits"] == before
+        status, off_loop = rest()
+        assert status == 200
+        assert off_loop["result"]["extras"]["cache"]["hit"] is True
+        for field in ("value", "side", "solver", "guarantee", "seed"):
+            assert off_loop["result"][field] == on_loop["result"][field]
+        # An over-bound miss is solved whole by the same callable.
+        cold = planted_cut_graph((5, 5), 2, seed=9)
+        body = json.dumps({"graph": graph_to_json(cold)}).encode() + b" " * bound
+        status, payload = service.probe("POST", "/solve", body)()
+        assert status == 200
+        assert payload["result"]["extras"]["cache"]["hit"] is False
+        assert payload["result"]["value"] == 2
+        assert service.dispatch("POST", "/solve", body)[1]["result"]["extras"][
+            "cache"]["hit"] is True
+
     def test_batch_with_thread_backend_is_structured_400(self):
         graphs = [graph_to_json(small_graph())]
         # Named by the request: refused against the local backends.
