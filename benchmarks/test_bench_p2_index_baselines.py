@@ -5,9 +5,11 @@ Not a paper claim: this is the library's own performance trajectory
 and Stoer–Wagner historically rebuilt ``{u: {v: w}}`` adjacency (or
 walked ``neighbors()``/``weight()`` per edge) on every call; they now
 read the cached :class:`~repro.graphs.index.GraphIndex` — Stoer–Wagner
-seeds its contractible super-node adjacency from the index's per-node
-weight maps, Prim scans CSR slices — so one shared index serves the
-whole ``compare`` fan-out.
+builds its contractible super-node adjacency from the index's CSR
+slices (``adj_target``/``adj_weight``, int ids), Prim scans CSR slices
+too — so one shared index serves the whole ``compare`` fan-out.  The
+"after" rebuild timed here copies the index's per-node weight maps,
+the node-labelled form of the same adjacency.
 
 Regenerated series: the legacy access patterns are preserved inline
 here as the "before" reference and timed against the shipped
@@ -44,7 +46,7 @@ def _legacy_rebuild(graph):
 
 
 def _index_rebuild(graph):
-    """The shipped construction: copy the index's per-node weight maps."""
+    """The index-backed construction: copy the index's per-node weight maps."""
     index = graph.index()
     return {u: dict(w) for u, w in zip(index.nodes, index.weight_maps)}
 
@@ -167,8 +169,9 @@ def test_p2_index_baselines(benchmark, record_table):
             "walks; after: cached GraphIndex views; each cell the median "
             f"of {REPEATS} timing passes\n"
             "identical trees and adjacency asserted per instance; "
-            "Stoer–Wagner end-to-end shown for scale (its n-1 contraction "
-            "phases dominate, so the rebuild win is a fixed setup saving)"
+            "Stoer–Wagner end-to-end shown for scale (its MA scans dominate: "
+            "2-3 on gnp and grid, n/2 on complete; the rebuild win is a "
+            "fixed setup saving)"
         ),
     )
     table += (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.graphs import (
@@ -45,3 +47,40 @@ def caterpillar() -> RootedTree:
     for i in range(5, 10):
         parent[i] = i - 5
     return RootedTree(0, parent)
+
+
+#: Longest a real server started under :func:`patch_create_server` runs
+#: before it is shut down, so that a missed patch fails the test instead
+#: of blocking the suite.
+SERVE_DEADLINE_S = 30.0
+
+
+@pytest.fixture
+def patch_create_server(monkeypatch):
+    """``patch(replacement)`` swaps ``create_server`` for ``repro serve``.
+
+    Both the ``repro.service`` package attribute and the defining
+    ``repro.service.server`` one are patched, so the CLI reaches the
+    replacement whichever it imports from.  Any real server still
+    started under the fixture shuts down after :data:`SERVE_DEADLINE_S`.
+    """
+    from repro.service.server import AsyncHTTPServer
+
+    serve_forever = AsyncHTTPServer.serve_forever
+
+    def bounded_serve_forever(self, *args, **kwargs):
+        deadline = threading.Timer(SERVE_DEADLINE_S, self.shutdown)
+        deadline.daemon = True
+        deadline.start()
+        try:
+            serve_forever(self, *args, **kwargs)
+        finally:
+            deadline.cancel()
+
+    monkeypatch.setattr(AsyncHTTPServer, "serve_forever", bounded_serve_forever)
+
+    def patch(replacement):
+        monkeypatch.setattr("repro.service.create_server", replacement)
+        monkeypatch.setattr("repro.service.server.create_server", replacement)
+
+    return patch

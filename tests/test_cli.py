@@ -343,7 +343,7 @@ class TestCacheStoreCli:
         assert load_cache_file(tmp_path / "DIR") == entries
 
     def test_serve_warm_start_from_compacted_store_hits_every_replay(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, patch_create_server, capsys
     ):
         import threading
 
@@ -377,11 +377,13 @@ class TestCacheStoreCli:
             replay["thread"].start()
             return server
 
-        monkeypatch.setattr(service, "create_server", create_and_drive)
+        patch_create_server(create_and_drive)
         assert main(
             ["serve", "--port", "0", "--warm-start", str(tmp_path / "st")]
         ) == 0
+        assert "thread" in replay, "repro serve did not call the patched create_server"
         replay["thread"].join(timeout=30)
+        assert not replay["thread"].is_alive()
         assert "adopted 6 cached result(s)" in capsys.readouterr().out
         assert replay["cache"]["hits"] == len(graphs)
         assert replay["cache"]["misses"] == 0

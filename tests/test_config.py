@@ -347,7 +347,7 @@ class TestConfigCli:
         assert main(["--config", str(path), "config", "show"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_serve_flag_beats_config_file(self, tmp_path, monkeypatch):
+    def test_serve_flag_beats_config_file(self, tmp_path, patch_create_server):
         """`repro serve --port` wins over the file's [serve] port."""
         from repro import cli
 
@@ -362,9 +362,7 @@ class TestConfigCli:
             captured["config"] = config
             raise KeyboardInterrupt  # unwind _cmd_serve before serving
 
-        monkeypatch.setattr(
-            "repro.service.create_server", fake_create_server
-        )
+        patch_create_server(fake_create_server)
         with pytest.raises(KeyboardInterrupt):
             cli.main(["--config", str(path), "serve", "--port", "9999"])
         assert captured["port"] == 9999          # flag beat the file's 9100
@@ -382,11 +380,11 @@ class TestServeRangeChecks:
         [("pool_workers", 0), ("port", -5), ("port", 70000), ("queue_depth", -3)],
     )
     def test_file_and_flag_are_clean_errors(
-        self, tmp_path, capsys, monkeypatch, key, value
+        self, tmp_path, capsys, patch_create_server, key, value
     ):
         from repro.cli import main
 
-        monkeypatch.setattr("repro.service.create_server", _fail_create_server)
+        patch_create_server(_fail_create_server)
         path = tmp_path / "serve.toml"
         path.write_text(f"[serve]\n{key} = {value}\n")
         assert main(["--config", str(path), "serve"]) == 2
@@ -412,7 +410,7 @@ class TestServeRangeChecks:
         with pytest.raises(ConfigError, match="serve.queue_depth must be >= 0"):
             ServeConfig(queue_depth=-3)
 
-    def test_generated_flags_reach_the_server_config(self, monkeypatch):
+    def test_generated_flags_reach_the_server_config(self, patch_create_server):
         from repro import cli
 
         captured = {}
@@ -421,7 +419,7 @@ class TestServeRangeChecks:
             captured["config"] = config
             raise KeyboardInterrupt  # unwind _cmd_serve before serving
 
-        monkeypatch.setattr("repro.service.create_server", fake_create_server)
+        patch_create_server(fake_create_server)
         with pytest.raises(KeyboardInterrupt):
             cli.main([
                 "serve", "--queue-depth", "0", "--max-sessions", "3",
@@ -537,10 +535,10 @@ class TestFiniteNonNegative:
             "cache": ["cache", "compact", self._store(tmp_path)],
         }[section]
 
-    def _check(self, tmp_path, capsys, monkeypatch, section, key, bad):
+    def _check(self, tmp_path, capsys, patch_create_server, section, key, bad):
         from repro.cli import main
 
-        monkeypatch.setattr("repro.service.create_server", _fail_create_server)
+        patch_create_server(_fail_create_server)
         argv = self._argv(tmp_path, section)
         path = tmp_path / "bad.toml"
         for literal, value, flag_text in bad:
@@ -564,34 +562,38 @@ class TestFiniteNonNegative:
     @pytest.mark.parametrize(
         "key", ["retry_after", "delay", "heartbeat", "worker_ttl"]
     )
-    def test_serve_floats(self, tmp_path, capsys, monkeypatch, key):
-        self._check(tmp_path, capsys, monkeypatch, "serve", key, _BAD_FLOATS)
+    def test_serve_floats(self, tmp_path, capsys, patch_create_server, key):
+        self._check(tmp_path, capsys, patch_create_server, "serve", key, _BAD_FLOATS)
 
     @pytest.mark.parametrize(
         "key", ["max_nodes", "max_batch", "max_body_bytes", "max_sessions"]
     )
-    def test_serve_limits(self, tmp_path, capsys, monkeypatch, key):
-        self._check(tmp_path, capsys, monkeypatch, "serve", key, _BAD_INTS)
+    def test_serve_limits(self, tmp_path, capsys, patch_create_server, key):
+        self._check(tmp_path, capsys, patch_create_server, "serve", key, _BAD_INTS)
         assert getattr(ServeConfig(**{key: 0}), key) == 0
 
     @pytest.mark.parametrize("key", ["timeout", "health_interval"])
-    def test_remote_floats(self, tmp_path, capsys, monkeypatch, key):
-        self._check(tmp_path, capsys, monkeypatch, "remote", key, _BAD_FLOATS)
+    def test_remote_floats(self, tmp_path, capsys, patch_create_server, key):
+        self._check(tmp_path, capsys, patch_create_server, "remote", key, _BAD_FLOATS)
 
-    def test_remote_max_shard_is_at_least_one(self, tmp_path, capsys, monkeypatch):
+    def test_remote_max_shard_is_at_least_one(
+        self, tmp_path, capsys, patch_create_server
+    ):
         bad = [("0", 0, None), *_BAD_INTS]
-        self._check(tmp_path, capsys, monkeypatch, "remote", "max_shard", bad)
+        self._check(tmp_path, capsys, patch_create_server, "remote", "max_shard", bad)
         assert RemoteConfig(max_shard=1).max_shard == 1
 
     @pytest.mark.parametrize("key", ["max_entries", "max_bytes", "max_age"])
-    def test_cache(self, tmp_path, capsys, monkeypatch, key):
+    def test_cache(self, tmp_path, capsys, patch_create_server, key):
         bad = _BAD_FLOATS if key == "max_age" else _BAD_INTS
-        self._check(tmp_path, capsys, monkeypatch, "cache", key, bad)
+        self._check(tmp_path, capsys, patch_create_server, "cache", key, bad)
 
-    def test_nan_retry_after_in_serve_section(self, tmp_path, capsys, monkeypatch):
+    def test_nan_retry_after_in_serve_section(
+        self, tmp_path, capsys, monkeypatch, patch_create_server
+    ):
         from repro.cli import main
 
-        monkeypatch.setattr("repro.service.create_server", _fail_create_server)
+        patch_create_server(_fail_create_server)
         path = tmp_path / "bad.toml"
         path.write_text("[serve]\nretry_after = nan\n")
         assert main(["--config", str(path), "serve"]) == 2
