@@ -10,8 +10,9 @@ Design notes
 ------------
 * Nodes may be any hashable object, although the generators in
   :mod:`repro.graphs.generators` produce consecutive integers.
-* Weights must be strictly positive (zero-weight edges are cut-irrelevant
-  and would poison minimum-spanning-tree tie-breaking).
+* Weights must be strictly positive and finite (zero-weight edges are
+  cut-irrelevant and would poison minimum-spanning-tree tie-breaking; a
+  NaN or infinite weight makes cut values incomparable).
 * The class is deliberately small and dependency-free; ``networkx`` enters
   the code base only through :mod:`repro.graphs.io` conversion helpers.
 """
@@ -29,6 +30,8 @@ Node = Hashable
 Edge = tuple[Node, Node]
 WeightedEdge = tuple[Node, Node, float]
 
+_INF = float("inf")
+
 
 def edge_key(u: Node, v: Node) -> Edge:
     """Return a canonical (order-independent) key for the edge ``{u, v}``.
@@ -40,6 +43,12 @@ def edge_key(u: Node, v: Node) -> Edge:
         return (u, v) if u <= v else (v, u)  # type: ignore[operator]
     except TypeError:
         return (u, v) if repr(u) <= repr(v) else (v, u)
+
+
+def _weight_error(weight: float) -> GraphError:
+    """The error for an edge weight outside ``0 < w < inf`` (NaN included)."""
+    kind = "positive" if weight <= 0 else "finite"
+    return GraphError(f"edge weight must be {kind}, got {weight!r}")
 
 
 class WeightedGraph:
@@ -89,8 +98,8 @@ class WeightedGraph:
         """
         if u == v:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
-        if weight <= 0:
-            raise GraphError(f"edge weight must be positive, got {weight!r}")
+        if not 0 < weight < _INF:
+            raise _weight_error(weight)
         self.add_node(u)
         self.add_node(v)
         new_weight = self._adj[u].get(v, 0.0) + weight
@@ -108,8 +117,8 @@ class WeightedGraph:
         but carries the cached connectivity verdict across: a positive
         reweight of an existing edge cannot connect or split the graph.
         """
-        if weight <= 0:
-            raise GraphError(f"edge weight must be positive, got {weight!r}")
+        if not 0 < weight < _INF:
+            raise _weight_error(weight)
         if not self.has_edge(u, v):
             raise GraphError(f"edge ({u!r}, {v!r}) does not exist")
         if self._adj[u][v] == weight:
@@ -262,13 +271,18 @@ class WeightedGraph:
         return sum(w for _, _, w in self.edges())
 
     def edges(self) -> Iterator[WeightedEdge]:
-        """Iterate over every undirected edge exactly once as ``(u, v, w)``."""
-        seen: set[Edge] = set()
-        for u, nbrs in self._adj.items():
+        """Iterate over every undirected edge exactly once as ``(u, v, w)``.
+
+        An edge is yielded from its endpoint that comes first in node
+        insertion order, so ``u`` precedes ``v`` there; edges come in
+        node order, then in ``u``'s adjacency order.
+        """
+        adj = self._adj
+        rank = {u: i for i, u in enumerate(adj)}
+        for u, nbrs in adj.items():
+            ru = rank[u]
             for v, w in nbrs.items():
-                key = edge_key(u, v)
-                if key not in seen:
-                    seen.add(key)
+                if rank[v] > ru:
                     yield (u, v, w)
 
     def edge_list(self) -> list[WeightedEdge]:

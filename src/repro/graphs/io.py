@@ -75,7 +75,7 @@ def edge_list_from_text(text: str) -> WeightedGraph:
             # Endpoints join ``nodes`` too, so a bare-node line keeps its
             # place in the node order relative to the edges around it.
             nodes += (u, v)
-            edges.append((u, v, weight))
+            edges.append([u, v, weight])
             lines.append(raw)
         else:
             raise GraphError(f"malformed edge-list line: {raw!r}")
@@ -154,6 +154,9 @@ def graph_from_json(data: dict) -> WeightedGraph:
     )
 
 
+_INF = math.inf
+
+
 def _graph_from_wire(
     nodes: list, edges: list, bad_weight: Callable[[int, object], str]
 ) -> WeightedGraph:
@@ -165,10 +168,14 @@ def _graph_from_wire(
     :meth:`~WeightedGraph.add_node` / :meth:`~WeightedGraph.add_edge`
     calls would give it, so the :class:`~repro.graphs.index.GraphIndex`
     built from it is unchanged, and parallel edges merge by summing.
-    Rejects, with the messages :meth:`~WeightedGraph.add_edge` uses,
-    self-loops and non-positive weights; rejects non-JSON nodes and
-    malformed entries; and rejects non-numeric or non-finite weights
-    with ``bad_weight(position, weight)``.
+
+    The common entry — a 3-element list with int/str endpoints and a
+    float weight in ``(0, inf)`` — costs one unpack and one range
+    check.  Every other entry goes to :func:`_wire_edge`, which checks
+    it in full and raises the first failing rule's message: malformed
+    entries and non-JSON nodes, then non-numeric or non-finite weights
+    (``bad_weight(position, weight)``), then self-loops and non-positive
+    weights (the messages :meth:`~WeightedGraph.add_edge` uses).
     """
     graph = WeightedGraph()
     adj = graph._adj
@@ -180,40 +187,62 @@ def _graph_from_wire(
         if node not in adj:
             adj[node] = {}
     for position, edge in enumerate(edges):
-        if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
-            raise GraphError(
-                f"edge #{position} must be [u, v] or [u, v, weight], got {edge!r}"
-            )
-        u, v = edge[0], edge[1]
-        if type(u) is not int and type(u) is not str:
-            _check_json_node(u)
-        if type(v) is not int and type(v) is not str:
-            _check_json_node(v)
-        weight = edge[2] if len(edge) == 3 else 1.0
-        if (
-            type(weight) is not float
-            and (isinstance(weight, bool) or not isinstance(weight, (int, float)))
-            # json.loads accepts NaN/Infinity by default, and NaN slips
-            # past the `weight <= 0` guard to poison every cut.
-            or not math.isfinite(weight)
-        ):
-            raise GraphError(bad_weight(position, weight))
-        weight = float(weight)
-        if u == v:
-            raise GraphError(f"self-loop on node {u!r} is not allowed")
-        if weight <= 0:
-            raise GraphError(f"edge weight must be positive, got {weight!r}")
-        row_u = adj.get(u)
-        if row_u is None:
+        if type(edge) is list and len(edge) == 3:
+            u, v, weight = edge
+            if not (
+                type(weight) is float
+                and 0.0 < weight < _INF
+                and (type(u) is int or type(u) is str)
+                and (type(v) is int or type(v) is str)
+                and u != v
+            ):
+                u, v, weight = _wire_edge(position, edge, bad_weight)
+        else:
+            u, v, weight = _wire_edge(position, edge, bad_weight)
+        try:
+            row_u = adj[u]
+        except KeyError:
             row_u = adj[u] = {}
-        row_v = adj.get(v)
-        if row_v is None:
+        try:
+            row_v = adj[v]
+        except KeyError:
             row_v = adj[v] = {}
-        merged = row_u.get(v, 0.0) + weight
-        row_u[v] = merged
-        row_v[u] = merged
+        if v in row_u:
+            weight += row_u[v]
+        row_u[v] = row_v[u] = weight
     graph._mutated()
     return graph
+
+
+def _wire_edge(
+    position: int, edge: object, bad_weight: Callable[[int, object], str]
+) -> tuple:
+    """``(u, v, weight)`` of an edge entry off the fast path, or the
+    :class:`GraphError` of the first rule it breaks."""
+    if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+        raise GraphError(
+            f"edge #{position} must be [u, v] or [u, v, weight], got {edge!r}"
+        )
+    u, v = edge[0], edge[1]
+    if type(u) is not int and type(u) is not str:
+        _check_json_node(u)
+    if type(v) is not int and type(v) is not str:
+        _check_json_node(v)
+    weight = edge[2] if len(edge) == 3 else 1.0
+    if (
+        type(weight) is not float
+        and (isinstance(weight, bool) or not isinstance(weight, (int, float)))
+        # json.loads accepts NaN/Infinity by default, and NaN slips
+        # past the `weight <= 0` guard to poison every cut.
+        or not math.isfinite(weight)
+    ):
+        raise GraphError(bad_weight(position, weight))
+    weight = float(weight)
+    if u == v:
+        raise GraphError(f"self-loop on node {u!r} is not allowed")
+    if weight <= 0:
+        raise GraphError(f"edge weight must be positive, got {weight!r}")
+    return u, v, weight
 
 
 def to_networkx(graph: WeightedGraph):

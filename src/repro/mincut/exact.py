@@ -11,6 +11,13 @@ trees fail to improve the best cut, up to ``max_trees``.  Passing
 ``tree_count`` pins the schedule (e.g. to the Thorup bound, if you have
 the patience).
 
+The schedule is a heuristic below Thorup's count, and on dense graphs
+the tree that reaches λ can come several trees past the stop.  So the
+answer is ``min(best tree cut, cheapest singleton cut)``: the minimum
+weighted degree is an upper bound on λ that equals it whenever a single
+node is a minimum cut side.  The tree's side is kept on a tie, and
+patience counts trees only.
+
 Modes
 -----
 ``reference``
@@ -20,7 +27,9 @@ Modes
     Every tree's Theorem 2.1 run executes on the CONGEST simulator
     (real messages, measured rounds) and each tree's construction is
     charged the Kutten–Peleg MST cost, reproducing the paper's
-    ``O~((√n + D)·#trees)`` total.
+    ``O~((√n + D)·#trees)`` total.  The singleton candidate is one more
+    measured phase, ``min-degree``: a convergecast of ``(δ(u), u)`` up
+    the last run's BFS tree, O(D) rounds.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from ..graphs.graph import WeightedGraph
 from ..graphs.trees import RootedTree
 from ..mst.kutten_peleg import kutten_peleg_round_cost
 from ..packing.greedy import GreedyTreePacking
+from ..primitives.convergecast import Convergecast, min_pair
+from ..primitives.treespec import BFS_TREE
 
 
 @dataclass(frozen=True)
@@ -46,9 +57,10 @@ class ExactMinCut:
     """Result of the packing-based exact algorithm.
 
     ``tree_index`` is the 1-based index of the packing tree whose
-    1-respecting minimum realised the best value; ``per_tree_values``
-    records each tree's ``c*`` in packing order; ``metrics`` is present
-    in congest mode (measured + charged rounds).
+    1-respecting minimum realised the best value, or 0 when the degree
+    cut won (a singleton side lighter than every tree's best);
+    ``per_tree_values`` records each tree's ``c*`` in packing order;
+    ``metrics`` is present in congest mode (measured + charged rounds).
     """
 
     value: float
@@ -130,10 +142,47 @@ def minimum_cut_exact(
                 break
 
     assert best_tree is not None
+    side = frozenset(best_tree.subtree(best_node))
+    degree_value, degree_node = (
+        _min_degree_congest(network) if network is not None else _min_degree(graph)
+    )
+    if degree_value < best_value - 1e-12:
+        best_value, side, best_index = degree_value, frozenset((degree_node,)), 0
     return ExactMinCut(
         value=best_value,
-        side=frozenset(best_tree.subtree(best_node)),
+        side=side,
         tree_index=best_index,
         per_tree_values=tuple(per_tree),
         metrics=network.metrics if network is not None else None,
     )
+
+
+def _min_degree(graph: WeightedGraph) -> tuple[float, object]:
+    """The cheapest singleton cut ``(δ(u), u)``; first in node order on ties."""
+    node = min(graph.nodes, key=graph.weighted_degree)
+    return graph.weighted_degree(node), node
+
+
+def _min_degree_congest(network: CongestNetwork) -> tuple[float, object]:
+    """The cheapest singleton cut, as a measured ``min-degree`` phase.
+
+    A :class:`Convergecast` of ``(δ(u), u)`` up the BFS tree the last
+    Theorem 2.1 run left in node memory, so it costs the tree's depth in
+    rounds; the root holds the minimum (smallest id on ties).
+    """
+    network.run_phase(
+        "min-degree",
+        lambda u: Convergecast(
+            BFS_TREE,
+            initial=_degree_initial,
+            combine=min_pair,
+            out_key="ex:min_degree",
+        ),
+    )
+    memory = network.memory
+    root = next(u for u in network.nodes if memory[u][BFS_TREE.parent_key] is None)
+    return memory[root]["ex:min_degree"]
+
+
+def _degree_initial(ctx) -> tuple[float, object]:
+    return (ctx.weighted_degree(), ctx.node)

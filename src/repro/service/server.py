@@ -17,8 +17,9 @@ Architecture — three layers, separable on purpose:
   backends — including shard slices whose per-task seeds and solvers
   arrive frozen (the ``remote`` backend's wire form).
 * One transport wraps the core: :class:`AsyncHTTPServer`, an asyncio
-  event loop where idle keep-alive connections cost a coroutine, not
-  an OS thread; a ``/solve`` cache hit is answered on the loop and
+  event loop with one :class:`asyncio.Protocol` per connection, where
+  an idle keep-alive connection costs a buffer and a timer, not an OS
+  thread; a ``/solve`` cache hit is answered on the loop and
   everything else runs on a bounded worker pool.  JSON over HTTP, no
   new dependencies, optional access-log file, lifecycle
   ``serve_forever`` / ``shutdown`` / ``server_close``.
@@ -51,11 +52,16 @@ seconds to wait — bounded memory instead of unbounded thread growth.
 
 Concurrency model: the transport multiplexes connections, and solves
 are serialised behind one lock — CPU-bound pure-Python solvers gain
-nothing from interleaving.  A ``/solve`` is split in two
-(:meth:`ReproService.probe`): decode, parse, size check and cache
-lookup run on the event loop, so a hit is answered there and never
-meets the queue gate, the solve lock or the ``delay`` straggler; only
-a miss goes on to the pool, under the gate and the lock.  A body over
+nothing from interleaving.  Each connection is one protocol object that
+parses requests out of its buffer as bytes arrive, with one timer
+re-armed per read stage (idle, head, body) and no task of its own.  A
+``/solve`` is split in two (:meth:`ReproService.probe`): decode, parse,
+size check and cache lookup run inside the protocol's
+``data_received``, so a hit is answered there and never meets the
+queue gate, the solve lock or the ``delay`` straggler; only a miss goes
+on to the pool, under the gate and the lock, with the connection's
+reading paused until its answer is written, so one connection's
+requests are answered in order.  A body over
 ``_LOOP_SOLVE_BYTES`` goes to the pool whole, hit or miss: its decode
 and hash would stall every other connection on the loop.  The shared
 :class:`~repro.exec.cache.ResultCache` has its own lock for that
@@ -565,31 +571,35 @@ class AsyncHTTPServer:
     Lifecycle: the socket binds eagerly in the constructor so
     ``port=0`` resolves before ``serve_forever()`` runs,
     ``serve_forever()`` blocks until ``shutdown()`` is called from
-    another thread, and ``server_close()`` releases the socket, the
-    dispatch pool and the access log.
+    another thread (which closes every open connection), and
+    ``server_close()`` releases the socket, the dispatch pool and the
+    access log.
 
-    Why asyncio: keep-alive clients (every
-    :class:`~repro.service.client.ServiceClient`) hold their connection
-    open between requests.  A thread-per-connection server would pin an
-    OS thread for each of those idle connections; here one costs a
-    parked coroutine.  The loop also answers ``/solve`` cache hits of
-    up to ``_LOOP_SOLVE_BYTES`` itself (:meth:`ReproService.probe`): a
-    hit never runs a solver, so it neither crosses to a thread nor
-    waits behind a solve, and while
-    a CPU-bound solve runs it is bounded by the interpreter's thread
+    Each connection is one :class:`asyncio.Protocol` (:class:`_Connection`)
+    that parses request heads and bodies out of its own buffer as bytes
+    arrive, with no task or stream per connection: an idle keep-alive
+    client (every :class:`~repro.service.client.ServiceClient`) costs a
+    buffer and a timer, not an OS thread.  A ``/solve`` cache hit of up
+    to ``_LOOP_SOLVE_BYTES`` is answered inside ``data_received``
+    (:meth:`ReproService.probe`): a hit never runs a solver, so it
+    neither crosses to a thread nor waits behind a solve, and while a
+    CPU-bound solve runs it is bounded by the interpreter's thread
     switching, not by the solve.  Everything that may solve, and every
     other route, runs on a bounded
     :class:`~concurrent.futures.ThreadPoolExecutor` sized just above
     the service's ``queue_depth`` — so memory stays flat no matter how
     many clients connect, and the queue gate (429 + ``Retry-After``)
-    is what says no, not thread exhaustion.
+    is what says no, not thread exhaustion.  The connection stops
+    reading until that answer is written, so its requests are answered
+    in the order they came.
 
-    Every read is bounded in time: ``idle_timeout`` seconds for the
-    next request line of a keep-alive connection, then
-    ``_HEAD_TIMEOUT`` seconds for all of that request's header lines
-    together (a slow-header trickle is dropped, however it is paced),
-    then ``_BODY_TIMEOUT`` seconds for its ``Content-Length`` body (a
-    short or trickled body is dropped the same way).
+    Every read is bounded in time by one timer per connection, re-armed
+    per stage: ``idle_timeout`` seconds for the next request line of a
+    keep-alive connection, then ``_HEAD_TIMEOUT`` seconds for all of
+    that request's header lines together (a slow-header trickle is
+    dropped, however it is paced), then ``_BODY_TIMEOUT`` seconds for
+    its ``Content-Length`` body (a short or trickled body is dropped the
+    same way).  No timer runs while a request is being answered.
     """
 
     def __init__(self, service: ReproService, *, idle_timeout: float = 60.0) -> None:
@@ -616,6 +626,7 @@ class AsyncHTTPServer:
         self.idle_timeout = float(idle_timeout)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
+        self._connections: set = set()
         self._shutdown_requested = threading.Event()
         self._started = threading.Event()
         self._stopped = threading.Event()
@@ -632,15 +643,15 @@ class AsyncHTTPServer:
         asyncio.run(self._serve())
 
     async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._started.set()
         try:
             if self._shutdown_requested.is_set():
                 return  # shut down before the loop even started
             try:
-                server = await asyncio.start_server(
-                    self._handle_connection, sock=self._socket
+                server = await loop.create_server(
+                    partial(_Connection, self), sock=self._socket
                 )
             except OSError:
                 # ``server_close`` raced us and closed the listening
@@ -652,6 +663,8 @@ class AsyncHTTPServer:
                 await self._stop_event.wait()
             finally:
                 server.close()
+                for connection in list(self._connections):
+                    connection.close()
                 await server.wait_closed()
         finally:
             self._loop = None
@@ -679,76 +692,192 @@ class AsyncHTTPServer:
             self.access_log.close()
             self.access_log = None
 
-    # -- one connection ------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
+    def _log(self, host: str, request_repr: str, status: int) -> None:
+        stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+        line = '%s - - [%s] "%s" %d\n' % (host, stamp, request_repr, status)
+        stream = self.access_log or sys.stderr
         try:
-            while await self._handle_one(reader, writer):
-                pass
-        except asyncio.CancelledError:
-            pass  # loop shutting down mid-request: just drop the connection
-        except (
-            OSError,
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            ValueError,  # readline's error for a line over 64 KiB
-        ):
-            # Peer gone, idle, head or body timed out, or an over-long line:
-            # just drop the connection.
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+            stream.write(line)
+            stream.flush()
+        except ValueError:
+            pass  # the log was closed mid-shutdown
 
-    async def _handle_one(self, reader, writer) -> bool:
-        """Read one request, answer it, write one response.
 
-        A ``/solve`` hit is answered on the loop (:meth:`ReproService.
-        probe`); whatever may solve, is not ``/solve`` or has a body over
-        ``_LOOP_SOLVE_BYTES``, runs on the dispatch pool.
+#: Longest request or header line, without its line feed; a longer one
+#: drops the connection unanswered.
+_MAX_LINE = 64 * 1024
 
-        Returns True to keep the connection for another request.
-        """
-        request_line = await asyncio.wait_for(
-            reader.readline(), timeout=self.idle_timeout
-        )
-        if not request_line.strip():
-            return False  # EOF (or a bare CRLF) between requests
+# What a connection's buffer is waiting for.
+_LINE, _HEAD, _BODY = "line", "head", "body"
+
+
+class _Connection(asyncio.Protocol):
+    """One HTTP/1.1 connection of an :class:`AsyncHTTPServer`.
+
+    ``data_received`` appends to a buffer and :meth:`_advance` parses as
+    far as it can: the request line (``_LINE``), header lines up to a
+    blank (CRLF or bare LF) line or EOF (``_HEAD``), then
+    ``Content-Length`` body bytes (``_BODY``).  A complete request is
+    answered at once when :meth:`ReproService.probe` answers it;
+    otherwise its callable goes to the dispatch pool and reading pauses
+    until the answer is written.  While the buffer waits for bytes, one
+    timer bounds the stage (see :class:`AsyncHTTPServer`).
+    """
+
+    def __init__(self, server: AsyncHTTPServer) -> None:
+        self._server = server
+        self._probe = server.service.probe
+        self._buffer = bytearray()
+        self._transport = None
+        self._host = "-"
+        self._stage = _LINE
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._closed = False
+        self._eof = False
+        self._busy = False  # a pool dispatch is in flight
+        self._write_paused = False
+        # The request being read.
+        self._method = self._target = ""
+        self._request_repr = ""
+        self._headers: dict[str, str] = {}
+        self._header_lines = 0
+        self._length = 0
+        self._keep = False
+
+    # -- asyncio.Protocol ----------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        peer = transport.get_extra_info("peername")
+        if peer:
+            self._host = peer[0]
+        self._server._connections.add(self)
+        self._advance()
+
+    def connection_lost(self, exc) -> None:
+        self._closed = True
+        self._disarm()
+        self._server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._advance()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._advance()
+        return True  # keep the write half for an answer still owed
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if not self._busy:
+            self._transport.resume_reading()
+        self._advance()
+
+    def close(self) -> None:
+        """Drop the connection (what is already written still goes out)."""
+        if not self._closed:
+            self._closed = True
+            self._disarm()
+            self._transport.close()
+
+    # -- parsing -------------------------------------------------------
+
+    def _advance(self) -> None:
+        """Parse and answer what the buffer holds, then wait for more."""
+        while not (self._closed or self._busy or self._write_paused):
+            stage = self._stage
+            if stage is _BODY:
+                buffer, length = self._buffer, self._length
+                if len(buffer) < length:
+                    if self._eof:
+                        self.close()  # the body ended short
+                    break
+                body = bytes(buffer[:length])
+                del buffer[:length]
+                self._stage = _LINE
+                self._dispatch(body)
+                continue
+            line = self._line()
+            if line is None:
+                break
+            if stage is _LINE:
+                self._disarm()
+                self._start_request(line)
+            else:
+                self._header(line)
+        if not (self._closed or self._busy or self._write_paused):
+            if self._eof:
+                self.close()  # nothing more will complete
+            elif self._timer is None:
+                self._arm()
+
+    def _line(self) -> Optional[bytes]:
+        """The next line with its line feed, the rest at EOF, or ``None``
+        (not complete yet, or over ``_MAX_LINE`` — the connection is then
+        dropped)."""
+        buffer = self._buffer
+        end = buffer.find(b"\n")
+        if end < 0:
+            if len(buffer) > _MAX_LINE:
+                self.close()
+                return None
+            if not self._eof:
+                return None
+            end = len(buffer) - 1
+        elif end > _MAX_LINE:
+            self.close()
+            return None
+        line = bytes(buffer[: end + 1])
+        del buffer[: end + 1]
+        return line
+
+    def _start_request(self, line: bytes) -> None:
+        if not line.strip():
+            self.close()  # EOF (or a bare CRLF) between requests
+            return
         try:
-            method, target, version = request_line.decode("latin-1").split()
+            method, target, version = line.decode("latin-1").split()
         except ValueError:
             exc = ServiceError("malformed HTTP request line", status=400)
-            await self._write_response(
-                writer, 400, error_body(exc, 400), False, "<malformed>"
-            )
-            return False
-        request_repr = f"{method} {target} {version}"
-        # One deadline for the whole head: a timeout drops the connection.
-        headers = await asyncio.wait_for(
-            _read_headers(reader), timeout=_HEAD_TIMEOUT
-        )
-        if headers is None:
+            self._respond(400, error_body(exc, 400), False, "<malformed>")
+            return
+        self._method, self._target = method, target
+        self._request_repr = f"{method} {target} {version}"
+        self._keep = version == "HTTP/1.1"
+        self._headers = {}
+        self._header_lines = 0
+        self._stage = _HEAD
+
+    def _header(self, line: bytes) -> None:
+        if line in (b"\r\n", b"\n", b""):
+            self._end_head()
+            return
+        self._header_lines += 1
+        if self._header_lines > _MAX_HEADERS:
             # The unread rest of the head makes the connection unusable.
             exc = ServiceError(
                 f"request head has more than {_MAX_HEADERS} header lines",
                 status=431,
             )
-            await self._write_response(
-                writer, 431, error_body(exc, 431), False, request_repr
-            )
-            return False
+            self._respond(431, error_body(exc, 431), False, self._request_repr)
+            return
+        name, _, value = line.decode("latin-1").partition(":")
+        self._headers[name.strip().lower()] = value.strip()
+
+    def _end_head(self) -> None:
+        self._disarm()
+        headers = self._headers
         try:
             length = int(headers.get("content-length") or 0)
         except ValueError:
             length = 0
-        keep = (
-            version == "HTTP/1.1"
-            and headers.get("connection", "").lower() != "close"
-        )
-        limit = self.service.config.max_body_bytes
+        self._keep = self._keep and headers.get("connection", "").lower() != "close"
+        limit = self._server.service.config.max_body_bytes
         if limit is not None and length > limit:
             # Refuse before buffering a byte; the unread body makes the
             # connection unusable, so close it (pinned by the
@@ -758,26 +887,46 @@ class AsyncHTTPServer:
                 f"service's limit of {limit}",
                 status=413,
             )
-            await self._write_response(
-                writer, 413, error_body(exc, 413), False, request_repr
-            )
-            return False
-        body = b""
-        if length > 0:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=_BODY_TIMEOUT
-            )
-        answer = self.service.probe(method, target, body)
-        if callable(answer):  # a solve, or a request that is not /solve
-            answer = await asyncio.get_running_loop().run_in_executor(
-                self._pool, answer
-            )
-        status, payload = answer
-        await self._write_response(writer, status, payload, keep, request_repr)
-        return keep
+            self._respond(413, error_body(exc, 413), False, self._request_repr)
+            return
+        self._length = max(0, length)
+        self._stage = _BODY
 
-    async def _write_response(
-        self, writer, status: int, payload: dict, keep: bool, request_repr: str
+    # -- answering -----------------------------------------------------
+
+    def _dispatch(self, body: bytes) -> None:
+        """Answer one request: here if ``probe`` does, else on the pool."""
+        self._disarm()
+        keep, request_repr = self._keep, self._request_repr
+        answer = self._probe(self._method, self._target, body)
+        if not callable(answer):  # a /solve hit, or a bad /solve
+            self._respond(*answer, keep, request_repr)
+            return
+        self._busy = True
+        self._transport.pause_reading()
+        try:
+            future = asyncio.get_running_loop().run_in_executor(
+                self._server._pool, answer
+            )
+        except RuntimeError:  # the pool was shut down under us
+            self.close()
+            return
+        future.add_done_callback(partial(self._dispatched, keep, request_repr))
+
+    def _dispatched(self, keep: bool, request_repr: str, future) -> None:
+        if self._closed:
+            return
+        if future.cancelled() or future.exception() is not None:
+            self.close()
+            return
+        self._busy = False
+        self._respond(*future.result(), keep, request_repr)
+        if not (self._closed or self._write_paused):
+            self._transport.resume_reading()
+        self._advance()
+
+    def _respond(
+        self, status: int, payload: dict, keep: bool, request_repr: str
     ) -> None:
         blob = json.dumps(payload, default=json_default).encode("utf-8")
         reason = http.client.responses.get(status, "")
@@ -790,37 +939,35 @@ class AsyncHTTPServer:
         retry_after = _retry_after_header(payload)
         if retry_after is not None:
             head.append(f"Retry-After: {retry_after}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + blob)
-        await writer.drain()
-        self._log(writer, request_repr, status)
+        self._transport.write(
+            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + blob
+        )
+        self._server._log(self._host, request_repr, status)
+        if not keep:
+            self.close()
 
-    def _log(self, writer, request_repr: str, status: int) -> None:
-        peer = writer.get_extra_info("peername")
-        host = peer[0] if peer else "-"
-        stamp = time.strftime("%d/%b/%Y %H:%M:%S")
-        line = '%s - - [%s] "%s" %d\n' % (host, stamp, request_repr, status)
-        stream = self.access_log or sys.stderr
-        try:
-            stream.write(line)
-            stream.flush()
-        except ValueError:
-            pass  # the log was closed mid-shutdown
+    # -- the one timer -------------------------------------------------
 
+    def _arm(self) -> None:
+        """Bound the wait for the current stage's bytes."""
+        stage = self._stage
+        seconds = (
+            self._server.idle_timeout
+            if stage is _LINE
+            else _HEAD_TIMEOUT
+            if stage is _HEAD
+            else _BODY_TIMEOUT
+        )
+        self._timer = asyncio.get_running_loop().call_later(seconds, self._expire)
 
-async def _read_headers(reader) -> Optional[dict]:
-    """Header lines up to the blank line (CRLF or bare LF) or EOF.
+    def _disarm(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    Names are lower-cased; ``None`` once there are more than
-    ``_MAX_HEADERS`` lines.
-    """
-    headers = {}
-    for _ in range(_MAX_HEADERS + 1):
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            return headers
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return None
+    def _expire(self) -> None:
+        self._timer = None
+        self.close()  # idle, or the head or body timed out
 
 
 def create_server(

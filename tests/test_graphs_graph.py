@@ -1,6 +1,7 @@
 """Unit tests for the WeightedGraph substrate."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,31 @@ class TestConstruction:
             g.add_edge(0, 1, 0.0)
         with pytest.raises(GraphError):
             g.add_edge(0, 1, -2.0)
+
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), -float("inf")], ids=repr
+    )
+    def test_non_finite_weight_rejected_by_add_edge(self, weight):
+        with pytest.raises(GraphError, match="edge weight must be"):
+            WeightedGraph([(0, 1, 1.0), (1, 2, weight)])
+        g = WeightedGraph([(0, 1, 1.0)])
+        with pytest.raises(GraphError):
+            g.add_edge(1, 2, weight)
+        assert list(g._adj.items()) == [(0, {1: 1.0}), (1, {0: 1.0})]
+
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), -float("inf")], ids=repr
+    )
+    def test_non_finite_weight_rejected_by_set_edge_weight(self, weight):
+        g = WeightedGraph([(0, 1, 2.0), (1, 2, 1.0), (0, 2, 3.0)])
+        digest = g.content_hash()
+        version = g._version
+        with pytest.raises(GraphError, match="edge weight must be"):
+            g.set_edge_weight(0, 1, weight)
+        assert g.weight(0, 1) == g.weight(1, 0) == 2.0
+        assert g._version == version
+        assert g._hash_cache == (version, digest)
+        assert g.content_hash() == digest
 
     def test_set_edge_weight_overwrites(self):
         g = WeightedGraph([(0, 1, 2.0)])
@@ -140,6 +166,43 @@ class TestQueries:
         assert len(edges) == 3
         keys = {edge_key(u, v) for u, v, _ in edges}
         assert len(keys) == 3
+
+    @pytest.mark.parametrize("kind", ["int", "str", "mixed"])
+    def test_edges_match_the_first_encounter_walk(self, kind):
+        def reference_edges(graph):
+            # The seen-set walk edges() replaced: first encounter wins.
+            seen = set()
+            for u, nbrs in graph._adj.items():
+                for v, w in nbrs.items():
+                    key = edge_key(u, v)
+                    if key not in seen:
+                        seen.add(key)
+                        yield (u, v, w)
+
+        label = {
+            "int": lambda i: i,
+            "str": lambda i: f"n{i}",
+            "mixed": lambda i: i if i % 2 else f"n{i}",
+        }[kind]
+        rng = random.Random(5)
+        g = WeightedGraph()
+        for _ in range(60):
+            u, v = rng.sample(range(12), 2)
+            g.add_edge(label(u), label(v), rng.choice([1.0, 2.5, 3.0]))
+        assert list(g.edges()) == list(reference_edges(g))
+        # Removals and re-adds move nodes and edges in insertion order.
+        for u, v, _w in list(g.edges())[::3]:
+            g.remove_edge(u, v)
+        g.remove_node(label(3))
+        g.remove_node(label(0))
+        g.add_edge(label(0), label(7), 4.0)
+        g.add_edge(label(5), label(0), 1.5)
+        g.add_edge(label(3), label(11), 2.0)
+        for u, v, _w in list(g.edges())[1::4]:
+            g.remove_edge(u, v)
+            g.add_edge(v, u, 0.5)
+        assert list(g.edges()) == list(reference_edges(g))
+        assert len(list(g.edges())) == g.number_of_edges
 
     def test_edge_list_sorted_for_int_nodes(self, triangle):
         assert triangle.edge_list() == [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0)]

@@ -270,6 +270,14 @@ class TestContentHashAndBuilder:
             ({"edges": [], "weights": []}, "unknown JSON graph keys: 'weights'"),
             ({"edges": {}}, "JSON graph 'nodes' and 'edges' must be lists"),
             ([[0, 1]], "JSON graph must be an object with 'edges', got list"),
+            # Two broken rules in one entry: the first in check order wins
+            # (shape, nodes, weight type and finiteness, self-loop, sign).
+            ({"edges": [[True, 1, float("nan")]]}, "JSON graph nodes must be integers or strings, got True"),
+            ({"edges": [[1, 2.5, "x"]]}, "JSON graph nodes must be integers or strings, got 2.5"),
+            ({"edges": [["a", "a", float("nan")]]}, "edge #0 weight must be a finite number, got nan"),
+            ({"edges": [["a", "a", -1.0]]}, "self-loop on node 'a' is not allowed"),
+            ({"edges": [(0, 1, 2.0), (1, 1, 1.0)]}, "self-loop on node 1 is not allowed"),
+            ({"edges": [[0, 1, 1.0], [2, 3, -float("inf")]]}, "edge #1 weight must be a finite number, got -inf"),
         ],
     )
     def test_json_rejections_keep_their_messages(self, data, message):

@@ -60,6 +60,64 @@ class TestCorrectness:
         assert exact.value == pytest.approx(2.0)
 
 
+#: Dense gnp instances on which the adaptive schedule stops before the
+#: tree that reaches λ: (n, p, seed, λ).  Each has a singleton minimum cut.
+DENSE_STOP_EARLY = [
+    (40, 0.573, 878973, 12.0),
+    (31, 0.529, 144639, 10.0),
+    (35, 0.483, 51398, 11.0),
+    (39, 0.558, 431098, 13.0),
+]
+
+
+class TestDegreeCandidate:
+    """``exact`` answers min(best tree cut, cheapest singleton cut)."""
+
+    @pytest.mark.parametrize("mode", ["reference", "congest"])
+    @pytest.mark.parametrize(
+        "n, p, seed, lam", DENSE_STOP_EARLY, ids=[str(c[2]) for c in DENSE_STOP_EARLY]
+    )
+    def test_dense_seed_matches_stoer_wagner(self, n, p, seed, lam, mode):
+        g = connected_gnp_graph(n, p, seed=seed)
+        truth = stoer_wagner_min_cut(g)
+        exact = minimum_cut_exact(g, mode=mode)
+        assert truth.value == lam
+        assert exact.value == truth.value
+        assert g.cut_value(exact.side) == exact.value
+        # The trees alone stop above λ: the degree cut won.
+        assert min(exact.per_tree_values) > lam
+        assert exact.tree_index == 0
+        assert len(exact.side) == 1
+
+    @pytest.mark.parametrize("mode", ["reference", "congest"])
+    def test_dense_seeds_through_the_api(self, mode):
+        from repro.api import solve
+
+        for n, p, seed, lam in DENSE_STOP_EARLY:
+            g = connected_gnp_graph(n, p, seed=seed)
+            assert solve(g, solver="exact", mode=mode).value == lam
+            assert solve(g, solver="stoer_wagner").value == lam
+        auto = solve(connected_gnp_graph(40, 0.573, seed=878973))
+        assert auto.solver == "exact"
+        assert auto.value == 12.0
+        assert auto.extras["tree_index"] == 0
+
+    def test_congest_mode_measures_a_min_degree_phase(self):
+        g = connected_gnp_graph(40, 0.573, seed=878973)
+        exact = minimum_cut_exact(g, mode="congest")
+        phase = exact.metrics.phases[-1]
+        assert phase.name == "min-degree"
+        assert 0 < phase.rounds <= 10
+        assert not any("min-degree" in note for note in exact.metrics.charged_notes)
+
+    def test_tree_side_is_kept_on_a_tie(self):
+        # On a cycle every node's degree (2) equals the best tree cut.
+        g = cycle_graph(10)
+        exact = minimum_cut_exact(g)
+        assert exact.value == 2.0
+        assert exact.tree_index >= 1
+
+
 class TestSchedule:
     def test_adaptive_stops_early(self):
         g = planted_cut_graph((12, 12), 1, seed=0)

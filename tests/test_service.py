@@ -725,3 +725,172 @@ class TestRequestHead:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+def _serving(config: ServeConfig):
+    """A started server and its thread; stop with :func:`_stop`."""
+    server = create_server(config)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+def _stop(server, thread) -> None:
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _read_response(sock, pending: bytearray):
+    """One ``(status, headers, body)`` off ``sock``; ``pending`` carries
+    bytes read past it to the next call."""
+    while b"\r\n\r\n" not in pending:
+        data = sock.recv(65536)
+        assert data, "connection closed before a response head"
+        pending += data
+    head, _, rest = bytes(pending).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers["content-length"])
+    while len(rest) < length:
+        data = sock.recv(65536)
+        assert data, "connection closed inside a response body"
+        rest += data
+    pending[:] = rest[length:]
+    return int(lines[0].split()[1]), headers, json.loads(rest[:length])
+
+
+def _post(path: str, payload: object, *extra: bytes) -> bytes:
+    body = json.dumps(payload).encode()
+    head = b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n" % (
+        path.encode(), len(body)
+    )
+    return head + b"".join(extra) + b"\r\n" + body
+
+
+_TRIANGLE = {"graph": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]], "solver": "stoer_wagner"}
+
+
+class TestConnection:
+    """Keep-alive, pipelining and lifecycle of one connection."""
+
+    def test_pipelined_requests_are_answered_in_order(self, live):
+        server, _ = live
+        host, port = server.server_address[:2]
+        request = (
+            _post("/solve", _TRIANGLE)
+            + b"GET /solvers HTTP/1.1\r\nHost: x\r\n\r\n"
+            + b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(request)  # all three in one write
+            pending = bytearray()
+            answers = [_read_response(sock, pending) for _ in range(3)]
+            assert sock.recv(65536) == b""
+        assert [status for status, _, _ in answers] == [200, 200, 200]
+        assert answers[0][2]["result"]["value"] == 2.0
+        assert "solvers" in answers[1][2]
+        assert answers[2][2]["status"] == "ok"
+        assert [h["connection"] for _, h, _ in answers] == [
+            "keep-alive", "keep-alive", "close",
+        ]
+
+    def test_request_sent_one_byte_per_write_is_served(self, live):
+        server, _ = live
+        host, port = server.server_address[:2]
+        request = _post("/solve", _TRIANGLE, b"Connection: close\r\n")
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(request)):
+                sock.sendall(request[i : i + 1])
+                time.sleep(0.001)  # so the server reads each byte alone
+            pending = bytearray()
+            status, _, body = _read_response(sock, pending)
+            assert sock.recv(65536) == b""
+        assert status == 200
+        assert body["result"]["value"] == 2.0
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\nHost: x\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_close_and_http10_answer_then_eof(self, live, request_bytes):
+        server, _ = live
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(request_bytes)
+            pending = bytearray()
+            status, headers, body = _read_response(sock, pending)
+            assert sock.recv(65536) == b""  # EOF, not a timeout
+        assert status == 200 and body["status"] == "ok"
+        assert headers["connection"] == "close"
+        assert not pending
+
+    def test_idle_keep_alive_connection_closes_after_idle_timeout(
+        self, monkeypatch
+    ):
+        server, thread = _serving(ServeConfig(port=0))
+        monkeypatch.setattr(server, "idle_timeout", 0.3)
+        host, port = server.server_address[:2]
+        try:
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                status, headers, _ = _read_response(sock, bytearray())
+                assert status == 200 and headers["connection"] == "keep-alive"
+                started = time.monotonic()
+                readable = select.select([sock], [], [], 5.0)[0]
+                try:
+                    reply = sock.recv(65536) if readable else None
+                except OSError:
+                    reply = b""
+                elapsed = time.monotonic() - started
+            assert reply == b"", "the idle connection was held open"
+            assert 0.25 <= elapsed < 3.0
+        finally:
+            _stop(server, thread)
+
+    def test_request_behind_a_pool_dispatch_is_answered_after_it(self):
+        # The batch sleeps on the pool (delay per task); the health
+        # check pipelined behind it must still come second.
+        server, thread = _serving(ServeConfig(port=0, delay=0.2))
+        host, port = server.server_address[:2]
+        batch = {"graphs": [_TRIANGLE["graph"]], "solver": "stoer_wagner"}
+        request = _post("/solve_batch", batch) + (
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        try:
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(request)
+                pending = bytearray()
+                first = _read_response(sock, pending)
+                second = _read_response(sock, pending)
+                assert sock.recv(65536) == b""
+        finally:
+            _stop(server, thread)
+        assert first[0] == 200 and first[2]["results"][0]["value"] == 2.0
+        assert second[0] == 200 and second[2]["status"] == "ok"
+
+    def test_server_close_with_an_open_keep_alive_connection(self):
+        import gc
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            server, thread = _serving(ServeConfig(port=0))
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                status, _, _ = _read_response(sock, bytearray())
+                assert status == 200
+                _stop(server, thread)  # the client still holds its end open
+                assert not thread.is_alive()
+                assert sock.recv(65536) == b""
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
