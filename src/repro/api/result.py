@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from ..congest.metrics import RunMetrics
 from ..errors import AlgorithmError
 from ..graphs.graph import WeightedGraph
+
+if TYPE_CHECKING:
+    from ..congest.metrics import RunMetrics
 
 
 @dataclass(frozen=True, slots=True)

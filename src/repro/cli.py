@@ -83,12 +83,9 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Optional, Union, get_args, get_origin, get_type_hints
 
-from .api.engine import Engine
-from .api.facade import solve
 from .api.registry import default_registry
-from .api.result import CutResult
 from .config import (
     BACKENDS,
     MODES,
@@ -98,34 +95,59 @@ from .config import (
     load_config,
 )
 from .errors import ReproError
-from .exec.backends import Executor, resolve_backend
-from .exec.cache import CACHE_SCHEMA_VERSION, ResultCache, load_cache_file
-from .graphs.generators import FAMILY_BUILDERS, build_family, random_spanning_tree
-from .graphs.graph import WeightedGraph
-from .graphs.io import read_edge_list
-from .graphs.properties import diameter
 
-# A command imports what only it runs (analysis, core, store, dynamic,
-# service) in its handler, so ``repro exact`` never loads the service
-# and ``repro serve`` never loads the paper's pipeline.
+if TYPE_CHECKING:
+    from .api.engine import Engine
+    from .api.result import CutResult
+    from .exec.cache import ResultCache
+    from .graphs.graph import WeightedGraph
+
+# A command imports what only it runs (engine, generators, analysis,
+# core, store, dynamic, service) in its handler, so ``repro exact``
+# never loads the service and ``repro serve`` loads neither the paper's
+# pipeline nor the graph generators.
+
+
+class _Families:
+    """``--family`` choices: the names in ``FAMILY_BUILDERS``, read (and
+    the generators imported) only when a family is checked or listed."""
+
+    def __iter__(self):
+        from .graphs.generators import FAMILY_BUILDERS
+
+        return iter(sorted(FAMILY_BUILDERS))
+
+    def __contains__(self, name: object) -> bool:
+        return name in list(self)
+
+
+def _add_family_argument(parser: argparse.ArgumentParser, note: str = "") -> None:
+    # Without a metavar argparse would list the choices (importing the
+    # generators) as it builds the parser.
+    parser.add_argument(
+        "--family",
+        choices=_Families(),
+        default="gnp",
+        metavar="FAMILY",
+        help="generated graph family: %(choices)s" + note,
+    )
 
 
 def _load_graph(args: argparse.Namespace) -> WeightedGraph:
     if args.file:
+        from .graphs.io import read_edge_list
+
         graph = read_edge_list(args.file)
     else:
+        from .graphs.generators import build_family
+
         graph = build_family(args.family, args.n, seed=args.seed)
     graph.require_connected()
     return graph
 
 
 def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--family",
-        choices=sorted(FAMILY_BUILDERS),
-        default="gnp",
-        help="generated graph family (ignored with --file)",
-    )
+    _add_family_argument(parser, " (ignored with --file)")
     parser.add_argument("--n", type=int, default=64, help="approximate size")
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
     parser.add_argument(
@@ -205,6 +227,9 @@ def _build_engine(args: argparse.Namespace, **knobs) -> Engine:
     a manager, the engine comes back with a ready
     :class:`~repro.exec.remote.RemoteExecutor` attached.
     """
+    from .api.engine import Engine
+    from .exec.backends import Executor, resolve_backend
+
     config = load_config(args.config).merged(
         engine={
             "backend": args.backend,
@@ -241,6 +266,8 @@ def _print_metrics(result: CutResult) -> None:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
+    from .api.facade import solve
+
     graph = _load_graph(args)
     options = {}
     if args.trees is not None:
@@ -260,6 +287,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
+    from .api.facade import solve
+
     graph = _load_graph(args)
     result = solve(
         graph,
@@ -288,6 +317,8 @@ def _cmd_rounds(args: argparse.Namespace) -> int:
     from .analysis.rounds import fit_power_law
     from .analysis.tables import format_table
     from .core.one_respect_congest import one_respecting_min_cut_congest
+    from .graphs.generators import build_family, random_spanning_tree
+    from .graphs.properties import diameter
 
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = []
@@ -359,6 +390,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_sweep_stream(args: argparse.Namespace, engine: Engine) -> int:
     from .analysis.tables import format_table
     from .dynamic import parse_stream
+    from .graphs.generators import build_family
 
     graph = build_family(args.family, args.n, seed=args.seed)
     graph.require_connected()
@@ -450,6 +482,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.stream:
         return _cmd_sweep_stream(args, engine)
     from .analysis.tables import format_table
+    from .graphs.generators import build_family
 
     graphs = [
         build_family(args.family, args.n, seed=args.seed + i)
@@ -565,7 +598,7 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import Heartbeat, create_server
+    from .service import create_server
 
     sc = load_config(args.config).merged(
         serve=_section_flags(args, ServeConfig)
@@ -583,7 +616,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     heartbeat = None
     if sc.register:
         # Join a worker pool: heartbeat our advertised URL to the
-        # manager until shutdown, then withdraw it.
+        # manager until shutdown, then withdraw it.  Only a registering
+        # worker loads the pool and its HTTP client.
+        from .service import Heartbeat
+
         advertise = sc.advertise or server.url
         heartbeat = Heartbeat(
             sc.register, advertise, interval=sc.heartbeat
@@ -612,6 +648,7 @@ def _cmd_config(args: argparse.Namespace) -> int:
 
 def _cmd_client(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
+    from .graphs.generators import build_family
     from .service import ServiceClient
 
     client = ServiceClient(args.url, timeout=args.timeout)
@@ -701,6 +738,7 @@ def _print_compaction(report, *, header: str) -> None:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
+    from .exec.cache import CACHE_SCHEMA_VERSION, ResultCache, load_cache_file
     from .store import STORE_SCHEMA_VERSION, SegmentStore
 
     if args.action == "merge":
@@ -880,9 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.set_defaults(handler=_cmd_approx)
 
     p_rounds = sub.add_parser("rounds", help="measure Theorem 2.1 round scaling")
-    p_rounds.add_argument(
-        "--family", choices=sorted(FAMILY_BUILDERS), default="gnp"
-    )
+    _add_family_argument(p_rounds)
     p_rounds.add_argument("--sizes", default="64,144,256")
     p_rounds.add_argument("--seed", type=int, default=0)
     p_rounds.set_defaults(handler=_cmd_rounds)
@@ -907,9 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="batch-solve generated instances via solve_batch"
     )
-    p_sweep.add_argument(
-        "--family", choices=sorted(FAMILY_BUILDERS), default="gnp"
-    )
+    _add_family_argument(p_sweep)
     p_sweep.add_argument("--n", type=int, default=64, help="approximate size")
     p_sweep.add_argument(
         "--count", type=int, default=8, help="number of instances to generate"
@@ -1005,9 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--mode", choices=MODES, default="reference"
             )
         elif action == "batch":
-            p_action.add_argument(
-                "--family", choices=sorted(FAMILY_BUILDERS), default="gnp"
-            )
+            _add_family_argument(p_action)
             p_action.add_argument("--n", type=int, default=64)
             p_action.add_argument("--count", type=int, default=8)
             p_action.add_argument("--seed", type=int, default=0)

@@ -57,26 +57,37 @@ def _edge_entry(u: Node, v: Node, w: float) -> tuple[tuple, str]:
 class DigestState:
     """Live sorted node/edge lines mirroring ``content_hash``'s input."""
 
-    __slots__ = ("_node_lines", "_edge_keys", "_edge_lines")
+    __slots__ = ("_node_lines", "_node_text", "_edge_keys", "_edge_lines")
 
     def __init__(self, graph: WeightedGraph) -> None:
         # ``n:`` is a common prefix, so the lines sort as the reprs do.
         self._node_lines: list[str] = sorted(f"n:{u!r}" for u in graph.nodes)
+        # The node lines joined and encoded; ``None`` once a node changed.
+        self._node_text: Optional[bytes] = None
         entries = sorted(_edge_entry(u, v, w) for u, v, w in graph.edges())
         self._edge_keys: list[tuple] = [key for key, _ in entries]
         self._edge_lines: list[str] = [line for _, line in entries]
 
     def digest(self) -> str:
-        lines = self._node_lines + self._edge_lines
-        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        """sha256 of ``"\\n".join(node_lines + edge_lines)``, fed in two parts."""
+        node_text = self._node_text
+        if node_text is None:
+            node_text = self._node_text = "\n".join(self._node_lines).encode("utf-8")
+        h = hashlib.sha256(node_text)
+        if self._edge_lines:  # edges imply nodes, so the separator goes first
+            h.update(b"\n")
+            h.update("\n".join(self._edge_lines).encode("utf-8"))
+        return h.hexdigest()
 
     # -- primitive splices ---------------------------------------------
     def _add_node(self, u: Node) -> None:
         insort(self._node_lines, f"n:{u!r}")
+        self._node_text = None
 
     def _remove_node(self, u: Node) -> None:
         i = bisect_left(self._node_lines, f"n:{u!r}")
         del self._node_lines[i]
+        self._node_text = None
 
     def _add_edge(self, u: Node, v: Node, w: float) -> None:
         key, line = _edge_entry(u, v, w)

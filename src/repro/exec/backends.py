@@ -42,7 +42,6 @@ from typing import Optional, Sequence, Union
 
 from ..config import BACKENDS, REPRO_BACKEND_ENV
 from ..errors import AlgorithmError
-from .plan import pack_tasks
 from .task import SolveTask, run_task_captured
 
 
@@ -146,6 +145,7 @@ class ProcessExecutor(Executor):
         keep_going: bool = False,
     ) -> list:
         from ..api.registry import DEFAULT_REGISTRY
+        from .plan import pack_tasks
 
         if registry is not None and registry is not DEFAULT_REGISTRY:
             raise AlgorithmError(

@@ -77,17 +77,17 @@ keeps working while the solver path is saturated.
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import math
+import os
 import socket
 import sys
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
+from http import HTTPStatus
 from typing import Optional
 
 from ..api.engine import Engine
@@ -122,6 +122,10 @@ _BODY_TIMEOUT = 30.0
 #: 835 KB one takes tens of milliseconds, which the loop would owe every
 #: other connection.
 _LOOP_SOLVE_BYTES = 64 * 1024
+
+#: Status line reason phrases, the table ``http.client.responses`` is
+#: built from (importing that module would load the ``email`` package).
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def _retry_after_header(payload: object) -> Optional[str]:
@@ -417,7 +421,7 @@ class ReproService:
                     )
                 graph = opened["graph"]
                 self._check_size(graph)
-                session_id = uuid.uuid4().hex[:12]
+                session_id = os.urandom(6).hex()
                 session = self.engine.dynamic_session(
                     graph,
                     solver=opened["solver"],
@@ -929,7 +933,7 @@ class _Connection(asyncio.Protocol):
         self, status: int, payload: dict, keep: bool, request_repr: str
     ) -> None:
         blob = json.dumps(payload, default=json_default).encode("utf-8")
-        reason = http.client.responses.get(status, "")
+        reason = _REASONS.get(status, "")
         head = [
             f"HTTP/1.1 {status} {reason}".rstrip(),
             "Content-Type: application/json",

@@ -13,6 +13,7 @@ Three tiers mirroring the architecture:
 import json
 import select
 import socket
+import sys
 import threading
 import time
 
@@ -772,6 +773,49 @@ def _post(path: str, payload: object, *extra: bytes) -> bytes:
 
 
 _TRIANGLE = {"graph": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]], "solver": "stoer_wagner"}
+
+
+#: The status line reason phrases the service has always sent: those of
+#: ``http.client.responses`` (413 was renamed in Python 3.13).
+_PHRASES = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    413: "Content Too Large" if sys.version_info >= (3, 13) else "Request Entity Too Large",
+    429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
+}
+
+
+def test_status_lines_keep_their_reason_phrases():
+    # max_nodes=4 makes a 5-node /solve a 413; max_sessions=0 makes every
+    # /mutate open a 429.
+    server, thread = _serving(ServeConfig(port=0, max_nodes=4, max_sessions=0))
+    close = b"Connection: close\r\n"
+    path = [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0]]
+    requests = {
+        200: b"GET /healthz HTTP/1.1\r\n" + close + b"\r\n",
+        400: b"POST /solve HTTP/1.1\r\nContent-Length: 1\r\n" + close + b"\r\n{",
+        404: b"GET /nope HTTP/1.1\r\n" + close + b"\r\n",
+        405: b"GET /solve HTTP/1.1\r\n" + close + b"\r\n",
+        413: _post("/solve", {"graph": path, "solver": "stoer_wagner"}, close),
+        429: _post("/mutate", {"open": {"graph": path[:2]}}, close),
+        431: b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-Pad-%d: v\r\n" % i for i in range(101))
+        + b"\r\n",
+    }
+    try:
+        lines = {
+            status: _raw_exchange(server, request).split(b"\r\n", 1)[0]
+            for status, request in requests.items()
+        }
+    finally:
+        _stop(server, thread)
+    assert lines == {
+        status: b"HTTP/1.1 %d %s" % (status, phrase.encode())
+        for status, phrase in _PHRASES.items()
+    }
 
 
 class TestConnection:

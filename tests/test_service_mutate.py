@@ -6,6 +6,7 @@ free ``dispatch``, and one live HTTP server driven through
 """
 
 import json
+import re
 import threading
 
 import pytest
@@ -193,6 +194,13 @@ class TestDispatch:
         status, payload = post(service, "/mutate", open_body())
         assert status == 429
         assert "close one first" in payload["error"]["message"]
+
+    def test_session_ids_are_distinct_12_hex_chars(self):
+        service = ReproService()
+        ids = [post(service, "/mutate", open_body())[1]["session"] for _ in range(20)]
+        assert all(re.fullmatch(r"[0-9a-f]{12}", sid) for sid in ids), ids
+        assert len(set(ids)) == len(ids)
+        assert set(service.sessions) == set(ids)
 
     def test_open_over_node_limit_is_413(self):
         service = ReproService(config=ServeConfig(max_nodes=4))
